@@ -41,6 +41,7 @@ from .spectra import (
     MERGED,
     PER_FAMILY,
     LineSource,
+    MultiplicityError,
     SpectralLine,
     SpectrumQuery,
     free_spectrum,
@@ -74,7 +75,8 @@ __all__ = [
     "JSequence", "SequenceTooShort", "hausdorff_dimension", "level_products",
     "ConvergenceError", "DiscretizedOperator", "EigenResult", "Potential",
     "cluster", "discretize", "eigenfunction_trace", "export_matrix", "solve_lowest",
-    "MERGED", "PER_FAMILY", "LineSource", "SpectralLine", "SpectrumQuery",
+    "MERGED", "PER_FAMILY", "LineSource", "MultiplicityError", "SpectralLine",
+    "SpectrumQuery",
     "free_spectrum", "interior_shape_counts", "merge_lines", "plates_spectrum",
     "square_well_spectrum",
     "PoleError", "ZetaValue", "constant_j_zeta", "geometric_continuation",

@@ -101,6 +101,25 @@ def _write(text: str, path: str | None):
                 fh.write("\n")
 
 
+_SOURCE_JSON = ('        {\n          "family": "%s",\n          "k": %d,\n'
+                '          "n": %d\n        }')
+_LINE_JSON = ('    {\n      "lambda": %.17g,\n      "multiplicity": %d,\n'
+              '      "sources": [\n%s\n      ]\n    }')
+
+
+def _spectrum_to_json(kind: str, lambda_max: float, policy: str, lines) -> str:
+    """The spectrum document exactly as `render_json` prints it, written
+    line by line without building a dict per line (family names are plain
+    identifiers, so they need no escaping)."""
+    items = []
+    for line in lines:
+        sources = ",\n".join([_SOURCE_JSON % (s.family, s.k, s.n) for s in line.sources])
+        items.append(_LINE_JSON % (line.lam, line.multiplicity, sources))
+    body = "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+    return (f'{{\n  "kind": {render_json(kind)},\n  "lambda_max": {_fmt(lambda_max)},\n'
+            f'  "lines": {body},\n  "policy": {render_json(policy)}\n}}')
+
+
 def _lines_to_csv(lines) -> str:
     rows = ["lambda,multiplicity,sources"]
     for line in lines:
@@ -288,8 +307,7 @@ def _cmd_spectrum(args):
         lines = gen(seq, query)
     if args.format == "csv":
         return _lines_to_csv(lines)
-    return {"kind": args.kind, "lambda_max": args.lambda_max,
-            "policy": args.policy, "lines": [line.as_dict() for line in lines]}
+    return _spectrum_to_json(args.kind, args.lambda_max, args.policy, lines)
 
 
 # h = (1/I_n)/(M+1) <= 1/(8 I_n) needs M >= 7: at least 8 segments per cell
@@ -362,9 +380,19 @@ _COMMANDS = {
 }
 
 
+def _check_format(args):
+    """Only `spectrum` and `solve --trace` have a CSV form."""
+    if args.format == "csv" and not (
+            args.command == "spectrum"
+            or (args.command == "solve" and args.trace is not None)):
+        raise UsageError(f"{args.command} has no --format csv output; "
+                         "only spectrum and solve --trace write CSV")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_format(args)
         out = _COMMANDS[args.command](args)
     except (UsageError, ValueError, PlateConfigError, GraphBuildError,
             SequenceTooShort, MeshError, PoleError) as exc:

@@ -95,10 +95,6 @@ class WellGeometry:
     w: Fraction
     d: Fraction
     wall_on_node: bool
-    loop_case: str | None    # 'inside_set' | 'at_cross' | None
-    loop_m: int | None
-    cross_case: str | None   # 'clear' | 'cut' | None (crosses need level >= 2)
-    cross_m: int | None
 
 
 @dataclass
@@ -559,41 +555,14 @@ def well_geometry(seq: JSequence, n: int) -> WellGeometry:
     w = I_n / 4 counts columns between x = 0 and the wall at x = 1/4;
     d is the distance from the wall to the nearest node column k/I_n
     with k/I_n >= 1/4 (closed side, so d = 0 when the wall sits on a
-    node column).  Also records which loop set / cross the wall meets.
+    node column).
     """
     if n < 1:
         raise ValueError("well geometry needs level >= 1")
-    products = level_products(seq, n)
-    I_n, j_n = products[n], seq.j(n)
+    I_n = level_products(seq, n)[n]
     w = Fraction(I_n, 4)
     d = Fraction(_ceil_fraction(w) - w, I_n)
-
-    loop_case = loop_m = cross_case = cross_m = None
-    m = 1
-    while True:
-        lo, hi = (m - 1) * j_n, m * j_n - 1
-        if lo < w <= hi:
-            loop_case, loop_m = "inside_set", m
-            break
-        if hi < w <= m * j_n + 1:
-            loop_case, loop_m = "at_cross", m
-            break
-        m += 1
-        if m > I_n:
-            break
-    if n >= 2:
-        m = 1
-        while True:
-            if (m - 1) * j_n < w <= m * j_n - 1:
-                cross_case, cross_m = "clear", m
-                break
-            if m * j_n - 1 < w <= m * j_n:
-                cross_case, cross_m = "cut", m
-                break
-            m += 1
-            if m > I_n:
-                break
-    return WellGeometry(n, w, d, d == 0, loop_case, loop_m, cross_case, cross_m)
+    return WellGeometry(n, w, d, d == 0)
 
 
 def _ceil_fraction(q: Fraction) -> int:

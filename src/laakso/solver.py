@@ -89,8 +89,6 @@ class DiscretizedOperator:
     xs: np.ndarray                     # x-coordinate per kept node
     rows: list[str]                    # row label per kept node
     edge_ids: np.ndarray               # owning edge, -1 for vertices
-    arclength: np.ndarray              # position along the owning edge
-    is_vertex: np.ndarray
     mesh: int
     potential: Potential
     graph: QuantumGraph = field(repr=False)
@@ -160,8 +158,6 @@ def discretize(graph: QuantumGraph, mesh: int, potential: Potential
     xs[:nv] = xv
     xs[nv:] = (xv[eu][:, None] + t[None, :] * (xv[ev] - xv[eu])[:, None]).ravel()
 
-    arclength = np.zeros(ndof)
-    arclength[nv:] = (t[None, :] * lengths[:, None]).ravel()
     edge_ids = np.full(ndof, -1, dtype=np.int64)
     edge_ids[nv:] = np.repeat(np.arange(ne), M)
     labels = [v.row_class for v in graph.vertices]
@@ -189,8 +185,6 @@ def discretize(graph: QuantumGraph, mesh: int, potential: Potential
         xs=xs[idx],
         rows=[labels[i] for i in idx],
         edge_ids=edge_ids[idx],
-        arclength=arclength[idx],
-        is_vertex=idx < nv,
         mesh=M,
         potential=potential,
         graph=graph,

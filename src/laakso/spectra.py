@@ -1,27 +1,35 @@
 """Closed-form eigenvalue families with multiplicities.
 
-Three generators are provided, each returning every eigenvalue up to a
-requested ceiling:
+Every spectrum is a table of `Family` rows, one per closed-form family:
+an exact rate c^2, a k-form k^2 or (k + 1/2)^2 over k >= k_min, and a
+multiplicity, giving the lines lambda = pi^2 c^2 kform(k) / scale.  The
+scale belongs to the row's region: 1 on the whole space ("unit"), x0^2
+inside the plates and (1 - 2 x0)^2 outside them.  Three tables:
 
-* `free_spectrum` - the Laplacian with Kirchhoff conditions.  Five
+* `free_families` - the Laplacian with Kirchhoff conditions.  Five
   families: interval modes k^2 pi^2 (mult 1), V modes (k+1/2)^2 pi^2 I_n^2
   (mult 2^n), loop modes k^2 pi^2 I_n^2 (mult 2^(n-1) (j_n-2) I_{n-1}),
   cross modes k^2 pi^2 I_n^2 (mult 2^(n-1) (I_{n-1}-1)), and wide cross
   modes k^2 pi^2 I_n^2 / 4 (mult 2^(n-2) (I_{n-1}-1)).
 
-* `square_well_spectrum` - the Hamiltonian with an infinite square well
+* `square_well_families` - the Hamiltonian with an infinite square well
   on [1/4, 3/4].  Ten families whose multiplicities branch on exact
   comparisons of the wall position w_n = I_n/4 against the loop/cross
   column layout; shapes cut by the wall contribute modes with rates set
   by the wall-to-node distance d_n.
 
-* `plates_spectrum` - the Laplacian on a constant-j space with two
+* `plate_families` - the Laplacian on a constant-j space with two
   conducting plates (Dirichlet nodes), interior eigenvalues scaling as
   x0^-2 and exterior ones as (1-2 x0)^-2.
 
+`enumerate_families` lists the lines of a table up to a ceiling as numpy
+arrays; `free_spectrum`, `square_well_spectrum` and `plates_spectrum`
+turn them into sorted `SpectralLine`s.
+
 Coincident eigenvalues are merged on exact rational data, never by
 floating comparison: every line carries a key (region, q) with
-lambda = pi^2 q (unit region) or pi^2 q / x0^2, pi^2 q / (1-2 x0)^2.
+lambda = pi^2 q / scale, and the merge compares integer numerators of q
+over one common denominator per region.
 """
 
 from __future__ import annotations
@@ -29,6 +37,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
+
+import numpy as np
 
 from .graphs import well_geometry
 from .plates import PlateConfig
@@ -37,24 +48,38 @@ from .sequences import JSequence, level_products
 MERGED = "merged"
 PER_FAMILY = "per-family"
 
+PI2 = math.pi**2
+UNIT_SCALE = {"unit": 1.0}    # x / 1.0 == x, so unit lines print pi^2 q
+
 
 class MultiplicityError(ArithmeticError):
     """A multiplicity formula produced a negative or inconsistent value."""
 
 
-@dataclass(frozen=True, slots=True)
-class LineSource:
+class LineSource(NamedTuple):
     family: str
     n: int
     k: int
 
 
-@dataclass(frozen=True)
-class SpectralLine:
+class SpectralLine(NamedTuple):
+    """One eigenvalue with its multiplicity and the family lines behind it.
+
+    The exact key q = num/den is kept in lowest terms as two ints rather
+    than a Fraction: a line then holds no object the cyclic garbage
+    collector has to track, which matters at 10^5 lines.
+    """
     lam: float
     multiplicity: int
     sources: tuple[LineSource, ...]
-    key: tuple[str, Fraction] = ("unit", Fraction(0))
+    region: str = "unit"
+    num: int = 0
+    den: int = 1
+
+    @property
+    def key(self) -> tuple[str, Fraction]:
+        """(region, q): equal keys are equal eigenvalues on one region."""
+        return (self.region, Fraction(self.num, self.den))
 
     def as_dict(self) -> dict:
         return {
@@ -70,41 +95,173 @@ class SpectrumQuery:
     policy: str = MERGED
 
     def __post_init__(self):
-        if not self.lambda_max > 0:
-            raise ValueError(f"lambda_max must be positive, got {self.lambda_max}")
+        if not (self.lambda_max > 0 and math.isfinite(self.lambda_max)):
+            raise ValueError(f"lambda_max must be positive and finite, "
+                             f"got {self.lambda_max}")
         if self.policy not in (MERGED, PER_FAMILY):
             raise ValueError(f"unknown merge policy {self.policy!r}")
 
 
-class _Emitter:
-    """Collects (key, multiplicity, source) and renders sorted lines."""
+class Family(NamedTuple):
+    """One closed-form family: the lines q = rate * kform(k), k >= k_min.
 
-    def __init__(self, lam_of_key):
-        self.lam_of_key = lam_of_key
-        self.records: list[tuple[tuple[str, Fraction], int, LineSource]] = []
+    kform(k) is (k + 1/2)^2 when `half` is set, else k^2; each line has
+    eigenvalue pi^2 q / scale(region) and the family's multiplicity.
+    """
+    name: str
+    n: int
+    region: str
+    rate: Fraction
+    half: bool
+    k_min: int
+    multiplicity: int
 
-    def emit(self, region: str, q: Fraction, mult: int, family: str, n: int, k: int):
-        if mult < 0:
-            raise MultiplicityError(
-                f"negative multiplicity {mult} in family {family} at n={n}, k={k}"
-            )
-        if mult == 0:
-            return
-        self.records.append(((region, q), mult, LineSource(family, n, k)))
+    def q(self, k):
+        """Numerator and denominator (not reduced) of the key q at k, for
+        an int k or an int64 array of them."""
+        a, b = self.rate.numerator, self.rate.denominator
+        if self.half:
+            return a * (2 * k + 1) ** 2, 4 * b
+        return a * k * k, b
 
-    def lines(self, policy: str) -> list[SpectralLine]:
-        if policy == PER_FAMILY:
-            out = [
-                SpectralLine(self.lam_of_key(key), mult, (src,), key)
-                for key, mult, src in self.records
-            ]
-            return sorted(out, key=lambda L: (L.lam, L.sources[0].family,
-                                              L.sources[0].n, L.sources[0].k))
-        return merge_lines(
-            [SpectralLine(self.lam_of_key(key), mult, (src,), key)
-             for key, mult, src in self.records],
-            MERGED,
-        )
+
+def _printed(num, den, scale):
+    """The eigenvalue printed for q = num/den: pi^2 q / scale.
+
+    The ceiling test (Python ints) and the line arrays (numpy int64) both
+    use this expression, so a line is listed exactly when the value it
+    prints is <= lambda_max.  Both divisions round num/den correctly as
+    long as num and den are below 2^53.
+    """
+    return PI2 * (num / den) / scale
+
+
+def _above(q: Fraction, scale: float, lambda_max: float) -> bool:
+    return _printed(q.numerator, q.denominator, scale) > lambda_max
+
+
+def _k_max(fam: Family, lambda_max: float, scale: float) -> int:
+    """Largest k whose printed eigenvalue is <= lambda_max, or k_min - 1."""
+    a, b = fam.rate.numerator, fam.rate.denominator
+    bound = lambda_max * scale / PI2 * b / a     # kform(k) <= bound, roughly
+    if a * bound * (4 if fam.half else 1) >= 2**52:
+        # near 2^53 adjacent keys print the same float and the search stalls
+        raise ValueError(f"lambda_max = {lambda_max:g} is too large for exact "
+                         f"keys in family {fam.name} at n={fam.n}")
+    if fam.half:
+        k = (math.isqrt(int(4 * bound)) - 1) // 2
+    else:
+        k = math.isqrt(int(bound))
+    k = max(k, fam.k_min - 1)
+    while _printed(*fam.q(k + 1), scale) <= lambda_max:
+        k += 1
+    while k >= fam.k_min and _printed(*fam.q(k), scale) > lambda_max:
+        k -= 1
+    return k
+
+
+class LineArrays(NamedTuple):
+    """The lines of a family table, one entry per (family, k).
+
+    `family` and `region` index the sorted lists `names` and `regions`,
+    so their codes order like the strings; the exact key of entry i is
+    (regions[region[i]], num[i] / dens[region[i]]).
+    """
+    lam: np.ndarray
+    mult: np.ndarray
+    family: np.ndarray
+    n: np.ndarray
+    k: np.ndarray
+    region: np.ndarray
+    num: np.ndarray
+    names: list[str]
+    regions: list[str]
+    dens: list[int]
+
+
+def enumerate_families(families: list[Family], lambda_max: float,
+                       scales: dict[str, float] = UNIT_SCALE) -> LineArrays:
+    """Every line with printed eigenvalue <= lambda_max, as arrays.
+
+    Zero-multiplicity families are skipped; a family with a negative
+    multiplicity raises MultiplicityError if it has a line in range.
+    """
+    names = sorted({f.name for f in families})
+    regions = sorted({f.region for f in families})
+    dens = {r: 1 for r in regions}
+    for f in families:       # the denominator of q does not depend on k
+        dens[f.region] = math.lcm(dens[f.region], f.q(0)[1])
+    rows, ks, nums, lams = [], [], [], []
+    for f in families:
+        if f.multiplicity == 0:
+            continue
+        scale = scales[f.region]
+        k_max = _k_max(f, lambda_max, scale)
+        if k_max < f.k_min:
+            continue
+        if f.multiplicity < 0:
+            raise MultiplicityError(f"negative multiplicity {f.multiplicity} in "
+                                    f"family {f.name} at n={f.n}, k={f.k_min}")
+        num_max, den = f.q(k_max)
+        factor = dens[f.region] // den
+        if num_max * factor >= 2**63:
+            raise ValueError(f"lambda_max = {lambda_max:g} is too large for exact "
+                             f"keys in family {f.name} at n={f.n}")
+        k = np.arange(f.k_min, k_max + 1, dtype=np.int64)
+        num = f.q(k)[0]
+        rows.append((f.multiplicity, names.index(f.name), f.n, regions.index(f.region)))
+        ks.append(k)
+        nums.append(num * factor)
+        lams.append(_printed(num, den, scale))
+    per_row = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    mult, family, n, region = np.repeat(per_row, [len(k) for k in ks], axis=0).T
+    none = np.empty(0, dtype=np.int64)      # keeps dtypes when no family has a line
+    return LineArrays(np.concatenate([np.empty(0), *lams]), mult, family, n,
+                      np.concatenate([none, *ks]), region, np.concatenate([none, *nums]),
+                      names, regions, [dens[r] for r in regions])
+
+
+def _spectral_lines(lines: LineArrays, policy: str) -> list[SpectralLine]:
+    """Sorted SpectralLines; MERGED sums the lines of each exact key.
+
+    Per family, lines sort by (lambda, family, n, k).  Merged, each key's
+    sources sort by (family, n, k) and the keys by (lambda, region, q).
+    Keys are grouped on integer numerators; no float is compared for
+    equality.
+    """
+    total = len(lines.lam)
+    if total == 0:
+        return []
+    if policy == PER_FAMILY:
+        order = np.lexsort((lines.k, lines.n, lines.family, lines.lam))
+        starts = np.arange(total)
+        groups = starts
+    else:
+        order = np.lexsort((lines.k, lines.n, lines.family, lines.num, lines.region))
+        region, num = lines.region[order], lines.num[order]
+        new = np.ones(total, dtype=bool)
+        new[1:] = (region[1:] != region[:-1]) | (num[1:] != num[:-1])
+        starts = np.flatnonzero(new)
+        groups = np.lexsort((num[starts], region[starts], lines.lam[order][starts]))
+    first = order[starts][groups]
+    region, num = lines.region[first], lines.num[first]
+    den = np.asarray(lines.dens)[region]
+    gcd = np.gcd(num, den)
+    mult = np.add.reduceat(lines.mult[order], starts)[groups]
+    sources = list(map(LineSource, [lines.names[f] for f in lines.family[order].tolist()],
+                       lines.n[order].tolist(), lines.k[order].tolist()))
+    bounds = np.append(starts, total)
+    return [SpectralLine(lam, m, tuple(sources[a:b]), lines.regions[r], q, d)
+            for lam, m, a, b, r, q, d in zip(
+                lines.lam[first].tolist(), mult.tolist(),
+                bounds[:-1][groups].tolist(), bounds[1:][groups].tolist(),
+                region.tolist(), (num // gcd).tolist(), (den // gcd).tolist())]
+
+
+def _spectrum(families: list[Family], query: SpectrumQuery,
+              scales: dict[str, float] = UNIT_SCALE) -> list[SpectralLine]:
+    lines = enumerate_families(families, query.lambda_max, scales)
+    return _spectral_lines(lines, query.policy)
 
 
 def merge_lines(lines: list[SpectralLine], policy: str = MERGED) -> list[SpectralLine]:
@@ -125,63 +282,50 @@ def merge_lines(lines: list[SpectralLine], policy: str = MERGED) -> list[Spectra
         mult = sum(m.multiplicity for m in members)
         sources = tuple(sorted((s for m in members for s in m.sources),
                                key=lambda s: (s.family, s.n, s.k)))
-        out.append(SpectralLine(members[0].lam, mult, sources, key))
+        out.append(members[0]._replace(multiplicity=mult, sources=sources))
     return sorted(out, key=lambda L: (L.lam, L.key[0], L.key[1]))
 
 
 # ---------------------------------------------------------------------------
 # free Laplacian
 
+def free_families(seq: JSequence, lambda_max: float) -> list[Family]:
+    """The free Laplacian's families with a line <= lambda_max.
+
+    The zero eigenvalue (constant mode) is level0 at k = 0.  Level n has
+    no line below pi^2 I_n^2 / 4, which bounds the level loop by log2 of
+    the ceiling since I_n >= 2^n.
+    """
+    rows = [Family("level0", 0, "unit", Fraction(1), False, 0, 1)]
+    # Since I_n >= 2 I_{n-1}, a level is ruled out before its j_n is
+    # fetched, so explicit sequences are only consulted as deep as needed.
+    products = [1]
+    n = 1
+    while PI2 * products[-1] ** 2 <= lambda_max:
+        j_n = seq.j(n)
+        products.append(products[-1] * j_n)
+        I_n, I_prev = products[n], products[n - 1]
+        rate = Fraction(I_n * I_n)
+        if _above(rate / 4, 1.0, lambda_max):
+            break
+        rows.append(Family("vee", n, "unit", rate, True, 0, 2**n))
+        rows.append(Family("loop", n, "unit", rate, False, 1,
+                           2 ** (n - 1) * (j_n - 2) * I_prev))
+        if n >= 2:
+            rows.append(Family("cross", n, "unit", rate, False, 1,
+                               2 ** (n - 1) * (I_prev - 1)))
+            rows.append(Family("cross_wide", n, "unit", rate / 4, False, 1,
+                               2 ** (n - 2) * (I_prev - 1)))
+        n += 1
+    return rows
+
+
 def free_spectrum(seq: JSequence, query: SpectrumQuery) -> list[SpectralLine]:
     """All Laplacian eigenvalues <= lambda_max with multiplicities.
 
     The zero eigenvalue (constant mode) is included with multiplicity 1.
-    Levels contribute while pi^2 I_n^2 / 4 <= lambda_max, which bounds
-    the level loop by log2 of the ceiling since I_n >= 2^n.
     """
-    pi2 = math.pi**2
-    lmax = query.lambda_max
-    em = _Emitter(lambda key: pi2 * float(key[1]))
-
-    k = 0
-    while pi2 * k * k <= lmax:
-        em.emit("unit", Fraction(k * k), 1, "level0", 0, k)
-        k += 1
-
-    # Level n contributes only if pi^2 I_n^2 / 4 <= lambda_max; since
-    # I_n >= 2 I_{n-1}, a level is ruled out before its j_n is fetched,
-    # so explicit sequences are only consulted as deep as needed.
-    products = [1]
-    n = 1
-    while pi2 * products[-1] ** 2 <= lmax:
-        j_n = seq.j(n)
-        products.append(products[-1] * j_n)
-        I_n, I_prev = products[n], products[n - 1]
-        if pi2 * I_n * I_n / 4 > lmax:
-            break
-        k = 0
-        while pi2 * (2 * k + 1) ** 2 * I_n * I_n / 4 <= lmax:
-            em.emit("unit", Fraction((2 * k + 1) ** 2 * I_n * I_n, 4),
-                    2**n, "vee", n, k)
-            k += 1
-        loop_mult = 2 ** (n - 1) * (j_n - 2) * I_prev
-        cross_mult = 2 ** (n - 1) * (I_prev - 1) if n >= 2 else 0
-        k = 1
-        while pi2 * k * k * I_n * I_n <= lmax:
-            q = Fraction(k * k * I_n * I_n)
-            em.emit("unit", q, loop_mult, "loop", n, k)
-            if n >= 2:
-                em.emit("unit", q, cross_mult, "cross", n, k)
-            k += 1
-        if n >= 2:
-            wide_mult = 2 ** (n - 2) * (I_prev - 1)
-            k = 1
-            while pi2 * k * k * I_n * I_n / 4 <= lmax:
-                em.emit("unit", Fraction(k * k * I_n * I_n, 4),
-                        wide_mult, "cross_wide", n, k)
-                k += 1
-        n += 1
-    return em.lines(query.policy)
+    return _spectrum(free_families(seq, query.lambda_max), query)
 
 
 # ---------------------------------------------------------------------------
@@ -234,98 +378,69 @@ def _exists_m(w: Fraction, j: int, guard) -> bool:
     return any(guard(m) for m in range(1, m_hi))
 
 
-def square_well_spectrum(seq: JSequence, query: SpectrumQuery) -> list[SpectralLine]:
-    """Eigenvalues of the square-well Hamiltonian, ten closed-form families.
+
+
+def square_well_families(seq: JSequence, lambda_max: float) -> list[Family]:
+    """The square-well Hamiltonian's families with a line <= lambda_max.
 
     Families come from: interval modes confined to the well (4 k^2 pi^2),
     shapes cut by the wall (rates k^2 pi^2 / d_n^2 and
     k^2 pi^2 / (d_n + 1/I_n)^2), and shapes wholly inside the well
     (k^2 pi^2 I_n^2 and k^2 pi^2 I_n^2 / 4), with multiplicities given by
     the interior/straddling shape counts at each level.  All case guards
-    are evaluated in exact rational arithmetic; zero-multiplicity cases
-    are suppressed.
+    are evaluated in exact rational arithmetic.
     """
-    pi2 = math.pi**2
-    lmax = query.lambda_max
-    em = _Emitter(lambda key: pi2 * float(key[1]))
-
-    k = 1
-    while pi2 * 4 * k * k <= lmax:
-        em.emit("unit", Fraction(4 * k * k), 1, "level0", 0, k)
-        k += 1
-
+    rows = [Family("level0", 0, "unit", Fraction(4), False, 1, 1)]
     j1 = seq.j(1)
     if j1 in (2, 3):
         d1 = well_geometry(seq, 1).d
-        rate = 1 / d1**2
-        k = 1
-        while pi2 * float(rate) * k * k <= lmax:
-            em.emit("unit", rate * k * k, 2, "wall_vee", 1, k)
-            k += 1
+        rows.append(Family("wall_vee", 1, "unit", 1 / d1**2, False, 1, 2))
     if j1 == 3:
-        k = 1
-        while pi2 * 9 * k * k <= lmax:
-            em.emit("unit", Fraction(9 * k * k), 1, "loop_level1", 1, k)
-            k += 1
+        rows.append(Family("loop_level1", 1, "unit", Fraction(9), False, 1, 1))
 
+    # the lowest line of level n, pi^2 I_n^2 / 4, is below every wall rate
+    # 1/d_n^2 >= 16 I_n^2 / 49, so it gates the level as for the free space
     products = [1]
     n = 1
-    while pi2 * products[-1] ** 2 <= lmax:
+    while PI2 * products[-1] ** 2 <= lambda_max:
         j_n = seq.j(n)
         products.append(products[-1] * j_n)
         I_n, I_prev = products[n], products[n - 1]
-        if pi2 * I_n * I_n / 4 > lmax:
+        rate = Fraction(I_n * I_n)
+        if _above(rate / 4, 1.0, lambda_max):
             break
         geom = well_geometry(seq, n)
         w, d = geom.w, geom.d
 
         if d != 0 and _exists_m(w, j_n,
                                 lambda m: (m - 1) * j_n + 1 < w < m * j_n - 1):
-            rate = 1 / d**2
-            k = 1
-            while pi2 * float(rate) * k * k <= lmax:
-                em.emit("unit", rate * k * k, 2**n, "wall_loop", n, k)
-                k += 1
-
-        loop_mult = _well_loop_mult(n, j_n, I_prev, w)
-        k = 1
-        while pi2 * I_n * I_n * k * k <= lmax:
-            em.emit("unit", Fraction(I_n * I_n * k * k), loop_mult, "loop", n, k)
-            k += 1
-
+            rows.append(Family("wall_loop", n, "unit", 1 / d**2, False, 1, 2**n))
+        rows.append(Family("loop", n, "unit", rate, False, 1,
+                           _well_loop_mult(n, j_n, I_prev, w)))
         if n >= 2:
             if d != 0 and _exists_m(w, j_n,
                                     lambda m: m * j_n - 1 < w < m * j_n + 1):
-                rate = 1 / d**2
-                k = 1
-                while pi2 * float(rate) * k * k <= lmax:
-                    em.emit("unit", rate * k * k, 2 ** (n - 1), "wall_cross", n, k)
-                    k += 1
+                rows.append(Family("wall_cross", n, "unit", 1 / d**2, False, 1,
+                                   2 ** (n - 1)))
             if _exists_m(w, j_n, lambda m: m * j_n - 1 < w <= m * j_n):
-                k = 1
-                while pi2 * I_n * I_n * k * k <= lmax:
-                    em.emit("unit", Fraction(I_n * I_n * k * k),
-                            2 ** (n - 1), "half_cross", n, k)
-                    k += 1
+                rows.append(Family("half_cross", n, "unit", rate, False, 1,
+                                   2 ** (n - 1)))
             if _exists_m(w, j_n, lambda m: m * j_n - 1 < w < m * j_n):
-                rate = 1 / (d + Fraction(1, I_n)) ** 2
-                k = 1
-                while pi2 * float(rate) * k * k <= lmax:
-                    em.emit("unit", rate * k * k, 2 ** (n - 1), "split_cross", n, k)
-                    k += 1
-            cross_mult = _well_cross_mult(n, j_n, I_prev, w, wide=False)
-            wide_mult = _well_cross_mult(n, j_n, I_prev, w, wide=True)
-            k = 1
-            while pi2 * I_n * I_n * k * k <= lmax:
-                em.emit("unit", Fraction(I_n * I_n * k * k), cross_mult, "cross", n, k)
-                k += 1
-            k = 1
-            while pi2 * I_n * I_n * k * k / 4 <= lmax:
-                em.emit("unit", Fraction(I_n * I_n * k * k, 4),
-                        wide_mult, "cross_wide", n, k)
-                k += 1
+                rows.append(Family("split_cross", n, "unit",
+                                   1 / (d + Fraction(1, I_n)) ** 2, False, 1,
+                                   2 ** (n - 1)))
+            rows.append(Family("cross", n, "unit", rate, False, 1,
+                               _well_cross_mult(n, j_n, I_prev, w, wide=False)))
+            rows.append(Family("cross_wide", n, "unit", rate / 4, False, 1,
+                               _well_cross_mult(n, j_n, I_prev, w, wide=True)))
         n += 1
-    return em.lines(query.policy)
+    return rows
+
+
+def square_well_spectrum(seq: JSequence, query: SpectrumQuery) -> list[SpectralLine]:
+    """Eigenvalues of the square-well Hamiltonian, ten closed-form families
+    (see `square_well_families`); zero-multiplicity cases are suppressed."""
+    return _spectrum(square_well_families(seq, query.lambda_max), query)
 
 
 def interior_shape_counts(seq: JSequence, n: int, region: str = "well"
@@ -374,89 +489,58 @@ def interior_shape_counts(seq: JSequence, n: int, region: str = "well"
 # ---------------------------------------------------------------------------
 # conducting plates
 
-def plates_spectrum(cfg: PlateConfig, query: SpectrumQuery) -> list[SpectralLine]:
-    """Eigenvalues of the plate-configured Laplacian, ten families.
+def plate_scales(cfg: PlateConfig) -> dict[str, float]:
+    """lambda = pi^2 q / scale: x0^2 inside the plates, (1-2 x0)^2 outside."""
+    return {"interior": cfg.x0 * cfg.x0, "exterior": (1 - 2 * cfg.x0) ** 2}
+
+
+def plate_families(cfg: PlateConfig, lambda_max: float) -> list[Family]:
+    """The plate-configured Laplacian's families with a line <= lambda_max.
 
     Interior families scale as x0^-2 and exterior families as
     (1-2 x0)^-2; the key q is the squared rational coefficient of
     pi / x0 or pi / (1-2 x0).  Interior and exterior lines are never
     merged with each other (their ratio depends on x0).
     """
-    pi2 = math.pi**2
-    lmax = query.lambda_max
     N, Z = cfg.N, cfg.Z
     E = N - (Z + 1)               # exterior cells per row at level 1
-    x0 = cfg.x0
-    ext_den = (1 - 2 * x0) ** 2   # lambda = pi^2 q / x0^2 or pi^2 q / ext_den
-
-    def lam_of_key(key):
-        region, q = key
-        return pi2 * float(q) / (x0 * x0 if region == "interior" else ext_den)
-
-    em = _Emitter(lam_of_key)
-
-    def emit_int(c: Fraction, mult, family, n, k):
-        q = c * c
-        lam = pi2 * float(q) / (x0 * x0)
-        if lam <= lmax:
-            em.emit("interior", q, mult, family, n, k)
-            return True
-        return False
-
-    def emit_ext(c: Fraction, mult, family, n, k):
-        q = c * c
-        lam = pi2 * float(q) / ext_den
-        if lam <= lmax:
-            em.emit("exterior", q, mult, family, n, k)
-            return True
-        return False
-
-    k = 1
-    while emit_int(Fraction(k, 2), 1, "interior_level0", 0, k):
-        k += 1
-    k = 0
-    while emit_ext(Fraction(2 * k + 1), 2, "exterior_level0", 0, k):
-        k += 1
-    k = 0
-    while emit_ext(Fraction((2 * k + 1) * E, 2), 2, "vee_level1", 1, k):
-        k += 1
-    k = 1
-    while emit_ext(Fraction(k * E), N - Z - 3, "exterior_loop_level1", 1, k):
-        k += 1
-    k = 1
-    while emit_int(Fraction(k * (Z + 1), 2), Z + 1, "interior_loop_level1", 1, k):
-        k += 1
-
+    scales = plate_scales(cfg)
+    rows = [
+        Family("interior_level0", 0, "interior", Fraction(1, 4), False, 1, 1),
+        Family("exterior_level0", 0, "exterior", Fraction(4), True, 0, 2),
+        Family("vee_level1", 1, "exterior", Fraction(E * E), True, 0, 2),
+        Family("exterior_loop_level1", 1, "exterior", Fraction(E * E), False, 1,
+               N - Z - 3),
+        Family("interior_loop_level1", 1, "interior", Fraction((Z + 1) ** 2, 4),
+               False, 1, Z + 1),
+    ]
     n = 2
     while True:
         I_n = N**n
-        I_prev = N ** (n - 1)
         aI = E * N ** (n - 2)         # (1 - (Z+1)/N) I_{n-1}, an integer
         zI = (Z + 1) * N ** (n - 2)   # ((Z+1)/N) I_{n-1}
-        c_min_int = Fraction(I_n * (Z + 1), 4 * N)
-        c_min_ext = Fraction(I_n * E, 2 * N)
-        if (pi2 * float(c_min_int**2) / (x0 * x0) > lmax
-                and pi2 * float(c_min_ext**2) / ext_den > lmax):
+        ext = Fraction(I_n * E, N) ** 2
+        inner = Fraction(I_n * (Z + 1), 2 * N) ** 2
+        # lowest lines of the level: interior_cell_wide and the vee at k = 0
+        if (_above(inner / 4, scales["interior"], lambda_max)
+                and _above(ext / 4, scales["exterior"], lambda_max)):
             break
-        k = 0
-        while emit_ext(Fraction(I_n * (2 * k + 1) * E, 2 * N), 2**n, "vee", n, k):
-            k += 1
-        mult7 = aI * 2 ** (n - 1) * (N - 2) + 2 ** (n - 1) * aI
-        k = 1
-        while emit_ext(Fraction(I_n * k * E, N), mult7, "exterior_cell", n, k):
-            k += 1
-        mult8 = 2 ** (n - 2) * (aI - 1) - 2 ** (n - 2)
-        k = 1
-        while emit_ext(Fraction(I_n * k * E, 2 * N), mult8, "exterior_cell_wide", n, k):
-            k += 1
-        mult9 = zI * 2 ** (n - 1) * (N - 2) + 2 ** (n - 1) * zI + 2 ** (n - 1)
-        k = 1
-        while emit_int(Fraction(I_n * k * (Z + 1), 2 * N), mult9, "interior_cell", n, k):
-            k += 1
-        mult10 = 2 ** (n - 2) * (zI - 1)
-        k = 1
-        while emit_int(Fraction(I_n * k * (Z + 1), 4 * N), mult10,
-                       "interior_cell_wide", n, k):
-            k += 1
+        rows += [
+            Family("vee", n, "exterior", ext, True, 0, 2**n),
+            Family("exterior_cell", n, "exterior", ext, False, 1,
+                   aI * 2 ** (n - 1) * (N - 2) + 2 ** (n - 1) * aI),
+            Family("exterior_cell_wide", n, "exterior", ext / 4, False, 1,
+                   2 ** (n - 2) * (aI - 1) - 2 ** (n - 2)),
+            Family("interior_cell", n, "interior", inner, False, 1,
+                   zI * 2 ** (n - 1) * (N - 2) + 2 ** (n - 1) * zI + 2 ** (n - 1)),
+            Family("interior_cell_wide", n, "interior", inner / 4, False, 1,
+                   2 ** (n - 2) * (zI - 1)),
+        ]
         n += 1
-    return em.lines(query.policy)
+    return rows
+
+
+def plates_spectrum(cfg: PlateConfig, query: SpectrumQuery) -> list[SpectralLine]:
+    """Eigenvalues of the plate-configured Laplacian, ten families
+    (see `plate_families`)."""
+    return _spectrum(plate_families(cfg, query.lambda_max), query, plate_scales(cfg))

@@ -26,7 +26,7 @@ from fractions import Fraction
 import mpmath
 
 from .sequences import JSequence, level_products
-from .spectra import PER_FAMILY, SpectrumQuery, free_spectrum
+from .spectra import SpectrumQuery, enumerate_families, free_families
 
 
 class PoleError(ZeroDivisionError):
@@ -240,17 +240,18 @@ def zeta_limit_half(seq: JSequence) -> float:
 def zeta_poles(seq: JSequence, m_values=(-1, 0, 1)) -> list[complex]:
     """Pole lattice of the continued spectral zeta function.
 
-    Two vertical lattices, (ln(2^T I_T) + 2 T pi i m)/ln(I_T^2) and
-    (ln(2^T) + 2 T pi i m)/ln(I_T^2); these zero the geometric
-    denominators I_T^(2s) - I_T 2^T and I_T^(2s) - 2^T respectively.
+    Two vertical lattices, (ln(2^T I_T) + 2 pi i m)/ln(I_T^2) and
+    (ln(2^T) + 2 pi i m)/ln(I_T^2); these zero the geometric
+    denominators I_T^(2s) - I_T 2^T and I_T^(2s) - 2^T respectively,
+    which are periodic in Im s with period 2 pi / ln(I_T^2).
     """
     T, products, _ = _periodic_products(seq)
     I_T = products[T]
     den = math.log(I_T**2)
     out = []
     for m in sorted(m_values):
-        out.append(complex(math.log(2**T * I_T), 2 * T * math.pi * m) / den)
-        out.append(complex(math.log(2**T), 2 * T * math.pi * m) / den)
+        out.append(complex(math.log(2**T * I_T), 2 * math.pi * m) / den)
+        out.append(complex(math.log(2**T), 2 * math.pi * m) / den)
     return out
 
 
@@ -275,6 +276,7 @@ def spectral_zeta_direct(seq: JSequence, s: float, lambda_max: float = 1e10) -> 
     """
     if seq.periodic and 2 * s <= spectral_dimension(seq):
         raise ValueError("direct series diverges at this s")
-    lines = free_spectrum(seq, SpectrumQuery(lambda_max, PER_FAMILY))
-    return math.fsum(line.multiplicity * line.lam ** (-s)
-                     for line in lines if line.lam > 0)
+    lambda_max = SpectrumQuery(lambda_max).lambda_max    # validated ceiling
+    lines = enumerate_families(free_families(seq, lambda_max), lambda_max)
+    keep = lines.lam > 0
+    return math.fsum((lines.mult[keep] * lines.lam[keep] ** (-s)).tolist())

@@ -1,0 +1,171 @@
+"""The `laakso` command line: golden outputs, exit codes, formats.
+
+Every case in GOLDEN must print exactly the bytes stored in
+`tests/cli_golden/<name>.out`.  To re-record them after an intended
+output change, run `PYTHONPATH=src python tests/test_cli.py`.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+import pytest
+
+from laakso import (
+    ConvergenceError,
+    JSequence,
+    PlateConfig,
+    SpectrumQuery,
+    free_spectrum,
+    plates_spectrum,
+    square_well_spectrum,
+)
+from laakso import cli
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_golden")
+
+GOLDEN = {
+    "describe_periodic": "describe --j 2,3 --periodic",
+    "describe_explicit": "describe --j 2,3,5 --level 2",
+    "census_free": "census --j 2 --periodic --level 3",
+    "census_well": "census --j 2,3 --periodic --level 3 --region well",
+    "census_plates": "census --j 5 --periodic --level 2 --region plates --plates 5,0,0.2",
+    "spectrum_free_merged": "spectrum --kind free --j 2,3 --periodic --lambda-max 5e4",
+    "spectrum_free_per_family":
+        "spectrum --kind free --j 2,3 --periodic --lambda-max 5e4 --policy per-family",
+    "spectrum_well_merged":
+        "spectrum --kind square-well --j 2,3 --periodic --lambda-max 5e4",
+    "spectrum_well_per_family":
+        "spectrum --kind square-well --j 3 --periodic --lambda-max 5e4 --policy per-family",
+    "spectrum_plates_merged": "spectrum --kind plates --plates 7,2,0.15 --lambda-max 2e4",
+    "spectrum_plates_per_family":
+        "spectrum --kind plates --plates 5,0,0.2 --lambda-max 2e4 --policy per-family",
+    "spectrum_free_csv": "spectrum --kind free --j 2 --periodic --lambda-max 2e4 "
+                         "--policy per-family --format csv",
+    "spectrum_well_empty": "spectrum --kind square-well --j 2 --periodic --lambda-max 30",
+    "solve_dense": "solve --j 2 --periodic --level 1 --mesh 4 --count 6",
+    "solve_trace_csv":
+        "solve --j 2 --periodic --level 1 --mesh 3 --count 4 --trace 1 --format csv",
+    "zeta_continued": "zeta --j 2,3 --periodic --s=-1.5,40",
+    "zeta_limit": "zeta --j 3 --periodic --s 0.5",
+    "casimir": "casimir --N 7 --Z 2 --X0 0.15",
+}
+
+
+def run(argv: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv.split())
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _golden_path(name: str) -> str:
+    return os.path.join(GOLDEN_DIR, name + ".out")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_output(name):
+    rc, out, err = run(GOLDEN[name])
+    assert (rc, err) == (0, "")
+    with open(_golden_path(name)) as fh:
+        assert out == fh.read()
+
+
+def test_golden_covers_every_subcommand():
+    used = {argv.split()[0] for argv in GOLDEN.values()}
+    assert used == set(cli._COMMANDS)
+
+
+def _spectrum_cases():
+    query = SpectrumQuery
+    for policy in ("merged", "per-family"):
+        yield "free", free_spectrum(JSequence((2, 3), periodic=True), query(3e4, policy))
+        yield "square-well", square_well_spectrum(JSequence((2,), periodic=True),
+                                                  query(3e4, policy))
+        yield "plates", plates_spectrum(PlateConfig(7, 2, 0.15), query(3e4, policy))
+    yield "square-well", square_well_spectrum(JSequence((2,), periodic=True),
+                                              query(30.0))
+
+
+@pytest.mark.parametrize("kind,lines", list(_spectrum_cases()))
+def test_spectrum_writer_matches_render_json(kind, lines):
+    doc = {"kind": kind, "lambda_max": 3e4, "policy": "merged",
+           "lines": [line.as_dict() for line in lines]}
+    assert cli._spectrum_to_json(kind, 3e4, "merged", lines) == cli.render_json(doc)
+
+
+def test_spectrum_csv_round_trip():
+    rc, out, _ = run("spectrum --kind square-well --j 2,3 --periodic "
+                     "--lambda-max 2e4 --format csv")
+    assert rc == 0
+    rows = cli.parse_lines_csv(out)
+    lines = square_well_spectrum(JSequence((2, 3), periodic=True), SpectrumQuery(2e4))
+    assert rows == [(line.lam, line.multiplicity,
+                     [(s.family, s.n, s.k) for s in line.sources]) for line in lines]
+    rc, out, _ = run("spectrum --kind square-well --j 2,3 --periodic --lambda-max 2e4")
+    assert [(row["lambda"], row["multiplicity"]) for row in json.loads(out)["lines"]] == \
+        [(lam, mult) for lam, mult, _ in rows]
+
+
+@pytest.mark.parametrize("argv", [
+    "describe --j 2,x --periodic",                       # unparsable --j
+    "census --j 1 --periodic --level 2",                 # j_n < 2
+    "spectrum --kind free --lambda-max 100",             # missing --j
+    "spectrum --kind free --j 2 --periodic --lambda-max 0",
+    "spectrum --kind free --j 2 --periodic --lambda-max inf",
+    "spectrum --kind free --j 2 --periodic --lambda-max 1e300",  # keys beyond int64
+    "census --j 2 --periodic --level 2 --region plates",  # missing --plates
+    "zeta --j 2 --periodic --s 1",                       # on the pole lattice
+    "zeta --j 2 --periodic --s 0.5",                     # j = 2 has no s -> 1/2 limit
+    "casimir --N 5 --Z 1 --X0 0.2",                      # N - (Z+1) odd
+])
+def test_invalid_configuration_exits_2(argv):
+    rc, out, err = run(argv)
+    assert rc == 2 and out == ""
+    assert json.loads(err)["exit"] == 2
+
+
+def test_pole_error_message():
+    rc, _, err = run("zeta --j 2 --periodic --s 1")
+    assert rc == 2
+    assert "pole lattice" in json.loads(err)["error"]
+
+
+def test_convergence_error_exits_3(monkeypatch):
+    def fail(op, count):
+        raise ConvergenceError("residual 1e-6 exceeds the contract")
+
+    monkeypatch.setattr(cli, "solve_lowest", fail)
+    rc, out, err = run("solve --j 2 --periodic --level 1 --count 2")
+    assert (rc, out) == (3, "")
+    assert json.loads(err) == {"error": "residual 1e-6 exceeds the contract", "exit": 3}
+
+
+@pytest.mark.parametrize("argv", [
+    "describe --j 2 --periodic",
+    "census --j 2 --periodic --level 2",
+    "zeta --j 2 --periodic --s 2",
+    "casimir --N 5 --Z 0 --X0 0.2",
+    "solve --j 2 --periodic --level 1 --count 2",
+])
+def test_csv_rejected_where_unsupported(argv):
+    rc, out, err = run(argv + " --format csv")
+    assert (rc, out) == (2, "")
+    assert "--format csv" in json.loads(err)["error"]
+
+
+def record():
+    """Rewrite every golden file from the current program."""
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    for name, argv in sorted(GOLDEN.items()):
+        rc, out, err = run(argv)
+        if rc != 0:
+            raise SystemExit(f"{argv!r} exited {rc}: {err}")
+        with open(_golden_path(name), "w") as fh:
+            fh.write(out)
+
+
+if __name__ == "__main__":
+    sys.exit(record())

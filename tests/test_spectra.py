@@ -6,6 +6,7 @@ families by hand and are confirmed against the quantum-graph eigensolver
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,7 @@ from laakso import (
     JSequence,
     MERGED,
     PER_FAMILY,
+    MultiplicityError,
     PlateConfig,
     Potential,
     SpectrumQuery,
@@ -27,6 +29,7 @@ from laakso import (
     solve_lowest,
     square_well_spectrum,
 )
+from laakso.spectra import Family, enumerate_families
 
 PI2 = math.pi**2
 SEQ2 = JSequence((2,), periodic=True)
@@ -245,3 +248,32 @@ def test_query_validation():
         SpectrumQuery(0.0)
     with pytest.raises(ValueError):
         SpectrumQuery(10.0, "sorted")
+
+
+@pytest.mark.parametrize("kind", ["free", "well", "plates"])
+def test_table_merge_matches_dict_merge(kind):
+    # merge_lines groups by key in a dict: the reference for the array merge
+    gen = {"free": lambda q: free_spectrum(SEQ23, q),
+           "well": lambda q: square_well_spectrum(SEQ2, q),
+           "plates": lambda q: plates_spectrum(PlateConfig(7, 2, 0.15), q)}[kind]
+    per_family = gen(SpectrumQuery(2e5, PER_FAMILY))
+    assert merge_lines(per_family) == gen(SpectrumQuery(2e5, MERGED))
+    assert [(l.lam, l.sources[0]) for l in per_family] == sorted(
+        (l.lam, l.sources[0]) for l in per_family)
+
+
+def test_ceiling_is_the_printed_eigenvalue():
+    # a line is listed exactly when the lambda it prints is <= lambda_max
+    for line in free_spectrum(SEQ23, SpectrumQuery(1e4, PER_FAMILY))[1:]:
+        at = free_spectrum(SEQ23, SpectrumQuery(line.lam, PER_FAMILY))
+        below = free_spectrum(SEQ23, SpectrumQuery(math.nextafter(line.lam, 0),
+                                                   PER_FAMILY))
+        assert line in at and line not in below
+
+
+def test_negative_multiplicity_raises_only_with_lines_in_range():
+    bad = Family("bad", 1, "unit", Fraction(4), False, 1, -2)
+    with pytest.raises(MultiplicityError, match="negative multiplicity -2"):
+        enumerate_families([bad], 100.0)
+    # below its first line (4 pi^2 ~ 39.5) the family lists nothing
+    assert len(enumerate_families([bad], 30.0).lam) == 0

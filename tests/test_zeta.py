@@ -163,6 +163,19 @@ def test_poles_zero_the_denominators(seq):
         assert abs(d2) < 1e-10
 
 
+@pytest.mark.parametrize("values", [(2, 3), (2, 3, 5)])
+def test_poles_complete_for_longer_periods(values):
+    # the denominators repeat every 2 pi / ln(I_T^2) in Im s, whatever T is
+    seq = JSequence(values, periodic=True)
+    T, I_T = len(values), math.prod(values)
+    poles = zeta_poles(seq, range(-3, 4))
+    s0 = complex(math.log(2**T * I_T), 2 * math.pi) / (2 * math.log(I_T))
+    assert min(abs(p - s0) for p in poles) < 1e-14
+    for pole in poles:
+        with pytest.raises(PoleError):
+            spectral_zeta_periodic(seq, pole)
+
+
 def test_evaluation_at_pole_raises():
     with pytest.raises(PoleError):
         spectral_zeta_periodic(SEQ2, 1.0)
