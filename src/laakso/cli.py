@@ -211,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--potential", default="free",
                    choices=("free", "square_well", "coulomb", "parabolic"))
-    p.add_argument("--cutoff", type=float, default=1e15)
     p.add_argument("--mesh", type=int, default=None,
                    help="interior points per edge (default: 8 per cell rule)")
     p.add_argument("--count", type=int, default=10)
@@ -264,6 +263,8 @@ def _cmd_describe(args):
 def _cmd_census(args):
     seq = _sequence(args)
     n = args.level
+    if args.plates is not None and args.region != "plates":
+        raise UsageError("--plates applies only to --region plates")
     plates = _plate_config(args) if args.region == "plates" else None
     graph = build_graph(seq, n, plates=plates)
     brute = shape_census(graph, region=args.region)
@@ -298,8 +299,12 @@ def _cmd_census(args):
 def _cmd_spectrum(args):
     query = SpectrumQuery(args.lambda_max, args.policy)
     if args.kind == "plates":
+        if args.j is not None or args.periodic:
+            raise UsageError("--j and --periodic do not apply to plates spectra")
         lines = plates_spectrum(_plate_config(args), query)
     else:
+        if args.plates is not None:
+            raise UsageError("--plates applies only to --kind plates")
         if args.j is None:
             raise UsageError("--j is required for free and square-well spectra")
         seq = _sequence(args)
@@ -319,8 +324,7 @@ def _cmd_solve(args):
     plates = _plate_config(args) if args.plates else None
     graph = build_graph(seq, args.level, plates=plates)
     mesh = args.mesh if args.mesh is not None else DEFAULT_MESH
-    potential = Potential(args.potential, cutoff=args.cutoff)
-    op = discretize(graph, mesh, potential)
+    op = discretize(graph, mesh, Potential(args.potential))
     result = solve_lowest(op, args.count)
     if args.trace is not None:
         trace = eigenfunction_trace(op, result, args.trace)

@@ -8,10 +8,11 @@ lumped node masses:
 
     H = D^(-1/2) L D^(-1/2) + diag(V(x)),   D = node masses.
 
-Conducting vertices are eliminated (Dirichlet).  Potentials act
-pointwise through the x-coordinate of each node; infinities are modeled
-by large finite cutoffs on the diagonal, so the spectrum near zero is
-the physical content and cutoff-scale eigenvalues are artifacts.
+Potentials act pointwise through the x-coordinate of each node.  An
+infinite wall is a Dirichlet constraint: nodes where |V| reaches the
+potential's cutoff are eliminated together with the conducting
+vertices, so the wavefunction is zero there and H carries only the
+finite part of V.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import eigsh, splu
+from scipy.sparse.linalg import eigsh
 
 from .graphs import QuantumGraph
 
@@ -39,10 +40,12 @@ class Potential:
     """Potential V(x) on the horizontal coordinate.
 
     kind is one of 'free', 'square_well', 'coulomb', 'parabolic',
-    'custom'.  The square well is +cutoff outside [1/4, 3/4] and zero on
-    the closed well, so a node exactly on the wall sees V = 0.  The
-    Coulomb potential -1/(x-1/2)^2 + 1/4 is set to -cutoff at x = 1/2
-    exactly; the parabolic potential 1/(x(1-x)) is +cutoff at x = 0, 1.
+    'custom'.  Values at or beyond +-cutoff are infinite walls, which
+    `discretize` eliminates as Dirichlet nodes; this holds for 'custom'
+    too.  The square well is +cutoff outside [1/4, 3/4] and zero on the
+    closed well, so a node exactly on the wall sees V = 0.  The Coulomb
+    potential -1/(x-1/2)^2 + 1/4 is -cutoff at x = 1/2 exactly; the
+    parabolic potential 1/(x(1-x)) is +cutoff at x = 0, 1.
     """
 
     kind: str
@@ -81,14 +84,18 @@ class Potential:
 
 @dataclass
 class DiscretizedOperator:
-    """Symmetric matrix realization of a Hamiltonian on a quantum graph."""
+    """Symmetric matrix realization of a Hamiltonian on a quantum graph.
 
-    matrix: sparse.csr_matrix          # symmetrized H
+    The matrix acts on the kept nodes, `kept` indexes them among all
+    nodes; eliminated nodes (walls, conducting vertices) are Dirichlet.
+    """
+
+    matrix: sparse.csr_matrix          # symmetrized H on kept nodes
     stiffness: sparse.csr_matrix       # kinetic part L before mass scaling
     mass: np.ndarray                   # lumped node masses (kept nodes)
-    xs: np.ndarray                     # x-coordinate per kept node
-    rows: list[str]                    # row label per kept node
-    edge_ids: np.ndarray               # owning edge, -1 for vertices
+    xs: np.ndarray                     # x-coordinate per node
+    rows: list[str]                    # row label per node
+    kept: np.ndarray                   # indices of the kept nodes
     mesh: int
     potential: Potential
     graph: QuantumGraph = field(repr=False)
@@ -117,7 +124,8 @@ def discretize(graph: QuantumGraph, mesh: int, potential: Potential
     -------
     DiscretizedOperator
         Second-order accurate; matrix exactly symmetric by construction;
-        conducting vertices eliminated.
+        conducting vertices and wall nodes (|V| >= potential.cutoff)
+        eliminated.
     """
     if mesh < 2:
         raise MeshError(f"mesh must have at least 2 interior points, got {mesh}")
@@ -158,15 +166,15 @@ def discretize(graph: QuantumGraph, mesh: int, potential: Potential
     xs[:nv] = xv
     xs[nv:] = (xv[eu][:, None] + t[None, :] * (xv[ev] - xv[eu])[:, None]).ravel()
 
-    edge_ids = np.full(ndof, -1, dtype=np.int64)
-    edge_ids[nv:] = np.repeat(np.arange(ne), M)
     labels = [v.row_class for v in graph.vertices]
     for e in graph.edges:
         labels.extend([e.row] * M)
 
-    keep = np.ones(ndof, dtype=bool)
-    for vid in graph.conducting_ids():
-        keep[vid] = False
+    V = potential.values(xs)
+    if np.isnan(V).any():
+        raise MeshError(f"potential is NaN at x = {xs[np.isnan(V)][0]!r}")
+    keep = np.abs(V) < potential.cutoff
+    keep[list(graph.conducting_ids())] = False
     idx = np.flatnonzero(keep)
     L = L[idx][:, idx].tocoo()
     massk = massv[idx]
@@ -175,16 +183,15 @@ def discretize(graph: QuantumGraph, mesh: int, potential: Potential
     # group s_r s_c first: it is commutative, so (r, c) and (c, r) round alike
     hdata = L.data * (s[L.row] * s[L.col])
     H = sparse.coo_matrix((hdata, (L.row, L.col)), shape=L.shape).tocsr()
-    V = potential.values(xs[idx])
-    H = H + sparse.diags(V)
+    H = H + sparse.diags(V[idx])
 
     return DiscretizedOperator(
         matrix=H.tocsr(),
         stiffness=L.tocsr(),
         mass=massk,
-        xs=xs[idx],
-        rows=[labels[i] for i in idx],
-        edge_ids=edge_ids[idx],
+        xs=xs,
+        rows=labels,
+        kept=idx,
         mesh=M,
         potential=potential,
         graph=graph,
@@ -216,83 +223,6 @@ def _residuals(H, vals, vecs) -> np.ndarray:
     return np.linalg.norm(R, axis=0) / np.linalg.norm(vecs, axis=0)
 
 
-_CUTOFF_ROW_SCALE = 1e8
-
-
-def _polish(H, vals, vecs, pot_diag) -> tuple[np.ndarray, np.ndarray]:
-    """Correct eigenvector components on cutoff-dominated rows.
-
-    Eigensolvers resolve the tiny components at nodes carrying a large
-    potential cutoff only to machine precision in the vector norm, which
-    leaves the residual at the eps*cutoff floor.  Those components are
-    slaved to the rest of the vector through a strongly diagonally
-    dominant block, so solving (H_CC - lambda) v_C = -H_CF v_F restores
-    them exactly without disturbing the physical part or splitting
-    degenerate clusters.
-    """
-    C = np.flatnonzero(np.abs(pot_diag) >= _CUTOFF_ROW_SCALE)
-    if C.size == 0:
-        return vals, vecs
-    F = np.setdiff1d(np.arange(H.shape[0]), C, assume_unique=True)
-    HCC = H[np.ix_(C, C)].tocsc()
-    HCF = H[np.ix_(C, F)]
-    eye_C = sparse.identity(C.size, format="csc")
-
-    vals = vals.copy()
-    vecs = vecs.copy()
-    lu = None
-    lu_lam = None
-    for i in range(len(vals)):
-        lam = vals[i]
-        if lu is None or abs(lam - lu_lam) > 1e-9 * max(1.0, abs(lam)):
-            lu = splu(HCC - lam * eye_C)
-            lu_lam = lam
-        v = vecs[:, i]
-        v[C] = lu.solve(-(HCF @ v[F]))
-        v /= np.linalg.norm(v)
-        vals[i] = v @ (H @ v)
-        vecs[:, i] = v
-    order = np.argsort(vals, kind="stable")
-    return vals[order], vecs[:, order]
-
-
-def _polish_dense_global(H, vals, vecs) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse-iteration refinement of dense eigh output, per cluster.
-
-    Dense eigh vectors on a badly scaled matrix are accurate only to
-    eps*||H||/gap in every component; two shifted dense solves (stable
-    with partial pivoting) followed by a small Rayleigh-Ritz rotation
-    recover both the cutoff rows and the physical rows.
-    """
-    import scipy.linalg as sla
-
-    A = H.toarray() if sparse.issparse(H) else H
-    dim = A.shape[0]
-    groups: list[list[int]] = []
-    for i in range(len(vals)):
-        if groups and abs(vals[i] - vals[groups[-1][0]]) <= 1e-6 * max(1.0, abs(vals[i])):
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    vals = vals.copy()
-    vecs = vecs.copy()
-    for grp in groups:
-        idx = np.array(grp)
-        sigma = float(np.mean(vals[idx]))
-        delta = 1e-7 * max(1.0, abs(sigma))
-        lu_piv = sla.lu_factor(A - (sigma + delta) * np.eye(dim))
-        W = vecs[:, idx]
-        for _ in range(2):
-            W = sla.lu_solve(lu_piv, W)
-            W, _ = np.linalg.qr(W)
-        T = W.T @ (A @ W)
-        theta, S = np.linalg.eigh(0.5 * (T + T.T))
-        vals[idx] = theta
-        vecs[:, idx] = W @ S
-    order = np.argsort(vals, kind="stable")
-    return vals[order], vecs[:, order]
-
-
 def solve_lowest(op: DiscretizedOperator, count: int, mode: str = "auto",
                  keep_vectors: bool = True) -> EigenResult:
     """Solve for eigenvalues at the physical end of the spectrum.
@@ -300,12 +230,15 @@ def solve_lowest(op: DiscretizedOperator, count: int, mode: str = "auto",
     mode 'lowest' returns the `count` algebraically smallest eigenvalues
     (valid for potentials bounded below by 0, where shift-invert at a
     negative shift reaches the bottom).  mode 'nearest_zero' returns the
-    `count` eigenvalues closest to zero, which is the meaningful window
-    for the Coulomb potential whose -cutoff diagonal entries push pure
-    artifacts to the far negative end.  'auto' picks 'nearest_zero' for
-    Coulomb and 'lowest' otherwise.
+    `count` eigenvalues closest to zero, the meaningful window for the
+    Coulomb potential: the discretized -1/(x-1/2)^2 is unbounded below
+    as h -> 0, so its lowest eigenvalues are mesh artifacts far below
+    zero.  'auto' picks 'nearest_zero' for Coulomb and 'lowest'
+    otherwise.
 
-    Raises ConvergenceError if any residual exceeds 1e-8.
+    Raises ConvergenceError if any residual exceeds 1e-8.  Walls are
+    eliminated in `discretize`, so no refinement follows the solve and
+    info["polish_rounds"] is always 0.
     """
     dim = op.dimension
     if not 1 <= count <= dim:
@@ -329,8 +262,11 @@ def solve_lowest(op: DiscretizedOperator, count: int, mode: str = "auto",
         # the outermost Ritz pairs converge worst; solve a few extra and
         # keep only the requested window
         k_solve = min(dim - 1, count + max(3, count // 20))
+        # ARPACK's default ncv = 2k + 1 is too small a Krylov space when a
+        # degenerate cluster straddles the k_solve boundary
+        ncv = min(dim, 3 * k_solve)
         try:
-            vals, vecs = eigsh(H, k=k_solve, sigma=sigma, which="LM",
+            vals, vecs = eigsh(H, k=k_solve, sigma=sigma, which="LM", ncv=ncv,
                                v0=_start_vector(dim), maxiter=5000)
         except Exception as exc:     # ARPACK failures surface with context
             raise ConvergenceError(f"eigensolve failed ({mode}, dim={dim}): {exc}")
@@ -343,26 +279,13 @@ def solve_lowest(op: DiscretizedOperator, count: int, mode: str = "auto",
         info = {"method": "shift-invert", "mode": mode, "sigma": sigma, "dim": dim}
 
     res = _residuals(H, vals, vecs)
-    polish_rounds = 0
-    if info["method"] == "dense":
-        # second round re-groups clusters with the refined eigenvalues
-        for _ in range(2):
-            if not np.any(res > _RESIDUAL_TOL):
-                break
-            vals, vecs = _polish_dense_global(H, vals, vecs)
-            res = _residuals(H, vals, vecs)
-            polish_rounds += 1
-    if np.any(res > _RESIDUAL_TOL):
-        vals, vecs = _polish(H, vals, vecs, op.potential.values(op.xs))
-        res = _residuals(H, vals, vecs)
-        polish_rounds += 1
     if np.any(res > _RESIDUAL_TOL):
         raise ConvergenceError(
             f"residuals up to {res.max():.3e} exceed {_RESIDUAL_TOL:.0e} "
-            f"after {polish_rounds} refinement rounds"
+            f"({info['method']}, dim={dim})"
         )
     info["residual_max"] = float(res.max())
-    info["polish_rounds"] = polish_rounds
+    info["polish_rounds"] = 0
 
     funcs = None
     if keep_vectors:
@@ -403,15 +326,17 @@ def cluster(eigenvalues, rel_tol: float = 1e-2):
 def eigenfunction_trace(op: DiscretizedOperator, result: EigenResult, index: int):
     """Sample eigenfunction `index` over the node map for plotting.
 
-    Returns (x, row label, value) tuples sorted by (x, row); values are
-    in the unit discrete-L2 normalization.
+    Returns (x, row label, value) tuples for every node, sorted by
+    (x, row); values are in the unit discrete-L2 normalization, and
+    eliminated nodes (walls, conducting vertices) read exactly 0.0.
     """
     if result.eigenvectors is None:
         raise ValueError("eigenvectors were not retained")
     if not 0 <= index < result.eigenvectors.shape[1]:
         raise IndexError(f"eigenfunction index {index} out of range")
-    u = result.eigenvectors[:, index]
-    trace = [(float(op.xs[i]), op.rows[i], float(u[i])) for i in range(op.dimension)]
+    u = np.zeros(len(op.xs))
+    u[op.kept] = result.eigenvectors[:, index]
+    trace = list(zip(op.xs.tolist(), op.rows, u.tolist()))
     trace.sort(key=lambda rec: (rec[0], rec[1]))
     return trace
 

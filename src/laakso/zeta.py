@@ -118,18 +118,19 @@ def _periodic_products(seq: JSequence) -> tuple[int, list[int], list[int]]:
     return T, products, js
 
 
-def spectral_zeta_periodic(seq: JSequence, s) -> ZetaValue:
-    """Evaluate the continued spectral zeta function of a periodic space.
+def _closed_form(seq: JSequence, s, value) -> ZetaValue:
+    """The steps every closed form shares, around its own arithmetic.
 
-    Raises PoleError at (or too near) the pole lattice, and rejects
-    s = 1/2, whose finite limit is computed by `zeta_limit_half`.
+    Rejects s = 1/2 (see `zeta_limit_half`) and s on the pole lattice,
+    where I_T^(2s) meets I_T 2^T or 2^T.  Then evaluates
+    value(t, I_T^t, I_T^t - I_T 2^T, I_T^t - 2^T) at t = 2s, tags the
+    mode and, for real s, drops an imaginary part that is round-off.
     """
-    T, products, js = _periodic_products(seq)
-    I_T = products[T]
     s = complex(s)
     if s == 0.5:
         raise PoleError("s = 1/2 is a removable singularity; "
                         "use zeta_limit_half for the limit value")
+    T, I_T = len(seq.values), math.prod(seq.values)
     t = 2 * s
     IT2s = complex(I_T) ** t
     den_loop = IT2s - I_T * 2**T
@@ -137,22 +138,34 @@ def spectral_zeta_periodic(seq: JSequence, s) -> ZetaValue:
     for den in (den_loop, den_cross):
         if abs(den) <= 1e-9 * max(abs(IT2s), 1.0):
             raise PoleError(f"s = {s} lies on the pole lattice")
-
-    c = 2.0**t if s.imag == 0 else cmath.exp(t * math.log(2))
-    bracket = 0j
-    for p in range(2, T + 2):
-        I_p, I_prev, j_p = products[p], products[p - 1], js[p - 1]
-        Ip2s = complex(I_p) ** t
-        bracket += (IT2s / den_loop) * (2 ** (p - 1) * I_prev * (c / 2 + j_p - 1)) / Ip2s
-        bracket += (IT2s / den_cross) * (2 ** (p - 1) * (1.5 * c - 3)) / Ip2s
-    j1 = js[0]
-    bracket += (2 * c - 4 + j1) / complex(j1) ** t + 1
-    value = _zeta_any(t) * bracket / complex(math.pi) ** t
-
+    v = value(t, IT2s, den_loop, den_cross)
     mode = "series" if s.real * 2 > spectral_dimension(seq) else "continued"
-    if abs(value.imag) < 1e-13 * max(1.0, abs(value.real)) and s.imag == 0:
-        value = complex(value.real, 0.0)
-    return ZetaValue(s, value, mode)
+    if abs(v.imag) < 1e-13 * max(1.0, abs(v.real)) and s.imag == 0:
+        v = complex(v.real, 0.0)
+    return ZetaValue(s, v, mode)
+
+
+def spectral_zeta_periodic(seq: JSequence, s) -> ZetaValue:
+    """Evaluate the continued spectral zeta function of a periodic space.
+
+    Raises PoleError at (or too near) the pole lattice, and rejects
+    s = 1/2, whose finite limit is computed by `zeta_limit_half`.
+    """
+    T, products, js = _periodic_products(seq)
+
+    def value(t, IT2s, den_loop, den_cross):
+        c = 2.0**t if t.imag == 0 else cmath.exp(t * math.log(2))
+        bracket = 0j
+        for p in range(2, T + 2):
+            I_p, I_prev, j_p = products[p], products[p - 1], js[p - 1]
+            Ip2s = complex(I_p) ** t
+            bracket += (IT2s / den_loop) * (2 ** (p - 1) * I_prev * (c / 2 + j_p - 1)) / Ip2s
+            bracket += (IT2s / den_cross) * (2 ** (p - 1) * (1.5 * c - 3)) / Ip2s
+        j1 = js[0]
+        bracket += (2 * c - 4 + j1) / complex(j1) ** t + 1
+        return _zeta_any(t) * bracket / complex(math.pi) ** t
+
+    return _closed_form(seq, s, value)
 
 
 def constant_j_zeta(j: int, s) -> ZetaValue:
@@ -165,51 +178,30 @@ def constant_j_zeta(j: int, s) -> ZetaValue:
     """
     if j < 2:
         raise ValueError(f"j must be >= 2, got {j}")
-    s = complex(s)
-    if s == 0.5:
-        raise PoleError("s = 1/2 is a removable singularity; "
-                        "use zeta_limit_half for the limit value")
-    t = 2 * s
-    y = complex(j) ** t
-    c = complex(2) ** t
-    for den in (y - 2 * j, y - 2):
-        if abs(den) <= 1e-9 * max(abs(y), 1.0):
-            raise PoleError(f"s = {s} lies on the pole lattice")
-    num = y * y - j * y + 2 * c * y - 6 * y - 3 * c * j + 8 * j - c + 2
-    value = _zeta_any(t) * num / ((y - 2 * j) * (y - 2)) / complex(math.pi) ** t
-    seq = JSequence((j,), periodic=True)
-    mode = "series" if s.real * 2 > spectral_dimension(seq) else "continued"
-    if abs(value.imag) < 1e-13 * max(1.0, abs(value.real)) and s.imag == 0:
-        value = complex(value.real, 0.0)
-    return ZetaValue(s, value, mode)
+
+    def value(t, y, y_minus_2j, y_minus_2):
+        c = complex(2) ** t
+        num = y * y - j * y + 2 * c * y - 6 * y - 3 * c * j + 8 * j - c + 2
+        return _zeta_any(t) * num / (y_minus_2j * y_minus_2) / complex(math.pi) ** t
+
+    return _closed_form(JSequence((j,), periodic=True), s, value)
 
 
 def period2_zeta(j1: int, j2: int, s) -> ZetaValue:
     """Closed form of the spectral zeta function for period-2 sequences."""
     if j1 < 2 or j2 < 2:
         raise ValueError("subdivision counts must be >= 2")
-    s = complex(s)
-    if s == 0.5:
-        raise PoleError("s = 1/2 is a removable singularity; "
-                        "use zeta_limit_half for the limit value")
-    t = 2 * s
-    I2 = j1 * j2
-    I2s = complex(I2) ** t
-    j1s = complex(j1) ** t
-    c = complex(2) ** t
-    for den in (I2s - 4 * I2, I2s - 4):
-        if abs(den) <= 1e-9 * max(abs(I2s), 1.0):
-            raise PoleError(f"s = {s} lies on the pole lattice")
-    bracket = (2 * j1 / (I2s - 4 * I2)) * (c / 2 + j2 - 1
-                                           + 2 * j2 * (c / 2 + j1 - 1) / j1s)
-    bracket += ((3 * c - 6) / (I2s - 4)) * (1 + 2 / j1s)
-    bracket += (2 * c - 4 + j1) / j1s + 1
-    value = _zeta_any(t) * bracket / complex(math.pi) ** t
-    seq = JSequence((j1, j2), periodic=True)
-    mode = "series" if s.real * 2 > spectral_dimension(seq) else "continued"
-    if abs(value.imag) < 1e-13 * max(1.0, abs(value.real)) and s.imag == 0:
-        value = complex(value.real, 0.0)
-    return ZetaValue(s, value, mode)
+
+    def value(t, I2s, den_loop, den_cross):
+        j1s = complex(j1) ** t
+        c = complex(2) ** t
+        bracket = (2 * j1 / den_loop) * (c / 2 + j2 - 1
+                                         + 2 * j2 * (c / 2 + j1 - 1) / j1s)
+        bracket += ((3 * c - 6) / den_cross) * (1 + 2 / j1s)
+        bracket += (2 * c - 4 + j1) / j1s + 1
+        return _zeta_any(t) * bracket / complex(math.pi) ** t
+
+    return _closed_form(JSequence((j1, j2), periodic=True), s, value)
 
 
 def zeta_limit_half(seq: JSequence) -> float:

@@ -127,6 +127,20 @@ def test_invalid_configuration_exits_2(argv):
     assert json.loads(err)["exit"] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "spectrum --kind plates --plates 5,0,0.2 --j 3 --lambda-max 100",
+    "spectrum --kind plates --plates 5,0,0.2 --periodic --lambda-max 100",
+    "spectrum --kind free --j 2 --periodic --plates 5,0,0.2 --lambda-max 100",
+    "spectrum --kind square-well --j 2 --periodic --plates 5,0,0.2 --lambda-max 100",
+    "census --j 5 --periodic --level 2 --plates 5,0,0.2",
+    "census --j 5 --periodic --level 2 --region well --plates 5,0,0.2",
+])
+def test_ignored_flags_exit_2(argv):
+    rc, out, err = run(argv)
+    assert (rc, out) == (2, "")
+    assert "--plates" in json.loads(err)["error"] or "--j" in json.loads(err)["error"]
+
+
 def test_pole_error_message():
     rc, _, err = run("zeta --j 2 --periodic --s 1")
     assert rc == 2

@@ -1,10 +1,14 @@
 """Discretization and eigensolver behavior on small graphs."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import laakso
 from laakso import (
     ConvergenceError,
     JSequence,
@@ -111,6 +115,73 @@ def test_dirichlet_elimination_on_plates():
     op = discretize(g, M, Potential("free"))
     assert op.dimension == len(g.vertices) - len(g.conducting_ids()) \
         + len(g.edges) * M
+
+
+@pytest.mark.parametrize("seq,n,M,kind,plates", [
+    (SEQ23, 2, 6, "square_well", None),
+    (SEQ23, 2, 20, "coulomb", None),
+    (SEQ2, 1, 60, "parabolic", None),
+    (JSequence((4,), periodic=True), 2, 4, "square_well", PlateConfig(4, 1, 0.2)),
+])
+def test_walls_are_eliminated(seq, n, M, kind, plates):
+    g = build_graph(seq, n, plates=plates)
+    pot = Potential(kind)
+    op = discretize(g, M, pot)
+    assert len(op.xs) == len(g.vertices) + len(g.edges) * M
+    V = pot.values(op.xs)
+    walls = int(np.sum(np.abs(V) >= pot.cutoff))
+    assert walls > 0
+    conducting = set(g.conducting_ids())
+    free = sum(1 for i, v in enumerate(V) if abs(v) < pot.cutoff and i not in conducting)
+    assert op.dimension == free
+    assert np.all(np.abs(op.matrix.diagonal()) < pot.cutoff)
+
+
+def test_nan_potential_is_not_a_wall():
+    # |nan| < cutoff is False, so without a check NaN nodes would be
+    # eliminated silently
+    pot = Potential("custom", func=lambda x: np.where(x > 0.5, np.nan, 0.0))
+    with pytest.raises(MeshError):
+        discretize(build_graph(SEQ2, 1), 4, pot)
+
+
+def test_trace_zero_on_eliminated_nodes():
+    cases = [
+        (build_graph(SEQ23, 2), 20, "coulomb", lambda x, row: x == 0.5),
+        (build_graph(SEQ2, 1), 60, "parabolic", lambda x, row: x in (0.0, 1.0)),
+    ]
+    g = build_graph(JSequence((4,), periodic=True), 2, plates=PlateConfig(4, 1, 0.2))
+    plates = {(float(g.vertices[i].x), g.vertices[i].row_class) for i in g.conducting_ids()}
+    cases.append((g, 4, "free", lambda x, row: (x, row) in plates))
+    for graph, M, kind, eliminated in cases:
+        op = discretize(graph, M, Potential(kind))
+        trace = eigenfunction_trace(op, solve_lowest(op, 2), 0)
+        assert len(trace) == len(graph.vertices) + len(graph.edges) * M
+        zeros = [v for x, row, v in trace if eliminated(x, row)]
+        assert zeros and all(v == 0.0 for v in zeros), kind
+        assert max(abs(v) for _, _, v in trace) > 0
+
+
+def test_square_well_shift_invert_regression():
+    # The 631.5 cluster (multiplicity >= 11) straddles k_solve = 23.  With
+    # ARPACK's default ncv = 2k + 1 this solve misses the contract under
+    # single-threaded BLAS, as the CLI benchmark runs it; the thread count
+    # must be set before numpy is imported, hence the child process.
+    code = (
+        "from laakso import JSequence, Potential, build_graph, discretize, solve_lowest\n"
+        "g = build_graph(JSequence((2,), periodic=True), 6)\n"
+        "r = solve_lowest(discretize(g, 7, Potential('square_well')), 20)\n"
+        "print(r.info['method'], r.info['polish_rounds'], float(r.residuals.max()))\n"
+    )
+    src = os.path.dirname(os.path.dirname(laakso.__file__))
+    env = dict(os.environ, PYTHONPATH=src, LAAKSO_THREADS="1", OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    method, rounds, res = proc.stdout.split()
+    assert (method, rounds) == ("shift-invert", "0")
+    assert float(res) <= 1e-8
 
 
 def test_mesh_and_count_validation():
