@@ -3,8 +3,16 @@
 The level-n graph is built from the unit interval by repeatedly
 subdividing every cell into j_k equal subcells (k = 1..n), duplicating
 the whole graph, and gluing the two copies at the newly created nodes.
-Nodes line up in columns at x = k/I_n; each of the 2^n rows is labelled
-by a binary string recording which copy was taken at each level.
+Nodes line up in columns at x = k/I_n; each of the 2^n rows records
+which copy was taken at each level.
+
+The graph is stored as integer arrays.  A row is an n-bit int bitmask,
+most significant bit first (the level-1 copy).  Cell id row * I_n + k
+spans columns [k, k + 1] of that row.  A column born at level m >= 1
+glues the two level-m copies, so its vertices ignore bit n - m of the
+row mask; vertex ids run over (column, row class) in that order.  Binary
+row labels such as '0*1', and the Vertex / Edge / Shape records, exist
+only at output: the sequence views build them when they are read.
 
 Every level-n graph decomposes into three shape primitives:
 
@@ -21,14 +29,21 @@ floating point is not allowed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+
+import numpy as np
 
 from .plates import PlateConfig, PlateConfigError
 from .sequences import JSequence, level_products
 
 WELL_LEFT = Fraction(1, 4)
 WELL_RIGHT = Fraction(3, 4)
+
+_SHAPE_SIZE = {"vee": 2, "loop": 2, "cross": 8}
 
 
 class GraphBuildError(ValueError):
@@ -97,16 +112,68 @@ class WellGeometry:
     wall_on_node: bool
 
 
-@dataclass
+class _Records(Sequence):
+    """Read-only sequence that builds each record only when it is read."""
+
+    __slots__ = ("_len", "_make")
+
+    def __init__(self, length: int, make):
+        self._len = length
+        self._make = make
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._make(k) for k in range(*i.indices(self._len))]
+        i = operator.index(i)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("record index out of range")
+        return self._make(i)
+
+    def __eq__(self, other):
+        if isinstance(other, (list, tuple, _Records)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"<{self._len} records>"
+
+
+@dataclass(eq=False)
 class QuantumGraph:
+    """The level-n graph as arrays.
+
+    Per column: `birth` (the level at which the column first appears,
+    0 for the two ends) and its exact x in `column_x`.  Per vertex: its
+    column.  Per cell: endpoint vertex ids `u` < `v`, start column
+    `cell`, row bitmask `row`, and `length_class`, an index into the
+    exact `lengths`.  `construction` holds the shapes the graph was
+    built from, as (kind, edge ids per shape) blocks.
+
+    `vertices`, `edges` and `shapes` are views for inspection: each
+    record is built when it is read.
+    """
+
     level: int
     js: tuple[int, ...]
     products: tuple[int, ...]           # I_0..I_n
-    vertices: list[Vertex]
-    edges: list[Edge]
-    shapes: list[Shape]
+    birth: np.ndarray
+    column_x: tuple[Fraction, ...]
+    vertex_column: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    cell: np.ndarray
+    row: np.ndarray
+    length_class: np.ndarray
+    lengths: tuple[Fraction, ...]
+    construction: tuple[tuple[str, np.ndarray], ...]
     plates: PlateConfig | None = None
-    _vid: dict = field(default_factory=dict, repr=False)
 
     @property
     def columns(self) -> int:
@@ -114,78 +181,133 @@ class QuantumGraph:
 
     @property
     def num_cells(self) -> int:
-        return len(self.edges)
+        return len(self.u)
 
-    def vertex_id(self, column: int, row_class: str) -> int:
-        return self._vid[(column, row_class)]
+    @property
+    def num_vertices(self) -> int:
+        return len(self.vertex_column)
 
-    def conducting_ids(self) -> list[int]:
-        return [v.id for v in self.vertices if v.conducting]
+    @property
+    def vertices(self) -> Sequence[Vertex]:
+        return _Records(self.num_vertices, self._vertex)
 
-    def degrees(self) -> list[int]:
-        deg = [0] * len(self.vertices)
-        for e in self.edges:
-            deg[e.u] += 1
-            deg[e.v] += 1
-        return deg
+    @property
+    def edges(self) -> Sequence[Edge]:
+        return _Records(self.num_cells, self._edge)
+
+    @property
+    def shapes(self) -> Sequence[Shape]:
+        return _Records(sum(len(ids) for _, ids in self.construction), self._shape)
+
+    def _vertex(self, i: int) -> Vertex:
+        col = int(self.vertex_column[i])
+        return Vertex(i, col, self.column_x[col], int(self.birth[col]),
+                      str(self.vertex_labels([i])[0]),
+                      col in _plate_columns(self.plates, self.columns))
+
+    def _edge(self, i: int) -> Edge:
+        return Edge(i, int(self.u[i]), int(self.v[i]),
+                    str(self.row_labels(self.row[i:i + 1])[0]), int(self.cell[i]),
+                    self.lengths[self.length_class[i]])
+
+    def _shape(self, i: int) -> Shape:
+        for kind, ids in self.construction:
+            if i < len(ids):
+                eids = ids[i]
+                cells = self.cell[eids]
+                a, b = int(cells.min()), int(cells.max()) + 1
+                return Shape(kind, a, b, tuple(int(e) for e in eids),
+                             a + 1 if kind == "cross" else None)
+            i -= len(ids)
+
+    def vertex_labels(self, ids=None) -> np.ndarray:
+        """Row-class labels ('0*1') of the given vertices, or of all of them."""
+        ids = np.arange(self.num_vertices) if ids is None else np.asarray(ids)
+        col = self.vertex_column[ids]
+        m = self.birth[col]
+        return _bit_strings(_row_of_class(ids - _column_start(self.birth, self.level)[col],
+                                          self.level - m),
+                            self.level, np.where(m > 0, m - 1, -1))
+
+    def row_labels(self, rows) -> np.ndarray:
+        """Full binary labels of the given row bitmasks."""
+        return _bit_strings(np.asarray(rows), self.level)
+
+    def conducting_ids(self) -> np.ndarray:
+        cols = _plate_columns(self.plates, self.columns)
+        return np.flatnonzero(np.isin(self.vertex_column, cols))
+
+    def degrees(self) -> np.ndarray:
+        nv = self.num_vertices
+        return np.bincount(self.u, minlength=nv) + np.bincount(self.v, minlength=nv)
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        adj = [[] for _ in self.vertices]
-        for e in self.edges:
-            adj[e.u].append(e.v)
-            adj[e.v].append(e.u)
-        seen = [False] * len(self.vertices)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        return all(seen)
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
 
-    def horizontal_image(self) -> list[int]:
+        nv = self.num_vertices
+        adj = coo_matrix((np.ones(self.num_cells), (self.u, self.v)), shape=(nv, nv))
+        return connected_components(adj, directed=False, return_labels=False) == 1
+
+    def horizontal_image(self) -> np.ndarray:
         """Edge permutation induced by x -> 1 - x; raises if not a symmetry."""
-        by_key = {(e.row, e.cell): e for e in self.edges}
-        last = self.columns - 1
-        perm = []
-        for e in self.edges:
-            img = by_key[(e.row, last - e.cell)]
-            if img.length != e.length:
-                raise GraphBuildError("graph is not horizontally symmetric")
-            perm.append(img.id)
+        I_n = self.columns
+        perm = self.row * I_n + (I_n - 1 - self.cell)
+        same = np.array([self.lengths.index(x) for x in self.lengths])
+        if np.any(same[self.length_class[perm]] != same[self.length_class]):
+            raise GraphBuildError("graph is not horizontally symmetric")
         return perm
 
-    def vertical_image(self) -> list[int]:
+    def vertical_image(self) -> np.ndarray:
         """Edge permutation induced by swapping the two copies at every level."""
-        by_key = {(e.row, e.cell): e for e in self.edges}
-        flip = str.maketrans("01", "10")
-        return [by_key[(e.row.translate(flip), e.cell)].id for e in self.edges]
+        return (self.row ^ ((1 << self.level) - 1)) * self.columns + self.cell
 
 
-def _birth_levels(products: list[int], n: int) -> list[int]:
+def _bit_strings(masks: np.ndarray, n: int, star: np.ndarray | None = None) -> np.ndarray:
+    """n-character binary labels of int bitmasks, most significant bit first.
+
+    Where star[i] >= 0, character star[i] of label i reads '*'.
+    """
+    if n == 0:
+        return np.full(len(masks), "")
+    chars = (ord("0") + ((masks[:, None] >> np.arange(n - 1, -1, -1)) & 1)).astype(np.uint8)
+    if star is not None:
+        hit = np.flatnonzero(star >= 0)
+        chars[hit, star[hit]] = ord("*")
+    return chars.view(f"S{n}").ravel().astype(f"U{n}")
+
+
+def _class_of(row, bit):
+    """Row class of a row bitmask: the mask with `bit` removed (none when bit = n)."""
+    return ((row >> (bit + 1)) << bit) | (row & ((1 << bit) - 1))
+
+
+def _row_of_class(cls, bit):
+    """Inverse of `_class_of`, reading the removed bit as 0."""
+    return ((cls >> bit) << (bit + 1)) | (cls & ((1 << bit) - 1))
+
+
+def _column_start(birth: np.ndarray, n: int) -> np.ndarray:
+    """First vertex id of each column: 2^n vertices at the ends, 2^(n-1) elsewhere."""
+    per_column = np.where(birth == 0, 1 << n, (1 << n) >> 1)
+    return np.concatenate([[0], np.cumsum(per_column)])
+
+
+def _plate_columns(plates: PlateConfig | None, I_n: int) -> tuple[int, ...]:
+    if plates is None:
+        return ()
+    step = I_n // plates.N
+    return (plates.left_node * step, plates.right_node * step)
+
+
+def _birth_levels(products: list[int], n: int) -> np.ndarray:
     """birth[k] = smallest level m such that column k exists in the level-m graph."""
     I_n = products[n]
-    birth = [n] * (I_n + 1)
-    birth[0] = 0
-    birth[I_n] = 0
-    for m in range(1, n):
-        step = I_n // products[m]
-        for k in range(step, I_n, step):
-            if birth[k] == n:
-                birth[k] = m
+    birth = np.full(I_n + 1, n, dtype=np.int64)
+    for m in range(n - 1, 0, -1):
+        birth[:: I_n // products[m]] = m
+    birth[[0, -1]] = 0
     return birth
-
-
-def _class_label(row: str, birth: int) -> str:
-    """Row-class label of a column: the glued level's bit is wildcarded."""
-    if birth == 0:
-        return row
-    i = birth - 1
-    return row[:i] + "*" + row[i + 1 :]
 
 
 def build_graph(
@@ -213,143 +335,113 @@ def build_graph(
     Returns
     -------
     QuantumGraph
-        Vertices carry exact rational x-coordinates and column indices;
-        without plates every edge has length 1/I_n.
+        Columns carry exact rational x-coordinates; without plates
+        every cell has length 1/I_n.
     """
     if n < 0:
         raise GraphBuildError(f"level must be >= 0, got {n}")
     products = level_products(seq, n)
     I_n = products[n]
 
-    plate_left = plate_right = None
-    int_len = ext_len = None
-    if plates is not None:
+    if plates is None:
+        lengths = (Fraction(1, I_n),)
+        column_x = tuple(Fraction(k, I_n) for k in range(I_n + 1))
+    else:
         if n < 1:
             raise GraphBuildError("plate columns only exist at level >= 1")
         if any(j != plates.N for j in seq.prefix(n)):
             raise PlateConfigError(
                 f"plate machinery requires the constant sequence j = {plates.N}"
             )
-        plate_left = plates.left_node * (I_n // plates.N)
-        plate_right = plates.right_node * (I_n // plates.N)
+        plate_left, plate_right = _plate_columns(plates, I_n)
         int_len = plates.interior_scale() / I_n
         ext_len = plates.exterior_scale() / I_n
+        lengths = (ext_len, int_len)
+        column_x = tuple(accumulate(
+            (int_len if plate_left <= k < plate_right else ext_len for k in range(I_n)),
+            initial=Fraction(0)))
 
     birth = _birth_levels(products, n)
+    start = _column_start(birth, n)
+    vertex_column = np.repeat(np.arange(I_n + 1), np.diff(start))
 
-    def column_x(k: int) -> Fraction:
-        if plates is None:
-            return Fraction(k, I_n)
-        if k <= plate_left:
-            return k * ext_len
-        if k <= plate_right:
-            return plate_left * ext_len + (k - plate_left) * int_len
-        return plate_left * ext_len + (plate_right - plate_left) * int_len \
-            + (k - plate_right) * ext_len
+    # Cells in (row, column) order; an end vertex's id is its column's
+    # first id plus the row class.
+    row = np.repeat(np.arange(1 << n, dtype=np.int64), I_n)
+    cell = np.tile(np.arange(I_n, dtype=np.int64), 1 << n)
+    u = start[cell] + _class_of(row, n - birth[cell])
+    v = start[cell + 1] + _class_of(row, n - birth[cell + 1])
+    if plates is None:
+        length_class = np.zeros(len(cell), dtype=np.int8)
+    else:
+        length_class = ((cell >= plate_left) & (cell < plate_right)).astype(np.int8)
 
-    # Vertices, ordered by (column, row class) for deterministic ids.
-    vertices: list[Vertex] = []
-    vid: dict[tuple[int, str], int] = {}
-    half_rows = [format(r, f"0{n - 1}b") if n > 1 else "" for r in range(2 ** max(n - 1, 0))]
-    full_rows = [format(r, f"0{n}b") if n > 0 else "" for r in range(2**n)]
-    for k in range(I_n + 1):
-        m = birth[k]
-        if m == 0:
-            labels = full_rows
-        else:
-            i = m - 1
-            labels = [w[:i] + "*" + w[i:] for w in half_rows]
-        x = column_x(k)
-        conducting = plates is not None and k in (plate_left, plate_right)
-        for label in labels:
-            v = Vertex(len(vertices), k, x, m, label, conducting)
-            vid[(k, label)] = v.id
-            vertices.append(v)
-
-    # Edges: one per (row, cell), deterministic order.
-    edges: list[Edge] = []
-    for row in full_rows:
-        for k in range(I_n):
-            if plates is None:
-                length = Fraction(1, I_n)
-            else:
-                length = int_len if plate_left <= k < plate_right else ext_len
-            u = vid[(k, _class_label(row, birth[k]))]
-            v = vid[(k + 1, _class_label(row, birth[k + 1]))]
-            edges.append(Edge(len(edges), u, v, row, k, length))
-
-    shapes = _construct_shapes(edges, birth, I_n, n) if n >= 1 else []
-
-    graph = QuantumGraph(n, tuple(seq.prefix(n)), tuple(products),
-                         vertices, edges, shapes, plates, vid)
+    graph = QuantumGraph(n, tuple(seq.prefix(n)), tuple(products), birth, column_x,
+                         vertex_column, u, v, cell, row, length_class, lengths, (),
+                         plates)
+    if n >= 1:
+        graph.construction = _construct_shapes(graph)
     if validate:
         _check_graph(graph)
     return graph
 
 
-def _construct_shapes(edges: list[Edge], birth: list[int], I_n: int, n: int) -> list[Shape]:
-    by_cell: dict[int, list[Edge]] = {}
-    for e in edges:
-        by_cell.setdefault(e.cell, []).append(e)
+def _group(eids: np.ndarray, keys: np.ndarray, kind: str) -> np.ndarray:
+    """Edge ids sharing a key, one shape per row in key order.
 
-    shapes: list[Shape] = []
+    `eids` must be ascending; ids stay ascending within a row.  Raises
+    unless every key holds exactly the shape's cell count.
+    """
+    size = _SHAPE_SIZE[kind]
+    order = np.argsort(keys, kind="stable")
+    k = keys[order]
+    if len(k) % size == 0:
+        k = k.reshape(-1, size)
+        if np.all(k == k[:, :1]) and np.all(k[1:, 0] > k[:-1, 0]):
+            return eids[order].reshape(-1, size)
+    raise GraphBuildError(f"{kind} groups are not all of {size} cells")
 
-    def add_vees(cell: int, apex_col: int):
-        groups: dict[int, list[Edge]] = {}
-        apex_is_u = apex_col == cell
-        for e in by_cell[cell]:
-            apex = e.u if apex_is_u else e.v
-            groups.setdefault(apex, []).append(e)
-        for apex in sorted(groups):
-            pair = groups[apex]
-            shapes.append(Shape("vee", cell, cell + 1,
-                                tuple(sorted(e.id for e in pair))))
 
-    add_vees(0, 1)
-    if I_n > 1:
-        add_vees(I_n - 1, I_n - 1)
+def _construct_shapes(graph: QuantumGraph) -> tuple[tuple[str, np.ndarray], ...]:
+    n, I_n, birth = graph.level, graph.columns, graph.birth
+    u, v, row, cell = graph.u, graph.v, graph.row, graph.cell
+
+    # Vees: the cells of the first and the last column, paired by apex.
+    first = np.arange(1 << n, dtype=np.int64) * I_n
+    last = first + I_n - 1
+    vees = np.concatenate([_group(first, v[first], "vee"),
+                           _group(last, u[last], "vee")])
 
     # Loops: parallel cells between adjacent newest-level columns.
-    for k in range(1, I_n - 1):
-        if birth[k] == n and birth[k + 1] == n:
-            groups: dict[tuple[int, int], list[Edge]] = {}
-            for e in by_cell[k]:
-                groups.setdefault((min(e.u, e.v), max(e.u, e.v)), []).append(e)
-            for key in sorted(groups):
-                shapes.append(Shape("loop", k, k + 1,
-                                    tuple(sorted(e.id for e in groups[key]))))
+    k = np.arange(I_n)
+    loop_cell = (k >= 1) & (k <= I_n - 2) & (birth[:-1] == n) & (birth[1:] == n)
+    e = np.flatnonzero(loop_cell[cell])
+    loops = _group(e, u[e] * graph.num_vertices + v[e], "loop")
 
-    # Crosses: eight cells around each interior column of an earlier level.
-    for c in range(1, I_n):
-        m = birth[c]
-        if m >= n or m == 0:
-            continue
-        groups: dict[str, list[Edge]] = {}
-        for e in by_cell[c - 1] + by_cell[c]:
-            key = _class_label(_class_label(e.row, m), n)
-            groups.setdefault(key, []).append(e)
-        for key in sorted(groups):
-            shapes.append(Shape("cross", c - 1, c + 1,
-                                tuple(sorted(e.id for e in groups[key])), center=c))
-
-    return shapes
+    # Crosses: the eight cells around each interior column of an earlier
+    # level, grouped by row with the glued level's and level n's bits cleared.
+    owner = np.full(I_n, -1)
+    center = np.flatnonzero((birth > 0) & (birth < n))
+    owner[center - 1] = center
+    owner[center] = center
+    e = np.flatnonzero(owner[cell] >= 0)
+    c = owner[cell[e]]
+    key = c * (1 << n) + (row[e] & ~((1 << (n - birth[c])) | 1))
+    crosses = _group(e, key, "cross")
+    return (("vee", vees), ("loop", loops), ("cross", crosses))
 
 
 def _check_graph(graph: QuantumGraph):
     n, I_n = graph.level, graph.columns
     expected = 2**n * I_n if n >= 1 else 1
-    if len(graph.edges) != expected:
+    if graph.num_cells != expected:
         raise GraphBuildError(
-            f"cell count {len(graph.edges)} != {expected} at level {n}"
+            f"cell count {graph.num_cells} != {expected} at level {n}"
         )
     if n >= 1:
-        seen: set[int] = set()
-        for s in graph.shapes:
-            size = {"vee": 2, "loop": 2, "cross": 8}[s.kind]
-            if len(s.edge_ids) != size:
-                raise GraphBuildError(f"{s.kind} with {len(s.edge_ids)} cells")
-            seen.update(s.edge_ids)
-        if len(seen) != len(graph.edges):
+        ids = np.concatenate([eids.ravel() for _, eids in graph.construction])
+        if len(ids) != graph.num_cells or np.any(
+                np.bincount(ids, minlength=graph.num_cells) != 1):
             raise GraphBuildError("shape decomposition does not partition the cells")
 
 
@@ -376,9 +468,7 @@ def _region_walls(graph: QuantumGraph, region: str) -> tuple[Fraction, Fraction]
     if region == "plates":
         if graph.plates is None:
             raise ValueError("graph was built without plates")
-        step = I_n // graph.plates.N
-        return (Fraction(graph.plates.left_node * step),
-                Fraction(graph.plates.right_node * step))
+        return tuple(map(Fraction, _plate_columns(graph.plates, I_n)))
     raise ValueError(f"unknown region {region!r}")
 
 
@@ -389,7 +479,8 @@ def shape_census(graph: QuantumGraph, region: str | None = None) -> ShapeCensus:
     give loops, boundary legs give vees, twin degree-4 nodes with a
     common 4-corner neighborhood give crosses) rather than read off the
     construction, so it can serve as an independent check of the
-    closed-form counts.
+    closed-form counts.  It reads only the cell endpoints `u`, `v` and
+    the vertex columns.
 
     Parameters
     ----------
@@ -409,121 +500,123 @@ def shape_census(graph: QuantumGraph, region: str | None = None) -> ShapeCensus:
     if graph.level < 1:
         raise ValueError("shape decomposition needs level >= 1")
 
+    u, v, col = graph.u, graph.v, graph.vertex_column
+    nv, ne = len(col), len(u)
     deg = graph.degrees()
-    pair_edges: dict[tuple[int, int], list[Edge]] = {}
-    for e in graph.edges:
-        pair_edges.setdefault((min(e.u, e.v), max(e.u, e.v)), []).append(e)
+    used = np.zeros(ne, dtype=bool)
 
-    used: set[int] = set()
-    found: list[Shape] = []
+    def extent(eids):
+        ends = col[np.concatenate([u[eids], v[eids]], axis=1)]
+        return ends.min(axis=1), ends.max(axis=1)
 
     # Vees: legs at degree-1 vertices, paired by apex and boundary side.
-    vee_groups: dict[tuple[int, int], list[Edge]] = {}
-    for e in graph.edges:
-        if deg[e.u] == 1 or deg[e.v] == 1:
-            leaf, apex = (e.u, e.v) if deg[e.u] == 1 else (e.v, e.u)
-            side = graph.vertices[leaf].column
-            vee_groups.setdefault((apex, side), []).append(e)
-    for (apex, side), legs in sorted(vee_groups.items()):
-        if len(legs) != 2:
-            raise GraphBuildError(f"vertex {apex} has {len(legs)} boundary legs")
-        cols = sorted({graph.vertices[x].column for e in legs for x in (e.u, e.v)})
-        found.append(Shape("vee", cols[0], cols[-1],
-                           tuple(sorted(e.id for e in legs))))
-        used.update(e.id for e in legs)
+    legs = np.flatnonzero((deg[u] == 1) | (deg[v] == 1))
+    leaf_is_u = deg[u[legs]] == 1
+    apex = np.where(leaf_is_u, v[legs], u[legs])
+    side = col[np.where(leaf_is_u, u[legs], v[legs])]
+    keys, inverse, counts = np.unique(apex * (graph.columns + 1) + side,
+                                      return_inverse=True, return_counts=True)
+    if np.any(counts != 2):
+        bad = np.flatnonzero(counts != 2)[0]
+        raise GraphBuildError(f"vertex {keys[bad] // (graph.columns + 1)} has "
+                              f"{counts[bad]} boundary legs")
+    vees = legs[np.argsort(inverse, kind="stable")].reshape(-1, 2)
+    used[legs] = True
 
     # Loops: exactly two parallel cells between the same vertex pair.
-    for pair in sorted(pair_edges):
-        es = pair_edges[pair]
-        if len(es) >= 2:
-            if len(es) != 2 or any(e.id in used for e in es):
-                raise GraphBuildError(f"unexpected multi-edge between {pair}")
-            cols = sorted({graph.vertices[x].column for x in pair})
-            found.append(Shape("loop", cols[0], cols[-1],
-                               tuple(sorted(e.id for e in es))))
-            used.update(e.id for e in es)
+    keys, inverse, counts = np.unique(np.minimum(u, v) * nv + np.maximum(u, v),
+                                      return_inverse=True, return_counts=True)
+    clash = (counts > 2) | ((counts == 2) & (np.bincount(inverse[used], minlength=len(keys)) > 0))
+    if clash.any():
+        pair = divmod(int(keys[np.argmax(clash)]), nv)
+        raise GraphBuildError(f"unexpected multi-edge between {pair}")
+    multi = np.flatnonzero(counts[inverse] == 2)
+    loops = multi[np.argsort(inverse[multi], kind="stable")].reshape(-1, 2)
+    used[multi] = True
 
     # Crosses: twin vertices sharing the same four remaining neighbors.
     # Both orientations of a K_{2,4} can look like twins when adjacent
     # cross centers carry the same glued level, so candidates are tiled
-    # by exact cover: candidates forced through a uniquely covered cell
-    # are committed first and conflicting overlaps drop out.
-    rem_adj: dict[int, list[int]] = {}
-    rem_edges: dict[int, list[Edge]] = {}
-    for e in graph.edges:
-        if e.id in used:
-            continue
-        rem_adj.setdefault(e.u, []).append(e.v)
-        rem_adj.setdefault(e.v, []).append(e.u)
-        rem_edges.setdefault(e.u, []).append(e)
-        rem_edges.setdefault(e.v, []).append(e)
-    twins: dict[frozenset, list[int]] = {}
-    for v, nbrs in rem_adj.items():
-        if len(nbrs) == 4 and len(set(nbrs)) == 4:
-            twins.setdefault(frozenset(nbrs), []).append(v)
-    candidates = []
-    for corners, centers in sorted(twins.items(), key=lambda kv: sorted(kv[1])):
-        if len(centers) == 1:
-            continue    # a corner between two adjacent crosses, not a center
-        if len(centers) > 2:
-            raise GraphBuildError(f"{len(centers)} nodes share corners {set(corners)}")
-        eids = sorted(e.id for c in centers for e in rem_edges[c])
-        if len(eids) != 8 or len(set(eids)) != 8:
-            raise GraphBuildError("cross candidate with wrong cell count")
-        candidates.append((tuple(sorted(centers)), corners, tuple(eids)))
+    # by exact cover: rounds commit every candidate that is the only live
+    # owner of an uncovered cell and drop the live candidates it overlaps.
+    rest = np.flatnonzero(~used)
+    end = np.concatenate([u[rest], v[rest]])
+    order = np.argsort(end, kind="stable")
+    end = end[order]
+    other = np.concatenate([v[rest], u[rest]])[order]
+    incident = np.concatenate([rest, rest])[order]
+    rdeg = np.bincount(end, minlength=nv)
+    four = np.flatnonzero(rdeg == 4)
+    slots = (np.cumsum(rdeg) - rdeg)[four][:, None] + np.arange(4)
+    nbrs = np.sort(other[slots], axis=1)
+    distinct = np.all(nbrs[:, 1:] != nbrs[:, :-1], axis=1)
+    four, nbrs, slots = four[distinct], nbrs[distinct], slots[distinct]
+    order = np.lexsort(nbrs.T[::-1])
+    four, nbrs, slots = four[order], nbrs[order], slots[order]
+    new = np.ones(len(four), dtype=bool)
+    new[1:] = np.any(nbrs[1:] != nbrs[:-1], axis=1)
+    first = np.flatnonzero(new)
+    sizes = np.diff(np.append(first, len(four)))
+    if np.any(sizes > 2):
+        k = np.argmax(sizes > 2)
+        raise GraphBuildError(f"{sizes[k]} nodes share corners {set(nbrs[first[k]].tolist())}")
+    first = first[sizes == 2]       # a lone one is a corner between two crosses
+    centers = four[first]
+    corners = nbrs[first]
+    cand = np.sort(np.concatenate([incident[slots[first]],
+                                   incident[slots[first + 1]]], axis=1), axis=1)
+    if np.any(cand[:, 1:] == cand[:, :-1]):
+        raise GraphBuildError("cross candidate with wrong cell count")
 
-    owners: dict[int, list[int]] = {}
-    for ci, (_, _, eids) in enumerate(candidates):
-        for eid in eids:
-            owners.setdefault(eid, []).append(ci)
-    alive = [True] * len(candidates)
-    committed: list[int] = []
-    progress = True
-    while progress:
-        progress = False
-        for eid, owner in owners.items():
-            live = [ci for ci in owner if alive[ci]]
-            if len(live) == 1 and eid not in used:
-                ci = live[0]
-                centers, corners, eids = candidates[ci]
-                if any(e in used for e in eids):
-                    raise GraphBuildError("conflicting cross tiling")
-                used.update(eids)
-                committed.append(ci)
-                alive[ci] = False
-                for other in {o for e in eids for o in owners[e] if alive[o]}:
-                    alive[other] = False
-                progress = True
-    for ci in sorted(committed):
-        centers, corners, eids = candidates[ci]
-        cols = sorted(graph.vertices[v].column for v in corners)
-        center_col = graph.vertices[centers[0]].column
-        found.append(Shape("cross", cols[0], cols[-1], eids, center=center_col))
-    if len(used) != len(graph.edges):
+    cells, local = np.unique(cand, return_inverse=True)
+    local = local.reshape(cand.shape)
+    taken = np.zeros(len(cells), dtype=bool)
+    alive = np.ones(len(cand), dtype=bool)
+    committed = np.zeros(len(cand), dtype=bool)
+    while True:
+        owners = np.bincount(local[alive].ravel(), minlength=len(cells))
+        forced = alive & np.any(owners[local] == 1, axis=1)
+        if not forced.any():
+            break
+        cover = local[forced].ravel()
+        if np.bincount(cover).max() > 1:
+            raise GraphBuildError("conflicting cross tiling")
+        taken[cover] = True
+        committed |= forced
+        alive &= ~np.any(taken[local], axis=1)
+    used[cells[taken]] = True
+    if not used.all():
         raise GraphBuildError(
-            f"decomposition covered {len(used)} of {len(graph.edges)} cells"
+            f"decomposition covered {int(used.sum())} of {ne} cells"
         )
 
-    counts = {"vee": 0, "loop": 0, "cross": 0}
-    for s in found:
-        counts[s.kind] += 1
-
+    corner_cols = col[corners[committed]]
+    found = {
+        "vee": extent(vees),
+        "loop": extent(loops),
+        "cross": (corner_cols.min(axis=1), corner_cols.max(axis=1)),
+    }
+    counts = {kind: len(a) for kind, (a, _) in found.items()}
     if region is None:
         return ShapeCensus(graph.level, counts["vee"], counts["loop"], counts["cross"])
 
     wl, wr = _region_walls(graph, region)
-    split = {k: [0, 0, 0] for k in ("vee", "loop", "cross")}
-    half_inside = 0
-    for s in found:
-        if s.col_a >= wl and s.col_b <= wr:
-            split[s.kind][0] += 1
-        elif s.col_b <= wl or s.col_a >= wr:
-            split[s.kind][1] += 1
-        else:
-            split[s.kind][2] += 1
-            if s.kind == "cross" and wl <= s.center <= wr:
-                half_inside += 1
-    split = {k: RegionSplit(*v) for k, v in split.items()}
+
+    def at_least(x, q):
+        return x * q.denominator >= q.numerator
+
+    def at_most(x, q):
+        return x * q.denominator <= q.numerator
+
+    split, straddling = {}, {}
+    for kind, (a, b) in found.items():
+        inside = at_least(a, wl) & at_most(b, wr)
+        outside = ~inside & (at_most(b, wl) | at_least(a, wr))
+        straddling[kind] = ~inside & ~outside
+        split[kind] = RegionSplit(int(inside.sum()), int(outside.sum()),
+                                  int(straddling[kind].sum()))
+    c = col[centers[committed]]
+    half_inside = int(np.sum(straddling["cross"] & at_least(c, wl) & at_most(c, wr)))
     return ShapeCensus(graph.level, counts["vee"], counts["loop"], counts["cross"],
                        region, split, half_inside)
 

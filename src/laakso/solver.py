@@ -94,7 +94,6 @@ class DiscretizedOperator:
     stiffness: sparse.csr_matrix       # kinetic part L before mass scaling
     mass: np.ndarray                   # lumped node masses (kept nodes)
     xs: np.ndarray                     # x-coordinate per node
-    rows: list[str]                    # row label per node
     kept: np.ndarray                   # indices of the kept nodes
     mesh: int
     potential: Potential
@@ -129,68 +128,89 @@ def discretize(graph: QuantumGraph, mesh: int, potential: Potential
     """
     if mesh < 2:
         raise MeshError(f"mesh must have at least 2 interior points, got {mesh}")
-    nv, ne, M = len(graph.vertices), len(graph.edges), mesh
-    lengths = np.array([float(e.length) for e in graph.edges])
+    nv, ne, M = graph.num_vertices, graph.num_cells, mesh
+    lengths = np.array([float(x) for x in graph.lengths])
     if np.any(lengths <= 0):
         raise MeshError("degenerate edge length")
-    h = lengths / (M + 1)
-
-    eu = np.array([e.u for e in graph.edges], dtype=np.int64)
-    ev = np.array([e.v for e in graph.edges], dtype=np.int64)
-    interior = nv + np.arange(ne, dtype=np.int64)[:, None] * M + np.arange(M)[None, :]
-    left = np.hstack([eu[:, None], interior])           # (ne, M+1) link tails
-    right = np.hstack([interior, ev[:, None]])          # (ne, M+1) link heads
-    w = np.repeat(1.0 / h, M + 1)
-
+    h = lengths[graph.length_class] / (M + 1)
+    w = 1.0 / h                        # weight of every link of a cell
+    eu, ev = graph.u, graph.v
     ndof = nv + ne * M
-    rows_ = left.ravel()
-    cols_ = right.ravel()
-    diag = np.zeros(ndof)
-    np.add.at(diag, rows_, w)
-    np.add.at(diag, cols_, w)
-    L = sparse.coo_matrix(
-        (np.concatenate([-w, -w, diag]),
-         (np.concatenate([rows_, cols_, np.arange(ndof)]),
-          np.concatenate([cols_, rows_, np.arange(ndof)]))),
-        shape=(ndof, ndof),
-    ).tocsr()
 
-    massv = np.zeros(ndof)
-    np.add.at(massv, eu, h / 2)
-    np.add.at(massv, ev, h / 2)
-    massv[nv:] = np.repeat(h, M)
+    # Fixed summation order, so the float sums never change: a vertex adds
+    # the cells it starts, then the cells it ends, each in cell order.
+    ends = np.concatenate([eu, ev])
+    diag = np.concatenate([np.bincount(ends, np.concatenate([w, w]), minlength=nv),
+                           np.repeat(w + w, M)])
+    massv = np.concatenate([np.bincount(ends, np.concatenate([h / 2, h / 2]), minlength=nv),
+                            np.repeat(h, M)])
 
-    xv = np.array([float(v.x) for v in graph.vertices])
+    xv = np.array([float(x) for x in graph.column_x])[graph.vertex_column]
     t = (np.arange(M) + 1.0) / (M + 1)
     xs = np.empty(ndof)
     xs[:nv] = xv
     xs[nv:] = (xv[eu][:, None] + t[None, :] * (xv[ev] - xv[eu])[:, None]).ravel()
 
-    labels = [v.row_class for v in graph.vertices]
-    for e in graph.edges:
-        labels.extend([e.row] * M)
-
     V = potential.values(xs)
     if np.isnan(V).any():
         raise MeshError(f"potential is NaN at x = {xs[np.isnan(V)][0]!r}")
     keep = np.abs(V) < potential.cutoff
-    keep[list(graph.conducting_ids())] = False
+    keep[graph.conducting_ids()] = False
     idx = np.flatnonzero(keep)
-    L = L[idx][:, idx].tocoo()
-    massk = massv[idx]
 
+    # Stiffness entries in CSR order: rows ascending, columns ascending
+    # within a row.  A vertex row holds its diagonal, then the nearest
+    # interior node of each of its cells; interior row p holds
+    # (p - 1, p, p + 1), where a cell's first interior node has the start
+    # vertex in place of p - 1 and its last one reads (end vertex, p - 1, p).
+    first = nv + np.arange(ne, dtype=np.int64) * M
+    cell_ends = np.stack([eu, ev], axis=1).ravel()
+    by_vertex = np.argsort(cell_ends, kind="stable")
+    count = np.concatenate([np.bincount(cell_ends, minlength=nv) + 1, np.full(ne * M, 3)])
+    start = np.concatenate([[0], np.cumsum(count)])
+    at_diag = start[:-1].copy()
+    at_diag[nv:] += 1
+    at_diag[nv + M - 1::M] += 1
+    col = np.empty(start[-1], dtype=np.int64)
+    val = np.empty(start[-1])
+    off = np.ones(start[nv], dtype=bool)
+    off[at_diag[:nv]] = False
+    col[:start[nv]][off] = np.stack([first, first + M - 1], axis=1).ravel()[by_vertex]
+    val[:start[nv]][off] = -np.repeat(w, 2)[by_vertex]
+    p = first[:, None] + np.arange(M)
+    icol = col[start[nv]:].reshape(ne, M, 3)
+    icol[:, :, 0] = p - 1
+    icol[:, :, 1] = p
+    icol[:, :, 2] = p + 1
+    icol[:, 0, 0] = eu
+    icol[:, -1] = np.stack([ev, p[:, -1] - 1, p[:, -1]], axis=1)
+    val[start[nv]:].reshape(ne, 3 * M)[:] = -w[:, None]
+    col[at_diag] = np.arange(ndof)
+    val[at_diag] = diag
+
+    if not keep.all():
+        ok = keep[col] & np.repeat(keep, count)
+        before = np.concatenate([[0], np.cumsum(ok)])
+        count = (before[start[1:]] - before[start[:-1]])[keep]
+        at_diag = before[at_diag[keep]]
+        col, val = (np.cumsum(keep) - 1)[col[ok]], val[ok]
+    n = len(idx)
+    indptr = np.concatenate([[0], np.cumsum(count)])
+    L = sparse.csr_matrix((val, col, indptr), shape=(n, n))
+    massk = massv[idx]
     s = 1.0 / np.sqrt(massk)
     # group s_r s_c first: it is commutative, so (r, c) and (c, r) round alike
-    hdata = L.data * (s[L.row] * s[L.col])
-    H = sparse.coo_matrix((hdata, (L.row, L.col)), shape=L.shape).tocsr()
-    H = H + sparse.diags(V[idx])
-
+    hval = np.repeat(s, count)
+    hval *= s[col]
+    hval *= val
+    hval[at_diag] += V[idx]
+    H = sparse.csr_matrix((hval, L.indices.copy(), L.indptr.copy()), shape=(n, n))
+    H.eliminate_zeros()       # a diagonal that cancels exactly is not stored
     return DiscretizedOperator(
-        matrix=H.tocsr(),
-        stiffness=L.tocsr(),
+        matrix=H,
+        stiffness=L,
         mass=massk,
         xs=xs,
-        rows=labels,
         kept=idx,
         mesh=M,
         potential=potential,
@@ -227,9 +247,12 @@ def solve_lowest(op: DiscretizedOperator, count: int, mode: str = "auto",
                  keep_vectors: bool = True) -> EigenResult:
     """Solve for eigenvalues at the physical end of the spectrum.
 
-    mode 'lowest' returns the `count` algebraically smallest eigenvalues
-    (valid for potentials bounded below by 0, where shift-invert at a
-    negative shift reaches the bottom).  mode 'nearest_zero' returns the
+    mode 'lowest' returns the `count` algebraically smallest eigenvalues.
+    Above the dense limit it shift-inverts at sigma = -10, which reaches
+    the bottom of the spectrum only when H >= sigma; the mass-scaled
+    kinetic part is positive semidefinite, so H >= min V, and a potential
+    whose minimum over the kept nodes is below sigma raises ValueError.
+    mode 'nearest_zero' returns the
     `count` eigenvalues closest to zero, the meaningful window for the
     Coulomb potential: the discretized -1/(x-1/2)^2 is unbounded below
     as h -> 0, so its lowest eigenvalues are mesh artifacts far below
@@ -259,6 +282,13 @@ def solve_lowest(op: DiscretizedOperator, count: int, mode: str = "auto",
         info = {"method": "dense", "mode": mode, "dim": dim}
     else:
         sigma = -10.0 if mode == "lowest" else 0.0
+        if mode == "lowest":
+            v_min = float(op.potential.values(op.xs[op.kept]).min())
+            if v_min < sigma:
+                raise ValueError(
+                    f"mode 'lowest' cannot reach the bottom of the spectrum: "
+                    f"min V = {v_min:.6g} is below the shift sigma = {sigma:g} "
+                    f"(dim={dim}); use mode='nearest_zero'")
         # the outermost Ritz pairs converge worst; solve a few extra and
         # keep only the requested window
         k_solve = min(dim - 1, count + max(3, count // 20))
@@ -336,9 +366,11 @@ def eigenfunction_trace(op: DiscretizedOperator, result: EigenResult, index: int
         raise IndexError(f"eigenfunction index {index} out of range")
     u = np.zeros(len(op.xs))
     u[op.kept] = result.eigenvectors[:, index]
-    trace = list(zip(op.xs.tolist(), op.rows, u.tolist()))
-    trace.sort(key=lambda rec: (rec[0], rec[1]))
-    return trace
+    g = op.graph
+    # node order: vertices, then the interior points of each cell in turn
+    rows = np.concatenate([g.vertex_labels(), g.row_labels(np.repeat(g.row, op.mesh))])
+    order = np.lexsort((rows, op.xs))
+    return list(zip(op.xs[order].tolist(), rows[order].tolist(), u[order].tolist()))
 
 
 def export_matrix(op: DiscretizedOperator, path: str):

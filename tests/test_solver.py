@@ -312,3 +312,12 @@ def test_export_matrix_roundtrip(tmp_path):
     vals = {(int(r), int(c)): float(v) for r, c, v in entries}
     for (r, c), v in vals.items():
         assert vals[(c, r)] == v
+
+
+def test_lowest_mode_rejects_potential_below_shift():
+    # shift-invert at sigma = -10 misses eigenvalues below it: unchecked,
+    # this solve returned 16.8 while the true bottom is about -9527.5
+    op = discretize(build_graph(SEQ2, 5), 7, Potential("custom", func=lambda x: -1e4 * x))
+    assert op.dimension > 2000
+    with pytest.raises(ValueError, match="nearest_zero"):
+        solve_lowest(op, 5, mode="lowest")
