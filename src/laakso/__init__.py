@@ -31,11 +31,14 @@ from .solver import (
     DiscretizedOperator,
     EigenResult,
     Potential,
+    RowFlipOperator,
     cluster,
     discretize,
     eigenfunction_trace,
     export_matrix,
+    reduce_rows,
     solve_lowest,
+    solve_row_flip,
 )
 from .spectra import (
     MERGED,
@@ -74,7 +77,8 @@ __all__ = [
     "PlateConfig", "PlateConfigError",
     "JSequence", "SequenceTooShort", "hausdorff_dimension", "level_products",
     "ConvergenceError", "DiscretizedOperator", "EigenResult", "Potential",
-    "cluster", "discretize", "eigenfunction_trace", "export_matrix", "solve_lowest",
+    "RowFlipOperator", "cluster", "discretize", "eigenfunction_trace", "export_matrix",
+    "reduce_rows", "solve_lowest", "solve_row_flip",
     "MERGED", "PER_FAMILY", "LineSource", "MultiplicityError", "SpectralLine",
     "SpectrumQuery",
     "free_spectrum", "interior_shape_counts", "merge_lines", "plates_spectrum",

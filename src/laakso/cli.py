@@ -35,8 +35,10 @@ from . import (
     level_products,
     plate_zeta_energy,
     plates_spectrum,
+    reduce_rows,
     shape_census,
     solve_lowest,
+    solve_row_flip,
     spectral_dimension,
     spectral_zeta_periodic,
     square_well_spectrum,
@@ -46,7 +48,7 @@ from . import (
 )
 from .graphs import GraphBuildError
 from .plates import PlateConfigError
-from .solver import MeshError
+from .solver import _DENSE_LIMIT, MeshError
 
 
 class UsageError(ValueError):
@@ -206,7 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plates", default=None, help="N,Z,X0 (kind=plates)")
     _add_common(p)
 
-    p = sub.add_parser("solve", help="numeric eigensolve on a quantum graph")
+    p = sub.add_parser(
+        "solve", help="numeric eigensolve on a quantum graph",
+        description="Lowest eigenvalues of the finite-difference Hamiltonian on the "
+                    "level-n graph (those nearest zero for coulomb).  With at most "
+                    f"{_DENSE_LIMIT} kept nodes the Hamiltonian is assembled and "
+                    "diagonalized densely; above that, the row flips split it into "
+                    "1-D tridiagonal segment problems, each solved once and counted "
+                    "with its multiplicity.")
     _add_sequence(p)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--potential", default="free",
@@ -320,12 +329,20 @@ DEFAULT_MESH = 7
 
 
 def _cmd_solve(args):
+    if args.trace is not None and not 0 <= args.trace < args.count:
+        raise UsageError(f"--trace {args.trace} is not the index of one of the "
+                         f"--count {args.count} eigenpairs")
     seq = _sequence(args)
     plates = _plate_config(args) if args.plates else None
     graph = build_graph(seq, args.level, plates=plates)
     mesh = args.mesh if args.mesh is not None else DEFAULT_MESH
-    op = discretize(graph, mesh, Potential(args.potential))
-    result = solve_lowest(op, args.count)
+    potential = Potential(args.potential)
+    op = reduce_rows(graph, mesh, potential)
+    if op.dimension > _DENSE_LIMIT:
+        result = solve_row_flip(op, args.count)
+    else:
+        op = discretize(graph, mesh, potential)
+        result = solve_lowest(op, args.count)
     if args.trace is not None:
         trace = eigenfunction_trace(op, result, args.trace)
         if args.format == "csv":

@@ -220,22 +220,29 @@ class QuantumGraph:
                              a + 1 if kind == "cross" else None)
             i -= len(ids)
 
+    def vertex_rows(self, ids=None) -> np.ndarray:
+        """Row bitmasks of the given vertices, or of all of them; the bit a
+        glued vertex ignores reads 0."""
+        ids = np.arange(self.num_vertices) if ids is None else np.asarray(ids)
+        col = self.vertex_column[ids]
+        return _row_of_class(ids - _column_start(self.birth, self.level)[col],
+                             self.level - self.birth[col])
+
     def vertex_labels(self, ids=None) -> np.ndarray:
         """Row-class labels ('0*1') of the given vertices, or of all of them."""
         ids = np.arange(self.num_vertices) if ids is None else np.asarray(ids)
-        col = self.vertex_column[ids]
-        m = self.birth[col]
-        return _bit_strings(_row_of_class(ids - _column_start(self.birth, self.level)[col],
-                                          self.level - m),
-                            self.level, np.where(m > 0, m - 1, -1))
+        m = self.birth[self.vertex_column[ids]]
+        return _bit_strings(self.vertex_rows(ids), self.level, np.where(m > 0, m - 1, -1))
 
     def row_labels(self, rows) -> np.ndarray:
         """Full binary labels of the given row bitmasks."""
         return _bit_strings(np.asarray(rows), self.level)
 
+    def conducting_columns(self) -> tuple[int, ...]:
+        return _plate_columns(self.plates, self.columns)
+
     def conducting_ids(self) -> np.ndarray:
-        cols = _plate_columns(self.plates, self.columns)
-        return np.flatnonzero(np.isin(self.vertex_column, cols))
+        return np.flatnonzero(np.isin(self.vertex_column, self.conducting_columns()))
 
     def degrees(self) -> np.ndarray:
         nv = self.num_vertices

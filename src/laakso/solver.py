@@ -13,6 +13,22 @@ infinite wall is a Dirichlet constraint: nodes where |V| reaches the
 potential's cutoff are eliminated together with the conducting
 vertices, so the wavefunction is zero there and H carries only the
 finite part of V.
+
+Row flips.  Swapping the two level-m copies (flipping bit n - m of every
+row mask) is a graph automorphism that fixes x, and everything H is built
+from (V, walls, conducting columns, cell lengths) depends on x alone, so
+H commutes with the group Z_2^n of row flips.  Its characters
+chi_S(row) = (-1)^popcount(row & S), S a set of row bits, block-diagonalize
+H.  Block S is the finite-difference problem on one row, the path [0, 1]
+with the same nodes, steps, masses and V, free at x = 0 and x = 1 and
+Dirichlet at every column born at a level whose bit is in S, besides the
+walls and conducting columns.  Cut at its Dirichlet nodes, a block falls
+into segments.  A segment whose end columns are Dirichlet only through S
+and born at levels R, and whose inner columns are born at levels B, lies
+in 2^(n - |R u B|) blocks, and in none if R and B meet: the closed-form
+multiplicities of the paper, at the discrete level.  `reduce_rows` and
+`solve_row_flip` solve each distinct segment once as a tridiagonal
+problem and never assemble H.
 """
 
 from __future__ import annotations
@@ -22,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import eigsh
 
 from .graphs import QuantumGraph
@@ -219,11 +236,137 @@ def discretize(graph: QuantumGraph, mesh: int, potential: Potential
 
 
 @dataclass
+class RowFlipOperator:
+    """The Hamiltonian of `discretize` split by the row flips (module docstring).
+
+    The path is one row of the graph: column k is node k (M + 1), and the
+    M interior points of cell k follow it.  `diag` and `off` are the
+    tridiagonal T = D^(-1/2) L D^(-1/2) + diag(V) on every path node.
+    Segment i is T on nodes starts[i]:stops[i], a block of H for
+    weights[i] characters; the occurrence p is segment pair_segment[p] of
+    character pair_character[p], in ascending character order.
+    """
+
+    graph: QuantumGraph = field(repr=False)
+    mesh: int
+    potential: Potential
+    xs: np.ndarray                     # x-coordinate per path node
+    mass: np.ndarray                   # lumped path-node masses
+    diag: np.ndarray
+    off: np.ndarray
+    starts: np.ndarray
+    stops: np.ndarray
+    weights: np.ndarray
+    pair_character: np.ndarray
+    pair_segment: np.ndarray
+
+    @property
+    def dimension(self) -> int:
+        """The kept-node count of the graph: segment sizes summed over all characters."""
+        return int(self.weights @ (self.stops - self.starts))
+
+    def node_x(self) -> np.ndarray:
+        """x-coordinate of every graph node, in `discretize`'s node order."""
+        g, M = self.graph, self.mesh
+        interior = self.xs[:-1].reshape(g.columns, M + 1)[:, 1:].ravel()
+        return np.concatenate([self.xs[g.vertex_column * (M + 1)],
+                               np.tile(interior, 1 << g.level)])
+
+    def lift(self, f: np.ndarray, character: int) -> np.ndarray:
+        """2^(-n/2) chi_S (x) f on every graph node, in `discretize`'s node
+        order: unit discrete L2 when the path function f is."""
+        g, M = self.graph, self.mesh
+        chi = 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << g.level) & character) & 1)
+        chi *= 2.0 ** (-g.level / 2)
+        interior = f[:-1].reshape(g.columns, M + 1)[:, 1:].ravel()
+        return np.concatenate([chi[g.vertex_rows()] * f[g.vertex_column * (M + 1)],
+                               np.outer(chi, interior).ravel()])
+
+
+def reduce_rows(graph: QuantumGraph, mesh: int, potential: Potential
+                ) -> RowFlipOperator:
+    """Split the Hamiltonian `discretize(graph, mesh, potential)` assembles
+    into its row-flip segments, without assembling it.
+
+    Reads only the graph's columns: birth levels, x, the length class of
+    each column's cell and the conducting columns.
+    """
+    if mesh < 2:
+        raise MeshError(f"mesh must have at least 2 interior points, got {mesh}")
+    n, I_n, M = graph.level, graph.columns, mesh
+    lengths = np.array([float(x) for x in graph.lengths])
+    if np.any(lengths <= 0):
+        raise MeshError("degenerate edge length")
+    # cell k of row 0 has id k; link p joins path nodes p and p + 1
+    h = np.repeat(lengths[graph.length_class[:I_n]] / (M + 1), M + 1)
+    w = 1.0 / h
+    zero = np.zeros(1)
+    stiff = np.concatenate([w, zero]) + np.concatenate([zero, w])
+    mass = (np.concatenate([h, zero]) + np.concatenate([zero, h])) / 2
+
+    xv = np.array([float(x) for x in graph.column_x])
+    t = (np.arange(M) + 1.0) / (M + 1)
+    xs = np.empty(len(h) + 1)
+    xs[::M + 1] = xv
+    xs[:-1].reshape(I_n, M + 1)[:, 1:] = xv[:-1, None] + t[None, :] * (xv[1:] - xv[:-1])[:, None]
+    V = potential.values(xs)
+    if np.isnan(V).any():
+        raise MeshError(f"potential is NaN at x = {xs[np.isnan(V)][0]!r}")
+    cut = ~(np.abs(V) < potential.cutoff)
+    cut[np.asarray(graph.conducting_columns(), dtype=np.int64) * (M + 1)] = True
+    s = 1.0 / np.sqrt(mass)
+    diag = stiff * (s * s) + np.where(cut, 0.0, V)
+    off = -w * (s[:-1] * s[1:])
+
+    # A column born at level m >= 1 is Dirichlet for the characters holding
+    # row bit n - m.  Pad each character's cut nodes with the two path ends
+    # and take the non-empty gaps between neighbours.
+    node_bit = np.zeros(len(xs), dtype=np.int64)
+    node_bit[::M + 1] = np.where(graph.birth > 0, 1 << (n - graph.birth), 0)
+    at = np.flatnonzero(cut | (node_bit > 0))
+    hit = cut[at] | ((np.arange(1 << n)[:, None] & node_bit[at]) != 0)
+    char, k = np.nonzero(np.pad(hit, ((0, 0), (1, 1)), constant_values=True))
+    pos = np.concatenate([[-1], at, [len(xs)]])
+    a, b = pos[k[:-1]] + 1, pos[k[1:]]
+    ok = (char[:-1] == char[1:]) & (b > a)
+    span = len(xs) + 1
+    keys, seg, weights = np.unique(a[ok] * span + b[ok], return_inverse=True,
+                                   return_counts=True)
+    return RowFlipOperator(graph, mesh, potential, xs, mass, diag, off,
+                           keys // span, keys % span, weights, char[:-1][ok], seg)
+
+
+def _count_negative(diag, off, starts, stops) -> np.ndarray:
+    """Negative eigenvalues of each segment's T (Sylvester's law of inertia:
+    the negative pivots of its LDL^T), with all segments run in lockstep."""
+    coupling = np.concatenate([[0.0], off**2])      # off[p - 1]^2, into row p
+    pivmin = np.finfo(float).tiny * max(1.0, coupling.max())
+    count = np.zeros(len(starts), dtype=np.int64)
+    q = np.ones(len(starts))
+    for i in range(int((stops - starts).max())):
+        p = starts + i
+        live = p < stops
+        p = np.where(live, p, starts)
+        q = diag[p] - (coupling[p] / q if i else 0.0)
+        q = np.where(~live, 1.0, np.where(np.abs(q) < pivmin, -pivmin, q))
+        count += q < 0
+    return count
+
+
+def _segment_eigh(op: RowFlipOperator, i: int, lo: int, hi: int, vectors: bool):
+    """Eigenpairs lo..hi-1 (by index) of segment i."""
+    a, b = op.starts[i], op.stops[i]
+    return eigh_tridiagonal(op.diag[a:b], op.off[a:b - 1], eigvals_only=not vectors,
+                            select="i", select_range=(lo, hi - 1), lapack_driver="stemr")
+
+
+@dataclass
 class EigenResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None    # function values, columns; unit discrete L2
     residuals: np.ndarray
     info: dict
+    characters: np.ndarray | None = None   # row-flip character of each pair (solve_row_flip)
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
@@ -327,13 +470,97 @@ def solve_lowest(op: DiscretizedOperator, count: int, mode: str = "auto",
     return EigenResult(vals, funcs, res, info)
 
 
+def solve_row_flip(op: RowFlipOperator, count: int, mode: str = "auto") -> EigenResult:
+    """The eigenvalues `solve_lowest` returns, from the row-flip segments.
+
+    Modes are those of `solve_lowest`.  Each distinct segment is solved
+    once by index with LAPACK's MRRR driver (stemr): 'lowest' takes the
+    bottom of every segment, so it finds the true bottom of the spectrum
+    for any potential, and 'nearest_zero' takes a window around each
+    segment's count of negative eigenvalues.  A segment eigenvalue
+    counts weights[i] times; its c-th copy belongs to the segment's c-th
+    character, so a degenerate eigenspace gets a canonical basis.
+
+    Eigenvectors are the path functions f (columns on the path nodes,
+    zero off their segment, unit discrete L2); `characters` holds each
+    pair's character, and `eigenfunction_trace` lifts the pair onto the
+    graph.  The residual ||T f - lambda f|| / ||f|| of each segment pair
+    equals that of the lifted pair under H.  Raises ConvergenceError if
+    any residual exceeds 1e-8.
+    """
+    dim = op.dimension
+    if not 1 <= count <= dim:
+        raise ValueError(f"count must be in 1..{dim}, got {count}")
+    if mode == "auto":
+        mode = "nearest_zero" if op.potential.kind == "coulomb" else "lowest"
+    if mode not in ("lowest", "nearest_zero"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+    starts, stops, weights = op.starts, op.stops, op.weights
+    # An eigenvalue of a segment with w copies is picked only if fewer
+    # than count / w of the segment's eigenvalues come before it; one more
+    # for nearest_zero, where lambda and -lambda tie.
+    k = np.minimum(stops - starts, -(-count // weights) + 1)
+    if mode == "lowest":
+        lo = np.zeros_like(k)
+    else:
+        neg = _count_negative(op.diag, op.off, starts, stops)
+        lo = np.maximum(neg - k, 0)
+        k = np.minimum(stops - starts, neg + k) - lo
+    cand = [_segment_eigh(op, i, lo[i], lo[i] + k[i], False) for i in range(len(k))]
+    vals = np.concatenate(cand)
+    seg = np.repeat(np.arange(len(k)), k)
+    idx = np.concatenate([np.arange(lo[i], lo[i] + k[i]) for i in range(len(k))])
+
+    order = np.argsort(vals if mode == "lowest" else np.abs(vals), kind="stable")
+    copies = weights[seg[order]]
+    need = int(np.searchsorted(np.cumsum(copies), count)) + 1
+    pick = np.repeat(order[:need], copies[:need])[:count]
+    copy = np.concatenate([np.arange(c) for c in copies[:need]])[:count]
+
+    out = np.empty(count)
+    res = np.empty(count)
+    funcs = np.zeros((len(op.xs), count))
+    characters = np.empty(count, dtype=np.int64)
+    for i in np.unique(seg[pick]):
+        cols = np.flatnonzero(seg[pick] == i)
+        want = idx[pick[cols]]
+        first = int(want.min())
+        lam, g = _segment_eigh(op, i, first, int(want.max()) + 1, True)
+        lam, g = lam[want - first], g[:, want - first]
+        a, b = op.starts[i], op.stops[i]
+        e = op.off[a:b - 1, None]
+        r = op.diag[a:b, None] * g - g * lam
+        r[:-1] += e * g[1:]
+        r[1:] += e * g[:-1]
+        out[cols] = lam
+        res[cols] = np.linalg.norm(r, axis=0) / np.linalg.norm(g, axis=0)
+        funcs[a:b, cols] = g / np.sqrt(op.mass[a:b])[:, None]
+        characters[cols] = op.pair_character[op.pair_segment == i][copy[cols]]
+    o = np.argsort(out, kind="stable")
+    info = {"method": "row-flip", "mode": mode, "dim": dim, "characters": 1 << op.graph.level,
+            "segments": len(k)}
+    if np.any(res > _RESIDUAL_TOL):
+        raise ConvergenceError(
+            f"residuals up to {res.max():.3e} exceed {_RESIDUAL_TOL:.0e} "
+            f"({info['method']}, dim={dim})"
+        )
+    info["residual_max"] = float(res.max())
+    info["polish_rounds"] = 0
+    return EigenResult(out[o], funcs[:, o], res[o], info, characters[o])
+
+
 def cluster(eigenvalues, rel_tol: float = 1e-2):
     """Greedy clustering of an ascending eigenvalue list into (mean, count).
 
     A value joins the current cluster when it lies within
-    rel_tol * max(1, |running mean|) of the mean.  Returns a list of
-    (mean, count) pairs in ascending order.
+    rel_tol * max(1, |running mean|) of the mean; rel_tol = 0 groups
+    exact degeneracies only.  Returns a list of (mean, count) pairs in
+    ascending order.  Raises ValueError for a negative or non-finite
+    rel_tol.
     """
+    if not (math.isfinite(rel_tol) and rel_tol >= 0):
+        raise ValueError(f"cluster tolerance must be finite and >= 0, got {rel_tol!r}")
     vals = np.asarray(
         eigenvalues.eigenvalues if isinstance(eigenvalues, EigenResult) else eigenvalues,
         dtype=float,
@@ -353,24 +580,35 @@ def cluster(eigenvalues, rel_tol: float = 1e-2):
     return out
 
 
-def eigenfunction_trace(op: DiscretizedOperator, result: EigenResult, index: int):
+def eigenfunction_trace(op: DiscretizedOperator | RowFlipOperator, result: EigenResult,
+                        index: int):
     """Sample eigenfunction `index` over the node map for plotting.
 
     Returns (x, row label, value) tuples for every node, sorted by
     (x, row); values are in the unit discrete-L2 normalization, and
-    eliminated nodes (walls, conducting vertices) read exactly 0.0.
+    eliminated nodes (walls, conducting vertices) read exactly 0.0.  A
+    row-flip pair is lifted onto the graph and signed as `solve_lowest`
+    signs its vectors: positive where |value| first peaks in node order.
     """
     if result.eigenvectors is None:
         raise ValueError("eigenvectors were not retained")
     if not 0 <= index < result.eigenvectors.shape[1]:
         raise IndexError(f"eigenfunction index {index} out of range")
-    u = np.zeros(len(op.xs))
-    u[op.kept] = result.eigenvectors[:, index]
+    if isinstance(op, RowFlipOperator):
+        xs = op.node_x()
+        u = op.lift(result.eigenvectors[:, index], int(result.characters[index]))
+        if u[np.argmax(np.abs(u))] < 0:
+            u = -u
+        u += 0.0              # a zero times -1 is -0.0; eliminated nodes read 0.0
+    else:
+        xs = op.xs
+        u = np.zeros(len(op.xs))
+        u[op.kept] = result.eigenvectors[:, index]
     g = op.graph
     # node order: vertices, then the interior points of each cell in turn
     rows = np.concatenate([g.vertex_labels(), g.row_labels(np.repeat(g.row, op.mesh))])
-    order = np.lexsort((rows, op.xs))
-    return list(zip(op.xs[order].tolist(), rows[order].tolist(), u[order].tolist()))
+    order = np.lexsort((rows, xs))
+    return list(zip(xs[order].tolist(), rows[order].tolist(), u[order].tolist()))
 
 
 def export_matrix(op: DiscretizedOperator, path: str):

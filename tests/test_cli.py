@@ -10,6 +10,7 @@ import io
 import json
 import os
 import sys
+import time
 
 import pytest
 
@@ -120,6 +121,10 @@ def test_spectrum_csv_round_trip():
     "zeta --j 2 --periodic --s 1",                       # on the pole lattice
     "zeta --j 2 --periodic --s 0.5",                     # j = 2 has no s -> 1/2 limit
     "casimir --N 5 --Z 1 --X0 0.2",                      # N - (Z+1) odd
+    "solve --j 2 --periodic --level 1 --count 2 --trace 5",   # trace index >= count
+    "solve --j 2 --periodic --level 1 --count 2 --trace -1",
+    "solve --j 2 --periodic --level 1 --count 6 --cluster-tol nan",
+    "solve --j 2 --periodic --level 1 --count 6 --cluster-tol -0.1",
 ])
 def test_invalid_configuration_exits_2(argv):
     rc, out, err = run(argv)
@@ -155,6 +160,36 @@ def test_convergence_error_exits_3(monkeypatch):
     rc, out, err = run("solve --j 2 --periodic --level 1 --count 2")
     assert (rc, out) == (3, "")
     assert json.loads(err) == {"error": "residual 1e-6 exceeds the contract", "exit": 3}
+
+
+@pytest.mark.parametrize("trace", ["", " --trace 1"])
+def test_solve_above_dense_limit_assembles_no_matrix(monkeypatch, trace):
+    import laakso.solver
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Hamiltonian was assembled")
+
+    for module, name in [(cli, "discretize"), (laakso.solver, "discretize"),
+                         (cli, "solve_lowest"), (laakso.solver, "eigsh")]:
+        monkeypatch.setattr(module, name, forbidden)
+    rc, out, err = run("solve --j 2 --periodic --level 6 --potential square_well --count 5"
+                       + trace)
+    assert (rc, err) == (0, "")
+    assert ("trace" if trace else "dim") in json.loads(out)
+
+
+def test_level_8_square_well_solve():
+    # 37 s and a residual 2x under the contract on the assembled path; the
+    # row-flip reduction takes about 0.2 s
+    t0 = time.perf_counter()
+    rc, out, err = run("solve --j 2 --periodic --level 8 --potential square_well --count 20")
+    elapsed = time.perf_counter() - t0
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["dim"] == 245888
+    assert doc["residual_max"] <= 1e-8
+    assert len(doc["eigenvalues"]) == 20
+    assert elapsed < 5.0
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,12 +14,16 @@ from laakso import (
     JSequence,
     PlateConfig,
     Potential,
+    SpectrumQuery,
     build_graph,
     cluster,
     discretize,
     eigenfunction_trace,
     export_matrix,
+    free_spectrum,
+    reduce_rows,
     solve_lowest,
+    solve_row_flip,
 )
 from laakso.solver import MeshError
 
@@ -242,6 +246,136 @@ def test_determinism():
 
 
 # ---------------------------------------------------------------------------
+# row-flip reduction
+
+SEQ3 = JSequence((3,), periodic=True)
+PLATES5 = (JSequence((5,), periodic=True), PlateConfig(5, 0, 0.2))
+SINE = Potential("custom", func=lambda x: 50.0 * np.sin(7.0 * x) ** 2)
+
+
+def _case_id(value):
+    if isinstance(value, JSequence):
+        return ",".join(map(str, value.values))
+    if isinstance(value, Potential):
+        return value.kind
+    return "plates" if isinstance(value, PlateConfig) else str(value)
+
+
+def _close(got, want, rel):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    return np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= rel
+
+
+@pytest.mark.parametrize("seq,n,plates,pot", [
+    (seq, 3, None, Potential(kind))
+    for seq in (SEQ2, SEQ3, SEQ23)
+    for kind in ("free", "square_well", "coulomb", "parabolic")
+] + [
+    (PLATES5[0], 2, PLATES5[1], Potential("free")),
+    (PLATES5[0], 2, PLATES5[1], Potential("square_well")),
+    (SEQ23, 3, None, SINE),
+], ids=_case_id)
+def test_row_flip_full_spectrum(seq, n, plates, pot):
+    # the union of the segment spectra, with multiplicity, is the spectrum of H
+    g = build_graph(seq, n, plates=plates)
+    op = discretize(g, 5, pot)
+    rop = reduce_rows(g, 5, pot)
+    assert rop.dimension == op.dimension
+    r = solve_row_flip(rop, rop.dimension, mode="lowest")
+    assert _close(r.eigenvalues, np.linalg.eigvalsh(op.matrix.toarray()), 1e-10)
+    assert r.residuals.max() <= 1e-8
+
+
+@pytest.mark.parametrize("seq,n,plates,pot,mode", [
+    (SEQ2, 5, None, Potential("free"), "auto"),
+    (SEQ2, 5, None, Potential("square_well"), "auto"),
+    (SEQ2, 5, None, Potential("coulomb"), "auto"),
+    (SEQ2, 5, None, Potential("parabolic"), "auto"),
+    (SEQ23, 4, None, Potential("square_well"), "auto"),
+    (PLATES5[0], 3, PLATES5[1], Potential("free"), "auto"),
+    (SEQ2, 5, None, SINE, "auto"),
+    # up to 54 negative eigenvalues below a segment's zero window
+    (SEQ2, 5, None, Potential("custom", func=lambda x: -3e4 + 5e3 * np.sin(7.0 * x) ** 2),
+     "nearest_zero"),
+], ids=_case_id)
+def test_row_flip_matches_full_path(seq, n, plates, pot, mode):
+    g = build_graph(seq, n, plates=plates)
+    op = discretize(g, 7, pot)
+    rop = reduce_rows(g, 7, pot)
+    assert rop.dimension == op.dimension > 2000
+    r = solve_row_flip(rop, 20, mode)
+    ref = solve_lowest(op, 20, mode)
+    assert (r.info["mode"], r.info["method"]) == (ref.info["mode"], "row-flip")
+    assert _close(r.eigenvalues, ref.eigenvalues, 1e-9)
+    assert r.info["residual_max"] == r.residuals.max() <= 1e-8
+    assert r.info["characters"] == 2**n
+    assert r.info["segments"] == len(rop.starts)
+    assert r.info["polish_rounds"] == 0
+
+
+def test_row_flip_weights_closed_form():
+    # a segment whose end columns are Dirichlet only through the character
+    # (born at levels R) and whose inner columns are born at levels B lies
+    # in 2^(n - |R u B|) characters, and R and B never meet
+    for seq, n, plates, pot in [(SEQ2, 6, None, Potential("free")),
+                                (SEQ23, 4, None, Potential("square_well")),
+                                (PLATES5[0], 3, PLATES5[1], Potential("free"))]:
+        g = build_graph(seq, n, plates=plates)
+        M = 7
+        rop = reduce_rows(g, M, pot)
+        base = np.abs(pot.values(rop.xs)) >= pot.cutoff
+        base[np.asarray(g.conducting_columns(), dtype=int) * (M + 1)] = True
+        birth = np.zeros(len(rop.xs), dtype=int)
+        birth[::M + 1] = g.birth
+        for a, b, w in zip(rop.starts, rop.stops, rop.weights):
+            ends = [p for p in (a - 1, b) if 0 <= p < len(rop.xs) and not base[p]]
+            R = {int(birth[p]) for p in ends}
+            B = {int(m) for m in birth[a:b]} - {0}
+            assert 0 not in R and not R & B
+            assert w == 2 ** (n - len(R | B)), (seq, n, a, b)
+
+
+def test_row_flip_free_clusters_match_closed_form():
+    r = solve_row_flip(reduce_rows(build_graph(SEQ2, 6), 7, Potential("free")), 60)
+    clusters = cluster(r, 1e-2)
+    lines = free_spectrum(SEQ2, SpectrumQuery(1.01 * clusters[-1][0]))
+    # the last cluster may continue past the window
+    for mean, count in clusters[:-1]:
+        line = min(lines, key=lambda line: abs(line.lam - mean))
+        assert mean == pytest.approx(line.lam, rel=1e-3, abs=1e-8)
+        assert count == line.multiplicity
+
+
+def test_row_flip_trace_is_an_eigenvector_of_H():
+    # the lifted pairs are orthonormal eigenvectors of the assembled H,
+    # with the dense path's sign rule and exact zeros on eliminated nodes
+    g = build_graph(SEQ2, 5)
+    op = discretize(g, 7, Potential("square_well"))
+    rop = reduce_rows(g, 7, Potential("square_well"))
+    r = solve_row_flip(rop, 12)
+    rows = np.concatenate([g.vertex_labels(), g.row_labels(np.repeat(g.row, 7))])
+    order = np.lexsort((rows, op.xs))
+    psis = []
+    for i in range(12):
+        trace = eigenfunction_trace(rop, r, i)
+        assert [x for x, _, _ in trace] == op.xs[order].tolist()
+        assert [row for _, row, _ in trace] == rows[order].tolist()
+        u = np.empty(len(op.xs))
+        u[order] = [v for _, _, v in trace]
+        gone = np.setdiff1d(np.arange(len(u)), op.kept)
+        assert np.all(u[gone] == 0.0) and not np.signbit(u[gone]).any()
+        assert u[np.argmax(np.abs(u))] > 0
+        psi = np.sqrt(op.mass) * u[op.kept]
+        assert np.linalg.norm(op.matrix @ psi - r.eigenvalues[i] * psi) <= 1e-8
+        psis.append(psi)
+    gram = np.array(psis) @ np.array(psis).T
+    assert np.abs(gram - np.eye(12)).max() <= 1e-12
+    r.eigenvectors *= -1
+    assert eigenfunction_trace(rop, r, 11) == trace
+
+
+# ---------------------------------------------------------------------------
 # clustering
 
 def test_cluster_pairs():
@@ -257,6 +391,17 @@ def test_cluster_exact_degeneracy():
 def test_cluster_requires_ascending():
     with pytest.raises(ValueError):
         cluster(np.array([2.0, 1.0]), 1e-2)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-3])
+def test_cluster_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        cluster(np.array([1.0, 2.0]), tol)
+
+
+def test_cluster_zero_tolerance_is_exact():
+    assert cluster(np.array([1.0, 1.0, np.nextafter(1.0, 2.0)]), 0.0) == [
+        (1.0, 2), (np.nextafter(1.0, 2.0), 1)]
 
 
 # ---------------------------------------------------------------------------
