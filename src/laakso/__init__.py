@@ -37,6 +37,7 @@ from .solver import (
     eigenfunction_trace,
     export_matrix,
     reduce_rows,
+    solve,
     solve_lowest,
     solve_row_flip,
 )
@@ -78,7 +79,7 @@ __all__ = [
     "JSequence", "SequenceTooShort", "hausdorff_dimension", "level_products",
     "ConvergenceError", "DiscretizedOperator", "EigenResult", "Potential",
     "RowFlipOperator", "cluster", "discretize", "eigenfunction_trace", "export_matrix",
-    "reduce_rows", "solve_lowest", "solve_row_flip",
+    "reduce_rows", "solve", "solve_lowest", "solve_row_flip",
     "MERGED", "PER_FAMILY", "LineSource", "MultiplicityError", "SpectralLine",
     "SpectrumQuery",
     "free_spectrum", "interior_shape_counts", "merge_lines", "plates_spectrum",

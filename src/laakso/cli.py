@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import (
@@ -27,7 +28,7 @@ from . import (
     census_closed_form,
     cluster,
     column_boundaries,
-    discretize,
+    discretize,      # not called here; bench/spans.py wraps it by name
     eigenfunction_trace,
     free_spectrum,
     hausdorff_dimension,
@@ -35,10 +36,9 @@ from . import (
     level_products,
     plate_zeta_energy,
     plates_spectrum,
-    reduce_rows,
     shape_census,
-    solve_lowest,
-    solve_row_flip,
+    solve,
+    solve_lowest,    # not called here; bench/spans.py wraps it by name
     spectral_dimension,
     spectral_zeta_periodic,
     square_well_spectrum,
@@ -48,7 +48,7 @@ from . import (
 )
 from .graphs import GraphBuildError
 from .plates import PlateConfigError
-from .solver import _DENSE_LIMIT, MeshError
+from .solver import MeshError
 
 
 class UsageError(ValueError):
@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         "solve", help="numeric eigensolve on a quantum graph",
         description="Lowest eigenvalues of the finite-difference Hamiltonian on the "
                     "level-n graph (those nearest zero for coulomb).  With at most "
-                    f"{_DENSE_LIMIT} kept nodes the Hamiltonian is assembled and "
+                    "2000 kept nodes the Hamiltonian is assembled and "
                     "diagonalized densely; above that, the row flips split it into "
                     "1-D tridiagonal segment problems, each solved once and counted "
                     "with its multiplicity.")
@@ -332,17 +332,14 @@ def _cmd_solve(args):
     if args.trace is not None and not 0 <= args.trace < args.count:
         raise UsageError(f"--trace {args.trace} is not the index of one of the "
                          f"--count {args.count} eigenpairs")
+    if not (math.isfinite(args.cluster_tol) and args.cluster_tol >= 0):
+        raise UsageError("cluster tolerance must be finite and >= 0, "
+                         f"got {args.cluster_tol!r}")
     seq = _sequence(args)
     plates = _plate_config(args) if args.plates else None
     graph = build_graph(seq, args.level, plates=plates)
     mesh = args.mesh if args.mesh is not None else DEFAULT_MESH
-    potential = Potential(args.potential)
-    op = reduce_rows(graph, mesh, potential)
-    if op.dimension > _DENSE_LIMIT:
-        result = solve_row_flip(op, args.count)
-    else:
-        op = discretize(graph, mesh, potential)
-        result = solve_lowest(op, args.count)
+    op, result = solve(graph, mesh, Potential(args.potential), args.count)
     if args.trace is not None:
         trace = eigenfunction_trace(op, result, args.trace)
         if args.format == "csv":

@@ -28,7 +28,9 @@ and born at levels R, and whose inner columns are born at levels B, lies
 in 2^(n - |R u B|) blocks, and in none if R and B meet: the closed-form
 multiplicities of the paper, at the discrete level.  `reduce_rows` and
 `solve_row_flip` solve each distinct segment once as a tridiagonal
-problem and never assemble H.
+problem and never assemble H.  `solve` runs them above the dense limit
+(2000 kept nodes) and `discretize` + `solve_lowest` at or below it;
+`solve_lowest` on the assembled H is also the reduction's oracle.
 """
 
 from __future__ import annotations
@@ -276,8 +278,11 @@ class RowFlipOperator:
         """2^(-n/2) chi_S (x) f on every graph node, in `discretize`'s node
         order: unit discrete L2 when the path function f is."""
         g, M = self.graph, self.mesh
-        chi = 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << g.level) & character) & 1)
-        chi *= 2.0 ** (-g.level / 2)
+        bits = np.arange(1 << g.level) & character
+        parity = np.zeros_like(bits)
+        for b in range(g.level):
+            parity ^= (bits >> b) & 1
+        chi = (1.0 - 2.0 * parity) * 2.0 ** (-g.level / 2)
         interior = f[:-1].reshape(g.columns, M + 1)[:, 1:].ravel()
         return np.concatenate([chi[g.vertex_rows()] * f[g.vertex_column * (M + 1)],
                                np.outer(chi, interior).ravel()])
@@ -548,6 +553,23 @@ def solve_row_flip(op: RowFlipOperator, count: int, mode: str = "auto") -> Eigen
     info["residual_max"] = float(res.max())
     info["polish_rounds"] = 0
     return EigenResult(out[o], funcs[:, o], res[o], info, characters[o])
+
+
+def solve(graph: QuantumGraph, mesh: int, potential: Potential, count: int,
+          mode: str = "auto"):
+    """The eigenpairs `solve_lowest` defines, by the path that suits the size.
+
+    At or below the dense limit (2000 kept nodes) H is assembled
+    (`discretize`) and diagonalized densely (`solve_lowest`); above it, `reduce_rows` splits
+    it into row-flip segments and `solve_row_flip` solves them, never
+    assembling H.  Returns (op, result); `eigenfunction_trace` takes either
+    kind of op.
+    """
+    op = reduce_rows(graph, mesh, potential)     # one row: cheap at any size
+    if op.dimension > _DENSE_LIMIT:
+        return op, solve_row_flip(op, count, mode)
+    op = discretize(graph, mesh, potential)
+    return op, solve_lowest(op, count, mode)
 
 
 def cluster(eigenvalues, rel_tol: float = 1e-2):

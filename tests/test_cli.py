@@ -125,6 +125,8 @@ def test_spectrum_csv_round_trip():
     "solve --j 2 --periodic --level 1 --count 2 --trace -1",
     "solve --j 2 --periodic --level 1 --count 6 --cluster-tol nan",
     "solve --j 2 --periodic --level 1 --count 6 --cluster-tol -0.1",
+    "solve --j 2 --periodic --level 1 --count 6 --cluster-tol nan --trace 0",
+    "solve --j 2 --periodic --level 1 --count 6 --cluster-tol -1 --trace 0",
 ])
 def test_invalid_configuration_exits_2(argv):
     rc, out, err = run(argv)
@@ -153,10 +155,10 @@ def test_pole_error_message():
 
 
 def test_convergence_error_exits_3(monkeypatch):
-    def fail(op, count):
+    def fail(graph, mesh, potential, count):
         raise ConvergenceError("residual 1e-6 exceeds the contract")
 
-    monkeypatch.setattr(cli, "solve_lowest", fail)
+    monkeypatch.setattr(cli, "solve", fail)
     rc, out, err = run("solve --j 2 --periodic --level 1 --count 2")
     assert (rc, out) == (3, "")
     assert json.loads(err) == {"error": "residual 1e-6 exceeds the contract", "exit": 3}
@@ -170,12 +172,21 @@ def test_solve_above_dense_limit_assembles_no_matrix(monkeypatch, trace):
         raise AssertionError("the Hamiltonian was assembled")
 
     for module, name in [(cli, "discretize"), (laakso.solver, "discretize"),
-                         (cli, "solve_lowest"), (laakso.solver, "eigsh")]:
+                         (cli, "solve_lowest"), (laakso.solver, "solve_lowest"),
+                         (laakso.solver, "eigsh")]:
         monkeypatch.setattr(module, name, forbidden)
     rc, out, err = run("solve --j 2 --periodic --level 6 --potential square_well --count 5"
                        + trace)
     assert (rc, err) == (0, "")
     assert ("trace" if trace else "dim") in json.loads(out)
+
+
+def test_solve_help_names_the_dense_limit():
+    import laakso.solver
+
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    limit = laakso.solver._DENSE_LIMIT
+    assert f"With at most {limit} kept nodes" in sub.choices["solve"].description
 
 
 def test_level_8_square_well_solve():

@@ -375,6 +375,30 @@ def test_row_flip_trace_is_an_eigenvector_of_H():
     assert eigenfunction_trace(rop, r, 11) == trace
 
 
+def test_row_flip_lift_character_signs():
+    # row r of the lift carries 2^(-n/2) (-1)^popcount(r & S)
+    g = build_graph(SEQ2, 4)
+    rop = reduce_rows(g, 3, Potential("free"))
+    for S in range(16):
+        u = rop.lift(np.ones(len(rop.xs)), S)
+        chi = np.array([(-1) ** bin(r & S).count("1") / 4 for r in range(16)])
+        rows = u[g.num_vertices:].reshape(16, -1)
+        assert np.array_equal(rows, np.repeat(chi[:, None], rows.shape[1], axis=1))
+        assert np.array_equal(u[:g.num_vertices], chi[g.vertex_rows()])
+
+
+@pytest.mark.parametrize("n,method", [(3, "dense"), (5, "row-flip")])
+def test_solve_picks_the_path_by_size(n, method):
+    g = build_graph(SEQ2, n)
+    pot = Potential("square_well")
+    full = discretize(g, 7, pot)
+    assert (full.dimension > 2000) == (method == "row-flip")
+    op, r = laakso.solve(g, 7, pot, 10)
+    assert op.dimension == full.dimension
+    assert r.info["method"] == method
+    assert _close(r.eigenvalues, solve_lowest(full, 10).eigenvalues, 1e-9)
+
+
 # ---------------------------------------------------------------------------
 # clustering
 
