@@ -10,6 +10,8 @@ failure.
 from __future__ import annotations
 
 import argparse
+import cmath
+import functools
 import math
 import sys
 
@@ -212,10 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
         "solve", help="numeric eigensolve on a quantum graph",
         description="Lowest eigenvalues of the finite-difference Hamiltonian on the "
                     "level-n graph (those nearest zero for coulomb).  With at most "
-                    "2000 kept nodes the Hamiltonian is assembled and "
+                    "200 kept nodes the Hamiltonian is assembled and "
                     "diagonalized densely; above that, the row flips split it into "
                     "1-D tridiagonal segment problems, each solved once and counted "
-                    "with its multiplicity.")
+                    "with its multiplicity.  200 is the measured crossover: below "
+                    "it the dense solve is the faster one, above it the row-flip "
+                    "solve.")
     _add_sequence(p)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--potential", default="free",
@@ -241,6 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hbar", type=float, default=1.0)
     _add_common(p)
     return ap
+
+
+# The parser `main` uses, built on the first call.  It is bound to the
+# function itself, so rebinding the module name `build_parser` does not
+# change which parser `main` gets.
+_parser = functools.cache(build_parser)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +374,11 @@ def _cmd_solve(args):
 def _cmd_zeta(args):
     seq = _sequence(args)
     parts = args.s.split(",")
+    if len(parts) > 2:
+        raise UsageError(f"--s takes 're' or 're,im', got {args.s!r}")
     s = complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
+    if not cmath.isfinite(s):
+        raise UsageError(f"--s must be finite, got {args.s!r}")
     if s == 0.5:
         value = complex(zeta_limit_half(seq))
         mode = "limit"
@@ -408,7 +422,7 @@ def _check_format(args):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_format(args)
         out = _COMMANDS[args.command](args)

@@ -9,6 +9,7 @@ scale accordingly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,8 +61,8 @@ class PlateConfig:
             )
         if not (0.0 < self.x0 < 0.5):
             raise PlateConfigError(f"x0 must lie in (0, 1/2), got {self.x0}")
-        if self.hbar <= 0:
-            raise PlateConfigError(f"hbar must be positive, got {self.hbar}")
+        if not (math.isfinite(self.hbar) and self.hbar > 0):
+            raise PlateConfigError(f"hbar must be finite and positive, got {self.hbar}")
 
     @property
     def left_node(self) -> int:

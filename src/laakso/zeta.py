@@ -49,7 +49,13 @@ def riemann_zeta(s):
 
     Exact rationals at the continuation points s = -1 (-1/12) and s = 0
     (-1/2); for Re(s) > 1 the Dirichlet series with an Euler-Maclaurin
-    tail correction, absolute error below 1e-12.  Other arguments raise.
+    tail correction.  Other arguments raise.  The tail has a fixed number
+    of terms, so the error grows with |Im s| and is worst near Re(s) = 1.
+    Measured against mpmath.zeta on 1 < Re(s) <= 4, relative to
+    max(1, |zeta_R(s)|): below 2e-14 for |Im s| <= 40, 5e-12 for
+    |Im s| <= 60 (2.2e-12 at 1.2+60i), 1e-8 for |Im s| <= 100
+    (6.3e-12 at 3+100i) and 2e-7 for |Im s| <= 120 (8.7e-10 at 2.4+120i,
+    where the spectral zeta at s = 1.2+60i evaluates it).
     """
     if s == -1:
         return Fraction(-1, 12)

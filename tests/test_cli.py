@@ -148,6 +148,52 @@ def test_ignored_flags_exit_2(argv):
     assert "--plates" in json.loads(err)["error"] or "--j" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("s,message", [
+    ("nan", "--s must be finite, got 'nan'"),
+    ("inf", "--s must be finite, got 'inf'"),
+    ("-inf", "--s must be finite, got '-inf'"),
+    ("2,nan", "--s must be finite, got '2,nan'"),
+    ("1,2,3", "--s takes 're' or 're,im', got '1,2,3'"),
+    ("x", "could not convert string to float: 'x'"),
+])
+def test_zeta_argument_errors(s, message):
+    rc, out, err = run(f"zeta --j 2 --periodic --s={s}")
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"error": message, "exit": 2}
+
+
+@pytest.mark.parametrize("hbar", ["nan", "inf", "-1", "0"])
+def test_casimir_hbar_must_be_finite_and_positive(hbar):
+    rc, out, err = run(f"casimir --N 7 --Z 2 --X0 0.15 --hbar {hbar}")
+    assert (rc, out) == (2, "")
+    assert json.loads(err)["error"].startswith("hbar must be finite and positive")
+
+
+def test_parser_is_built_once():
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_back_to_back_calls_share_no_state():
+    rc, out, _ = run("casimir --N 7 --Z 2 --X0 0.15 --hbar 2.5")
+    assert rc == 0 and json.loads(out)["hbar"] == 2.5
+    rc, out, _ = run("casimir --N 7 --Z 2 --X0 0.15")
+    assert rc == 0 and json.loads(out)["hbar"] == 1.0
+
+    rc, out, _ = run("solve --j 2 --periodic --level 1 --count 4 --trace 1 --format csv")
+    assert rc == 0 and out.startswith("x,row,value\n")
+    rc, out, _ = run("solve --j 2 --periodic --level 1 --count 4")
+    assert rc == 0 and json.loads(out)["eigenvalues"]
+
+    with pytest.raises(SystemExit) as exc:
+        run("casimir --N 7 --Z 2")                         # --X0 missing
+    assert exc.value.code == 2
+    rc, out, err = run("casimir --N 7 --Z 2 --X0 0.15")
+    assert (rc, err) == (0, "")
+    with open(_golden_path("casimir")) as fh:
+        assert out == fh.read()
+
+
 def test_pole_error_message():
     rc, _, err = run("zeta --j 2 --periodic --s 1")
     assert rc == 2
@@ -185,8 +231,10 @@ def test_solve_help_names_the_dense_limit():
     import laakso.solver
 
     sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
-    limit = laakso.solver._DENSE_LIMIT
-    assert f"With at most {limit} kept nodes" in sub.choices["solve"].description
+    limit = laakso.solver._SOLVE_DENSE_LIMIT
+    description = sub.choices["solve"].description
+    assert f"With at most {limit} kept nodes" in description
+    assert f"{limit} is the measured crossover" in description
 
 
 def test_level_8_square_well_solve():

@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import laakso
 from laakso import (
@@ -107,9 +108,14 @@ def test_matrix_symmetric_and_conservative():
         g = build_graph(seq, n, plates=plates)
         defect = discretize(g, M, Potential(kind)).symmetry_defect()
         assert defect == 0.0, (seq, n, M, kind, plates)
+    # the kinetic part L = D^(1/2) (H - diag V) D^(1/2) conserves: every row
+    # sums to zero, up to the rounding of the mass scaling and its undoing
     op = discretize(build_graph(SEQ23, 2), 5, Potential("free"))
-    rowsums = np.abs(np.asarray(op.stiffness.sum(axis=1))).ravel()
-    assert rowsums.max() == 0.0
+    V = op.potential.values(op.xs[op.kept])
+    d = sparse.diags(np.sqrt(op.mass))
+    L = (d @ (op.matrix - sparse.diags(V)) @ d).tocsr()
+    rowsums = np.abs(np.asarray(L.sum(axis=1))).ravel()
+    assert np.all(rowsums <= 4 * np.finfo(float).eps * L.diagonal())
 
 
 def test_dirichlet_elimination_on_plates():
@@ -387,12 +393,17 @@ def test_row_flip_lift_character_signs():
         assert np.array_equal(u[:g.num_vertices], chi[g.vertex_rows()])
 
 
-@pytest.mark.parametrize("n,method", [(3, "dense"), (5, "row-flip")])
-def test_solve_picks_the_path_by_size(n, method):
-    g = build_graph(SEQ2, n)
+@pytest.mark.parametrize("seq,n,dim,method", [
+    (JSequence((3,), periodic=True), 2, 140, "dense"),
+    (SEQ2, 3, 244, "row-flip"),
+], ids=["dense", "row-flip"])
+def test_solve_picks_the_path_by_size(seq, n, dim, method):
+    # one graph on each side of the measured crossover
+    g = build_graph(seq, n)
     pot = Potential("square_well")
     full = discretize(g, 7, pot)
-    assert (full.dimension > 2000) == (method == "row-flip")
+    assert full.dimension == dim
+    assert (dim > laakso.solver._SOLVE_DENSE_LIMIT) == (method == "row-flip")
     op, r = laakso.solve(g, 7, pot, 10)
     assert op.dimension == full.dimension
     assert r.info["method"] == method

@@ -52,6 +52,24 @@ def test_riemann_series_values():
     assert abs(got - want) < 1e-12
 
 
+@pytest.mark.parametrize("s,bound", [
+    (1.0 + 1e-9, 2e-14),          # next to the pole: relative to |zeta|
+    (1.01 + 40j, 2e-14),
+    (2.5 - 33j, 2e-14),
+    (1.2 + 60j, 5e-12),
+    (1.2 - 60j, 5e-12),
+    (3 + 100j, 1e-8),
+    (1.01 + 100j, 1e-8),
+    (2.4 + 120j, 2e-7),
+    (1.01 + 120j, 2e-7),
+])
+def test_riemann_error_bound_against_mpmath(s, bound):
+    # the bounds the docstring states, at the points where they are tightest
+    import mpmath
+    want = complex(mpmath.zeta(s))
+    assert abs(riemann_zeta(s) - want) <= bound * max(1.0, abs(want))
+
+
 def test_riemann_rejects_off_domain():
     with pytest.raises(ValueError):
         riemann_zeta(0.5)
