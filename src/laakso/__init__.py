@@ -47,6 +47,7 @@ from .spectra import (
     LineSource,
     MultiplicityError,
     SpectralLine,
+    Spectrum,
     SpectrumQuery,
     free_spectrum,
     interior_shape_counts,
@@ -81,7 +82,7 @@ __all__ = [
     "RowFlipOperator", "cluster", "discretize", "eigenfunction_trace", "export_matrix",
     "reduce_rows", "solve", "solve_lowest", "solve_row_flip",
     "MERGED", "PER_FAMILY", "LineSource", "MultiplicityError", "SpectralLine",
-    "SpectrumQuery",
+    "Spectrum", "SpectrumQuery",
     "free_spectrum", "interior_shape_counts", "merge_lines", "plates_spectrum",
     "square_well_spectrum",
     "PoleError", "ZetaValue", "constant_j_zeta", "geometric_continuation",

@@ -14,6 +14,9 @@ import cmath
 import functools
 import math
 import sys
+from itertools import islice
+
+import numpy as np
 
 from . import (
     ConvergenceError,
@@ -105,31 +108,48 @@ def _write(text: str, path: str | None):
                 fh.write("\n")
 
 
-_SOURCE_JSON = ('        {\n          "family": "%s",\n          "k": %d,\n'
+_SOURCE_JSON = ('        {\n          "family": "%s",\n          "k": %%d,\n'
                 '          "n": %d\n        }')
 _LINE_JSON = ('    {\n      "lambda": %.17g,\n      "multiplicity": %d,\n'
               '      "sources": [\n%s\n      ]\n    }')
 
 
-def _spectrum_to_json(kind: str, lambda_max: float, policy: str, lines) -> str:
-    """The spectrum document exactly as `render_json` prints it, written
-    line by line without building a dict per line (family names are plain
-    identifiers, so they need no escaping)."""
-    items = []
-    for line in lines:
-        sources = ",\n".join([_SOURCE_JSON % (s.family, s.k, s.n) for s in line.sources])
-        items.append(_LINE_JSON % (line.lam, line.multiplicity, sources))
-    body = "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
-    return (f'{{\n  "kind": {render_json(kind)},\n  "lambda_max": {_fmt(lambda_max)},\n'
-            f'  "lines": {body},\n  "policy": {render_json(policy)}\n}}')
+def _line_fields(spectrum, source: str, sep: str):
+    """(lambda, multiplicity, sources) of each line, from the spectrum's
+    columns.  `source % (name, n)` is rendered once per family and level
+    and takes k; a line's sources are joined by `sep`, and the source
+    strings are built one line at a time."""
+    a, order = spectrum.arrays, spectrum.order
+    levels = int(a.n.max(initial=0)) + 1
+    templates = [source % (name, n) for name in a.names for n in range(levels)]
+    code = a.family[order] * levels + a.n[order]
+    sources = map(str.__mod__, map(templates.__getitem__, code.tolist()), a.k[order].tolist())
+    return ((lam, m, sep.join(islice(sources, size))) for lam, m, size in zip(
+        spectrum.lam.tolist(), spectrum.multiplicity.tolist(),
+        np.diff(spectrum.bounds).tolist()))
 
 
-def _lines_to_csv(lines) -> str:
+def _spectrum_to_json(kind: str, lambda_max: float, policy: str, spectrum) -> str:
+    """The spectrum document exactly as `render_json` prints it, formatted
+    from the spectrum's columns (family names are plain identifiers, so
+    they need no escaping)."""
+    head = (f'{{\n  "kind": {render_json(kind)},\n  "lambda_max": {_fmt(lambda_max)},\n'
+            f'  "lines": ')
+    tail = f',\n  "policy": {render_json(policy)}\n}}'
+    items = [_LINE_JSON % line for line in _line_fields(spectrum, _SOURCE_JSON, ",\n")]
+    if not items:
+        return head + "[]" + tail
+    # one join builds the document, so it is never copied whole
+    items[0] = head + "[\n" + items[0]
+    items[-1] += "\n  ]" + tail
+    return ",\n".join(items)
+
+
+def _lines_to_csv(spectrum) -> str:
     rows = ["lambda,multiplicity,sources"]
-    for line in lines:
-        srcs = ";".join(f"{s.family}:{s.n}:{s.k}" for s in line.sources)
-        rows.append(f"{_fmt(line.lam)},{line.multiplicity},{srcs}")
-    return "\n".join(rows) + "\n"
+    rows += ["%.17g,%d,%s" % line for line in _line_fields(spectrum, "%s:%d:%%d", ";")]
+    rows.append("")                     # the closing newline
+    return "\n".join(rows)
 
 
 def parse_lines_csv(text: str):
@@ -434,7 +454,12 @@ def main(argv=None) -> int:
         sys.stderr.write(render_json({"error": str(exc), "exit": 3}) + "\n")
         return 3
     text = out if isinstance(out, str) else render_json(out)
-    _write(text, args.output)
+    try:
+        _write(text, args.output)
+    except OSError as exc:
+        sys.stderr.write(render_json({"error": f"cannot write --output {args.output}: "
+                                               f"{exc.strerror or exc}", "exit": 2}) + "\n")
+        return 2
     return 0
 
 

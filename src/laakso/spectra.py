@@ -24,7 +24,12 @@ inside the plates and (1 - 2 x0)^2 outside them.  Three tables:
 
 `enumerate_families` lists the lines of a table up to a ceiling as numpy
 arrays; `free_spectrum`, `square_well_spectrum` and `plates_spectrum`
-turn them into sorted `SpectralLine`s.
+sort and group them into a `Spectrum`, which keeps the arrays and reads
+as a sequence of `SpectralLine`s, each built only when it is read.
+
+The square-well guards compare w_n with intervals around m j_n, so a
+level evaluates them only at the few m near w_n / j_n that can match
+(`_candidate_m`), in exact rationals.
 
 Coincident eigenvalues are merged on exact rational data, never by
 floating comparison: every line carries a key (region, q) with
@@ -41,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import well_geometry
+from .graphs import _Records, well_geometry
 from .plates import PlateConfig
 from .sequences import JSequence, level_products
 
@@ -221,47 +226,55 @@ def enumerate_families(families: list[Family], lambda_max: float,
                       names, regions, [dens[r] for r in regions])
 
 
-def _spectral_lines(lines: LineArrays, policy: str) -> list[SpectralLine]:
-    """Sorted SpectralLines; MERGED sums the lines of each exact key.
+class Spectrum(_Records):
+    """The lines of a spectrum as columns: a read-only sequence of
+    `SpectralLine`s that builds a line only when one is read.
+
+    `arrays` holds one entry per (family, k) line.  `order` lists the
+    entries in output order, and line i is made of the entries
+    order[bounds[i]:bounds[i + 1]]: one entry per line per family, or
+    every entry of one exact key when merged.  `lam` and `multiplicity`
+    are the per-line columns.
 
     Per family, lines sort by (lambda, family, n, k).  Merged, each key's
-    sources sort by (family, n, k) and the keys by (lambda, region, q).
+    entries sort by (family, n, k) and the keys by (lambda, region, q).
     Keys are grouped on integer numerators; no float is compared for
     equality.
     """
-    total = len(lines.lam)
-    if total == 0:
-        return []
-    if policy == PER_FAMILY:
-        order = np.lexsort((lines.k, lines.n, lines.family, lines.lam))
-        starts = np.arange(total)
-        groups = starts
-    else:
-        order = np.lexsort((lines.k, lines.n, lines.family, lines.num, lines.region))
-        region, num = lines.region[order], lines.num[order]
-        new = np.ones(total, dtype=bool)
-        new[1:] = (region[1:] != region[:-1]) | (num[1:] != num[:-1])
-        starts = np.flatnonzero(new)
-        groups = np.lexsort((num[starts], region[starts], lines.lam[order][starts]))
-    first = order[starts][groups]
-    region, num = lines.region[first], lines.num[first]
-    den = np.asarray(lines.dens)[region]
-    gcd = np.gcd(num, den)
-    mult = np.add.reduceat(lines.mult[order], starts)[groups]
-    sources = list(map(LineSource, [lines.names[f] for f in lines.family[order].tolist()],
-                       lines.n[order].tolist(), lines.k[order].tolist()))
-    bounds = np.append(starts, total)
-    return [SpectralLine(lam, m, tuple(sources[a:b]), lines.regions[r], q, d)
-            for lam, m, a, b, r, q, d in zip(
-                lines.lam[first].tolist(), mult.tolist(),
-                bounds[:-1][groups].tolist(), bounds[1:][groups].tolist(),
-                region.tolist(), (num // gcd).tolist(), (den // gcd).tolist())]
+
+    __slots__ = ("arrays", "order", "bounds", "lam", "multiplicity")
+
+    def __init__(self, lines: LineArrays, policy: str):
+        # Equal keys print equal lambdas (see `_printed`), so sorting on
+        # (lambda, region, q) puts the entries of each key next to each other.
+        merged = policy != PER_FAMILY
+        key = (lines.num, lines.region) if merged else ()
+        order = np.lexsort((lines.k, lines.n, lines.family, *key, lines.lam))
+        new = np.ones(len(order), dtype=bool)
+        if merged:
+            region, num = lines.region[order], lines.num[order]
+            new[1:] = (region[1:] != region[:-1]) | (num[1:] != num[:-1])
+        bounds = np.append(np.flatnonzero(new), len(order))
+        self.arrays, self.order, self.bounds = lines, order, bounds
+        self.lam = lines.lam[order[bounds[:-1]]]
+        self.multiplicity = np.add.reduceat(lines.mult[order], bounds[:-1])
+        super().__init__(len(self.lam), self._line)
+
+    def _line(self, i: int) -> SpectralLine:
+        a = self.arrays
+        entries = self.order[self.bounds[i]:self.bounds[i + 1]].tolist()
+        region, num = int(a.region[entries[0]]), int(a.num[entries[0]])
+        den = a.dens[region]
+        gcd = math.gcd(num, den)
+        sources = tuple(LineSource(a.names[a.family[e]], int(a.n[e]), int(a.k[e]))
+                        for e in entries)
+        return SpectralLine(float(self.lam[i]), int(self.multiplicity[i]), sources,
+                            a.regions[region], num // gcd, den // gcd)
 
 
 def _spectrum(families: list[Family], query: SpectrumQuery,
-              scales: dict[str, float] = UNIT_SCALE) -> list[SpectralLine]:
-    lines = enumerate_families(families, query.lambda_max, scales)
-    return _spectral_lines(lines, query.policy)
+              scales: dict[str, float] = UNIT_SCALE) -> Spectrum:
+    return Spectrum(enumerate_families(families, query.lambda_max, scales), query.policy)
 
 
 def merge_lines(lines: list[SpectralLine], policy: str = MERGED) -> list[SpectralLine]:
@@ -320,7 +333,7 @@ def free_families(seq: JSequence, lambda_max: float) -> list[Family]:
     return rows
 
 
-def free_spectrum(seq: JSequence, query: SpectrumQuery) -> list[SpectralLine]:
+def free_spectrum(seq: JSequence, query: SpectrumQuery) -> Spectrum:
     """All Laplacian eigenvalues <= lambda_max with multiplicities.
 
     The zero eigenvalue (constant mode) is included with multiplicity 1.
@@ -331,11 +344,22 @@ def free_spectrum(seq: JSequence, query: SpectrumQuery) -> list[SpectralLine]:
 # ---------------------------------------------------------------------------
 # infinite square well on [1/4, 3/4]
 
+def _candidate_m(w: Fraction, j: int) -> range:
+    """The m at which a square-well guard can hold.
+
+    Every guard puts w in [(m - 1) j, m j + 1], so m lies in
+    [(w - 1)/j, w/j + 1]; the range
+    floor(w/j) - 1 .. floor(w/j) + 2 covers it with a margin.  Checking
+    only these m keeps each level O(1) instead of O(I_n).
+    """
+    top = int(w // j)
+    return range(max(1, top - 1), top + 3)
+
+
 def _matches(w: Fraction, j: int, guards) -> list[int]:
     """Values from all (guard, formula) pairs matching w; must agree."""
     vals = []
-    m_hi = int(w // j) + 3
-    for m in range(1, m_hi):
+    for m in _candidate_m(w, j):
         for guard, formula in guards:
             if guard(m):
                 vals.append(formula(m))
@@ -374,10 +398,7 @@ def _well_cross_mult(n: int, j: int, I_prev: int, w: Fraction, wide: bool) -> in
 
 
 def _exists_m(w: Fraction, j: int, guard) -> bool:
-    m_hi = int(w // j) + 3
-    return any(guard(m) for m in range(1, m_hi))
-
-
+    return any(guard(m) for m in _candidate_m(w, j))
 
 
 def square_well_families(seq: JSequence, lambda_max: float) -> list[Family]:
@@ -437,7 +458,7 @@ def square_well_families(seq: JSequence, lambda_max: float) -> list[Family]:
     return rows
 
 
-def square_well_spectrum(seq: JSequence, query: SpectrumQuery) -> list[SpectralLine]:
+def square_well_spectrum(seq: JSequence, query: SpectrumQuery) -> Spectrum:
     """Eigenvalues of the square-well Hamiltonian, ten closed-form families
     (see `square_well_families`); zero-multiplicity cases are suppressed."""
     return _spectrum(square_well_families(seq, query.lambda_max), query)
@@ -474,7 +495,7 @@ def interior_shape_counts(seq: JSequence, n: int, region: str = "well"
     full_in = half_in = 0
     if n >= 2:
         total = 2 ** (n - 2) * (I_prev - 1)
-        for m in range(1, int(w // j) + 3):
+        for m in _candidate_m(w, j):
             if (m - 1) * j < w <= m * j - 1:
                 full_in, half_in = total - (m - 1) * 2 ** (n - 1), 0
                 break
@@ -540,7 +561,7 @@ def plate_families(cfg: PlateConfig, lambda_max: float) -> list[Family]:
     return rows
 
 
-def plates_spectrum(cfg: PlateConfig, query: SpectrumQuery) -> list[SpectralLine]:
+def plates_spectrum(cfg: PlateConfig, query: SpectrumQuery) -> Spectrum:
     """Eigenvalues of the plate-configured Laplacian, ten families
     (see `plate_families`)."""
     return _spectrum(plate_families(cfg, query.lambda_max), query, plate_scales(cfg))

@@ -131,6 +131,8 @@ def _closed_form(seq: JSequence, s, value) -> ZetaValue:
     where I_T^(2s) meets I_T 2^T or 2^T.  Then evaluates
     value(t, I_T^t, I_T^t - I_T 2^T, I_T^t - 2^T) at t = 2s, tags the
     mode and, for real s, drops an imaginary part that is round-off.
+    A power that overflows or underflows to a zero divisor (|Re s| in
+    the hundreds) raises ValueError.
     """
     s = complex(s)
     if s == 0.5:
@@ -138,13 +140,19 @@ def _closed_form(seq: JSequence, s, value) -> ZetaValue:
                         "use zeta_limit_half for the limit value")
     T, I_T = len(seq.values), math.prod(seq.values)
     t = 2 * s
-    IT2s = complex(I_T) ** t
-    den_loop = IT2s - I_T * 2**T
-    den_cross = IT2s - 2**T
-    for den in (den_loop, den_cross):
-        if abs(den) <= 1e-9 * max(abs(IT2s), 1.0):
-            raise PoleError(f"s = {s} lies on the pole lattice")
-    v = value(t, IT2s, den_loop, den_cross)
+    try:
+        IT2s = complex(I_T) ** t
+        den_loop = IT2s - I_T * 2**T
+        den_cross = IT2s - 2**T
+        for den in (den_loop, den_cross):
+            if abs(den) <= 1e-9 * max(abs(IT2s), 1.0):
+                raise PoleError(f"s = {s} lies on the pole lattice")
+        v = value(t, IT2s, den_loop, den_cross)
+    except PoleError:
+        raise
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"s = {s} is outside the range the closed form can "
+                         f"evaluate in double precision ({exc})") from exc
     mode = "series" if s.real * 2 > spectral_dimension(seq) else "continued"
     if abs(v.imag) < 1e-13 * max(1.0, abs(v.real)) and s.imag == 0:
         v = complex(v.real, 0.0)

@@ -8,6 +8,7 @@ output change, run `PYTHONPATH=src python tests/test_cli.py`.
 import contextlib
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -95,6 +96,78 @@ def test_spectrum_writer_matches_render_json(kind, lines):
     doc = {"kind": kind, "lambda_max": 3e4, "policy": "merged",
            "lines": [line.as_dict() for line in lines]}
     assert cli._spectrum_to_json(kind, 3e4, "merged", lines) == cli.render_json(doc)
+
+
+def _csv_from_records(lines) -> str:
+    """The CSV as the writer printed it from line records."""
+    rows = ["lambda,multiplicity,sources"]
+    for line in lines:
+        srcs = ";".join(f"{s.family}:{s.n}:{s.k}" for s in line.sources)
+        rows.append(f"{cli._fmt(line.lam)},{line.multiplicity},{srcs}")
+    return "\n".join(rows) + "\n"
+
+
+def _column_cases():
+    seq2, seq23 = JSequence((2,), periodic=True), JSequence((2, 3), periodic=True)
+    for policy in ("merged", "per-family"):
+        yield "free", policy, lambda q: free_spectrum(seq23, q), 3e4
+        yield "square-well", policy, lambda q: square_well_spectrum(seq2, q), 3e4
+        yield "plates", policy, lambda q: plates_spectrum(PlateConfig(7, 2, 0.15), q), 3e4
+    yield "square-well", "merged", lambda q: square_well_spectrum(seq2, q), 30.0
+    # the ceiling sits on a merged line of several sources: the line is
+    # listed whole at its lambda and not at all just below it
+    merged = free_spectrum(seq23, SpectrumQuery(3e4))
+    lam = next(line.lam for line in merged if len(line.sources) >= 3)
+    for ceiling in (lam, math.nextafter(lam, 0)):
+        yield "free", "merged", lambda q: free_spectrum(seq23, q), ceiling
+
+
+@pytest.mark.parametrize("kind,policy,gen,lambda_max", list(_column_cases()))
+def test_spectrum_writers_match_line_records(kind, policy, gen, lambda_max):
+    spectrum = gen(SpectrumQuery(lambda_max, policy))
+    lines = list(spectrum)
+    doc = {"kind": kind, "lambda_max": lambda_max, "policy": policy,
+           "lines": [line.as_dict() for line in lines]}
+    assert cli._spectrum_to_json(kind, lambda_max, policy, spectrum) == cli.render_json(doc)
+    assert cli._lines_to_csv(spectrum) == _csv_from_records(lines)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_spectrum_cli_builds_no_line_records(monkeypatch, fmt):
+    import laakso.spectra
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a line record was built")
+
+    for name in ("SpectralLine", "LineSource"):
+        monkeypatch.setattr(laakso.spectra, name, refuse)
+    for argv in ("spectrum --kind free --j 2,3 --periodic --lambda-max 5e4",
+                 "spectrum --kind square-well --j 3 --periodic --lambda-max 5e4 "
+                 "--policy per-family",
+                 "spectrum --kind plates --plates 7,2,0.15 --lambda-max 2e4"):
+        rc, out, err = run(f"{argv} --format {fmt}")
+        assert (rc, err) == (0, "") and out
+
+
+@pytest.mark.parametrize("argv", [
+    "spectrum --kind free --j 2 --periodic --lambda-max 100",
+    "spectrum --kind free --j 2 --periodic --lambda-max 100 --format csv",
+    "solve --j 2 --periodic --level 1 --mesh 3 --count 4 --trace 1 --format csv",
+])
+def test_unwritable_output_exits_2(tmp_path, argv):
+    for path in (tmp_path / "missing" / "out.txt", tmp_path):
+        rc, out, err = run(f"{argv} --output {path}")
+        assert (rc, out) == (2, "")
+        doc = json.loads(err)
+        assert doc["exit"] == 2 and f"cannot write --output {path}: " in doc["error"]
+
+
+@pytest.mark.parametrize("s", ["400", "-400", "1e300", "-1e300", "-400,3"])
+def test_zeta_outside_double_range_exits_2(s):
+    rc, out, err = run(f"zeta --j 2 --periodic --s={s}")
+    assert (rc, out) == (2, "")
+    assert "is outside the range the closed form can evaluate in double precision" \
+        in json.loads(err)["error"]
 
 
 def test_spectrum_csv_round_trip():

@@ -6,6 +6,7 @@ families by hand and are confirmed against the quantum-graph eigensolver
 """
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from laakso import (
     solve_lowest,
     square_well_spectrum,
 )
+from laakso import spectra
 from laakso.spectra import Family, enumerate_families
 
 PI2 = math.pi**2
@@ -277,3 +279,87 @@ def test_negative_multiplicity_raises_only_with_lines_in_range():
         enumerate_families([bad], 100.0)
     # below its first line (4 pi^2 ~ 39.5) the family lists nothing
     assert len(enumerate_families([bad], 30.0).lam) == 0
+
+
+# ---------------------------------------------------------------------------
+# the columnar Spectrum
+
+def test_spectrum_is_a_read_only_sequence():
+    spectrum = free_spectrum(SEQ23, SpectrumQuery(5e3))
+    lines = list(spectrum)
+    assert len(spectrum) == len(lines) > 3
+    assert spectrum == lines and lines == spectrum
+    assert spectrum[0] == lines[0] and spectrum[-1] == lines[-1] == spectrum[len(lines) - 1]
+    assert spectrum[-len(lines)] == lines[0]
+    assert spectrum[1:4] == lines[1:4] and spectrum[::-2] == lines[::-2]
+    assert [line for line in spectrum] == lines
+    assert lines[2] in spectrum and lines[2]._replace(multiplicity=0) not in spectrum
+    for i in (len(lines), -len(lines) - 1):
+        with pytest.raises(IndexError):
+            spectrum[i]
+    with pytest.raises(TypeError):
+        spectrum[0] = lines[1]
+    with pytest.raises(TypeError):
+        del spectrum[0]
+
+
+@pytest.mark.parametrize("policy", [MERGED, PER_FAMILY])
+def test_spectrum_columns_match_its_lines(policy):
+    spectrum = plates_spectrum(PlateConfig(7, 2, 0.15), SpectrumQuery(2e4, policy))
+    assert spectrum.lam.tolist() == [line.lam for line in spectrum]
+    assert spectrum.multiplicity.tolist() == [line.multiplicity for line in spectrum]
+    assert spectrum.bounds[-1] == len(spectrum.order) == len(spectrum.arrays.lam)
+    empty = square_well_spectrum(SEQ2, SpectrumQuery(30.0, policy))
+    assert len(empty) == 0 and list(empty) == [] and empty == []
+
+
+# The rule every square-well guard was checked with before `_candidate_m`:
+# all m from 1 to floor(w/j) + 2, O(I_n) per level.
+def _full_scan(w, j):
+    return range(1, int(w // j) + 3)
+
+
+def test_candidate_m_holds_every_matching_m():
+    # Each guard is unchanged under (w, m) -> (w + j, m + 1), so checking
+    # every quarter-integer w in [0, 4j) covers all w.
+    guards = [
+        lambda w, j, m: (m - 1) * j + 1 <= w <= m * j - 1,
+        lambda w, j, m: m * j - 1 <= w <= m * j + 1,
+        lambda w, j, m: (m - 1) * j < w <= m * j - 1,
+        lambda w, j, m: m * j - 1 < w <= m * j,
+    ]
+    for j in range(2, 9):
+        for q in range(16 * j):
+            w = Fraction(q, 4)
+            hits = {m for m in _full_scan(w, j) for g in guards if g(w, j, m)}
+            assert hits <= set(spectra._candidate_m(w, j))
+
+
+@pytest.mark.parametrize("values,lambda_max", [
+    ((2,), 1e11), ((3,), 1e11), ((4,), 1e11), ((5,), 1e11), ((7,), 1e13),
+    ((2, 3), 1e11), ((3, 2), 1e11), ((2, 3, 5), 1e11), ((3, 2, 4), 1e11),
+])
+def test_well_rows_match_full_scan(monkeypatch, values, lambda_max):
+    seq = JSequence(values, periodic=True)
+    rows = spectra.square_well_families(seq, lambda_max)
+    monkeypatch.setattr(spectra, "_candidate_m", _full_scan)
+    assert rows == spectra.square_well_families(seq, lambda_max)
+
+
+@pytest.mark.parametrize("values", [
+    (2,), (3,), (4,), (5,), (7,), (2, 3), (3, 2), (2, 3, 5), (3, 2, 4),
+])
+def test_interior_counts_match_full_scan(monkeypatch, values):
+    # levels 1..12, as deep as the full scan stays cheap (I_n <= 10^6)
+    seq = JSequence(values, periodic=True)
+    levels = [n for n in range(1, 13) if math.prod(seq.j(i) for i in range(1, n + 1)) <= 10**6]
+    got = [interior_shape_counts(seq, n) for n in levels]
+    monkeypatch.setattr(spectra, "_candidate_m", _full_scan)
+    assert got == [interior_shape_counts(seq, n) for n in levels]
+
+
+def test_well_table_at_1e15_is_fast():
+    t0 = time.perf_counter()
+    rows = spectra.square_well_families(SEQ2, 1e15)
+    assert time.perf_counter() - t0 < 1.0      # 58 s with the full scan
+    assert len(rows) == 94
