@@ -131,8 +131,8 @@ def _closed_form(seq: JSequence, s, value) -> ZetaValue:
     where I_T^(2s) meets I_T 2^T or 2^T.  Then evaluates
     value(t, I_T^t, I_T^t - I_T 2^T, I_T^t - 2^T) at t = 2s, tags the
     mode and, for real s, drops an imaginary part that is round-off.
-    A power that overflows or underflows to a zero divisor (|Re s| in
-    the hundreds) raises ValueError.
+    A power that overflows or underflows to a zero divisor, or a value
+    that is not finite (|Re s| near 100 and beyond), raises ValueError.
     """
     s = complex(s)
     if s == 0.5:
@@ -148,6 +148,8 @@ def _closed_form(seq: JSequence, s, value) -> ZetaValue:
             if abs(den) <= 1e-9 * max(abs(IT2s), 1.0):
                 raise PoleError(f"s = {s} lies on the pole lattice")
         v = value(t, IT2s, den_loop, den_cross)
+        if not cmath.isfinite(v):
+            raise OverflowError(f"the value rounds to {v}")
     except PoleError:
         raise
     except (OverflowError, ZeroDivisionError) as exc:

@@ -162,7 +162,7 @@ def test_unwritable_output_exits_2(tmp_path, argv):
         assert doc["exit"] == 2 and f"cannot write --output {path}: " in doc["error"]
 
 
-@pytest.mark.parametrize("s", ["400", "-400", "1e300", "-1e300", "-400,3"])
+@pytest.mark.parametrize("s", ["400", "-400", "1e300", "-1e300", "-400,3", "-100.25"])
 def test_zeta_outside_double_range_exits_2(s):
     rc, out, err = run(f"zeta --j 2 --periodic --s={s}")
     assert (rc, out) == (2, "")

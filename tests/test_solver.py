@@ -293,8 +293,8 @@ def test_row_flip_full_spectrum(seq, n, plates, pot):
     # sqrt(dim) eps ||H||_2 <= sqrt(dim) eps ||H||_1 of the exact one, so
     # they differ by at most twice that.  The widest gap measured is
     # 26 eps ||H||_1 (plates, free), and against 50-digit solves of the
-    # segments the dense side is the inexact one (2.2e-10 at lambda = -2.12
-    # for j = 3 coulomb, against 1e-12 for row-flip).
+    # segments the dense side is the inexact one (2.2e-10 off at
+    # lambda = -2.12 for j = 3 coulomb, against at most 7e-12 for row-flip).
     H = op.matrix.toarray()
     bound = 2 * np.sqrt(op.dimension) * np.finfo(float).eps * np.abs(H).sum(axis=0).max()
     assert np.abs(r.eigenvalues - np.linalg.eigvalsh(H)).max() <= bound
