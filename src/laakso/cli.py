@@ -16,8 +16,6 @@ import math
 import sys
 from itertools import islice
 
-import numpy as np
-
 from . import (
     ConvergenceError,
     JSequence,
@@ -124,9 +122,9 @@ def _line_fields(spectrum, source: str, sep: str):
     templates = [source % (name, n) for name in a.names for n in range(levels)]
     code = a.family[order] * levels + a.n[order]
     sources = map(str.__mod__, map(templates.__getitem__, code.tolist()), a.k[order].tolist())
-    return ((lam, m, sep.join(islice(sources, size))) for lam, m, size in zip(
-        spectrum.lam.tolist(), spectrum.multiplicity.tolist(),
-        np.diff(spectrum.bounds).tolist()))
+    bounds = spectrum.bounds.tolist()
+    return ((lam, m, sep.join(islice(sources, b - a))) for lam, m, a, b in zip(
+        spectrum.lam.tolist(), spectrum.multiplicity.tolist(), bounds, bounds[1:]))
 
 
 def _spectrum_to_json(kind: str, lambda_max: float, policy: str, spectrum) -> str:
