@@ -348,9 +348,9 @@ def _candidate_m(w: Fraction, j: int) -> range:
     """The m at which a square-well guard can hold.
 
     Every guard puts w in [(m - 1) j, m j + 1], so m lies in
-    [(w - 1)/j, w/j + 1]; the range
-    floor(w/j) - 1 .. floor(w/j) + 2 covers it with a margin.  Checking
-    only these m keeps each level O(1) instead of O(I_n).
+    [(w - 1)/j, w/j + 1], which floor(w/j) - 1 .. floor(w/j) + 2 covers
+    with a margin.  Checking only these m keeps each level O(1) instead
+    of O(I_n).
     """
     top = int(w // j)
     return range(max(1, top - 1), top + 3)
