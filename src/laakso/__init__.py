@@ -19,7 +19,6 @@ from .graphs import (
     ShapeCensus,
     WellGeometry,
     build_graph,
-    census_closed_form,
     column_boundaries,
     shape_census,
     well_geometry,
@@ -49,6 +48,7 @@ from .spectra import (
     SpectralLine,
     Spectrum,
     SpectrumQuery,
+    census_closed_form,
     free_spectrum,
     interior_shape_counts,
     merge_lines,
@@ -58,14 +58,13 @@ from .spectra import (
 from .zeta import (
     PoleError,
     ZetaValue,
-    constant_j_zeta,
     geometric_continuation,
     hurwitz_half_sum,
-    period2_zeta,
     riemann_zeta,
     spectral_dimension,
     spectral_zeta_direct,
     spectral_zeta_periodic,
+    table_zeta,
     zeta_limit_half,
     zeta_poles,
 )
@@ -75,19 +74,18 @@ __version__ = "0.1.0"
 __all__ = [
     "CasimirForce", "RegularizedEnergy", "casimir_force", "plate_zeta_energy",
     "QuantumGraph", "Shape", "ShapeCensus", "WellGeometry", "build_graph",
-    "census_closed_form", "column_boundaries", "shape_census", "well_geometry",
+    "column_boundaries", "shape_census", "well_geometry",
     "PlateConfig", "PlateConfigError",
     "JSequence", "SequenceTooShort", "hausdorff_dimension", "level_products",
     "ConvergenceError", "DiscretizedOperator", "EigenResult", "Potential",
     "RowFlipOperator", "cluster", "discretize", "eigenfunction_trace", "export_matrix",
     "reduce_rows", "solve", "solve_lowest", "solve_row_flip",
     "MERGED", "PER_FAMILY", "LineSource", "MultiplicityError", "SpectralLine",
-    "Spectrum", "SpectrumQuery",
+    "Spectrum", "SpectrumQuery", "census_closed_form",
     "free_spectrum", "interior_shape_counts", "merge_lines", "plates_spectrum",
     "square_well_spectrum",
-    "PoleError", "ZetaValue", "constant_j_zeta", "geometric_continuation",
-    "hurwitz_half_sum", "period2_zeta", "riemann_zeta", "spectral_dimension",
-    "spectral_zeta_direct", "spectral_zeta_periodic", "zeta_limit_half",
-    "zeta_poles",
+    "PoleError", "ZetaValue", "geometric_continuation", "hurwitz_half_sum",
+    "riemann_zeta", "spectral_dimension", "spectral_zeta_direct",
+    "spectral_zeta_periodic", "table_zeta", "zeta_limit_half", "zeta_poles",
     "__version__",
 ]

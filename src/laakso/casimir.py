@@ -2,8 +2,10 @@
 
 The zero-point energy (hbar/2) sum of sqrt(lambda) over the plate
 spectrum diverges; it is regularized by evaluating the spectral zeta
-function at s = -1/2, rewriting each mode sum with the continued values
-zeta_R(-1) = -1/12, sum (k+1/2) -> 1/24, and sum r^n -> 1/(1-r).  Every
+function at s = -1/2.  The coefficients come from the plate family
+table (`laakso.spectra.plate_level`) summed by
+`laakso.zeta.continued_sum`, with the continued values
+zeta_R(-1) = -1/12, sum (k+1/2) -> 1/24 and sum r^n -> 1/(1-r).  Every
 family scales as 1/x0 or 1/(1-2x0) at s = -1/2, so the energy decomposes
 exactly as
 
@@ -15,17 +17,20 @@ derivative -a/x0^2 + 2b/(1-2x0)^2 is the authoritative value.  A
 transcribed 14-term closed form is also evaluated for comparison: one of
 its terms carries no factor of pi, so it departs from the energy
 derivative unless N = Z + 3, and the result reports both values with an
-agreement flag instead of silently preferring either.
+agreement flag instead of silently preferring either.  A configuration
+whose energy or force does not fit in a double raises ValueError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .plates import PlateConfig
-from .zeta import geometric_continuation, hurwitz_half_sum, riemann_zeta
+from .spectra import plate_level
+from .zeta import _exact_sqrt, continued_sum, hurwitz_half_sum, riemann_zeta
 
 
 @dataclass(frozen=True)
@@ -46,41 +51,24 @@ class CasimirForce:
     consistent: bool      # agreement <= 1e-6
 
 
-def _zeta_half_coefficients(N: int, Z: int) -> tuple[Fraction, Fraction]:
+@functools.cache
+def plate_zeta_coefficients(N: int, Z: int) -> tuple[Fraction, Fraction]:
     """Exact (A, B) with zeta_{N,x0,Z}(-1/2) = pi (A/x0 + B/(1-2x0)).
 
-    Each of the nine mode sums is rewritten at s = -1/2: k-sums through
-    zeta_R(-1) and the half-integer sum, level sums through the
-    continued geometric series with ratios 2N and 2N^2.
+    `continued_sum` over `plate_level` at s = -1/2, where every rate^(1/2)
+    is rational.  Cached, so energy and force share one evaluation.
     """
-    R = riemann_zeta(-1)                       # sum k
-    Hh = hurwitz_half_sum(-1)                  # sum (k + 1/2)
-    g1_2N = geometric_continuation(2 * N) - 1                    # sum_{n>=1} (2N)^n
-    g2_2N = geometric_continuation(2 * N) - 1 - 2 * N            # sum_{n>=2} (2N)^n
-    g2_2N2 = geometric_continuation(2 * N * N) - 1 - 2 * N * N   # sum_{n>=2} (2N^2)^n
-    alpha = Fraction(N - Z - 1, N)
+    totals = continued_sum(lambda n: plate_level(N, Z, n), 2, 1, N, _exact_sqrt,
+                           (riemann_zeta(-1), hurwitz_half_sum(-1)))
+    return totals["interior"], totals["exterior"]
 
-    A = Fraction(0)
-    B = Fraction(0)
-    # level-0 interval modes: exterior half-integer, interior integer
-    B += 2 * 2 * Hh
-    A += Fraction(1, 2) * R
-    # level-1 loops
-    B += (N - Z - 3) * (N - Z - 1) * R
-    A += (Z + 1) ** 2 * Fraction(1, 2) * R
-    # V modes, all levels n >= 1
-    B += alpha * Hh * g1_2N
-    # exterior cell modes, n >= 2 (loops, cross sides, half-crosses)
-    B += alpha**2 * (N - 1) * R * g2_2N2 / (2 * N)
-    # exterior wide cross modes, n >= 2
-    B += Fraction(1, 2) * alpha * R * (alpha * g2_2N2 / (4 * N) - g2_2N / 2)
-    # interior cell modes, n >= 2
-    A += Fraction(Z + 1, 2 * N) * R * (
-        Fraction((Z + 1) * (N - 1), N) * g2_2N2 / (2 * N) + g2_2N / 2)
-    # interior wide cross modes, n >= 2
-    A += Fraction(Z + 1, 4 * N) * R * (
-        Fraction(Z + 1, N) * g2_2N2 / (4 * N) - g2_2N / 4)
-    return A, B
+
+def _in_double_range(cfg: PlateConfig, *values: float) -> tuple[float, ...]:
+    """The values, if all are finite doubles; else ValueError naming cfg."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"(N, Z, x0, hbar) = ({cfg.N}, {cfg.Z}, {cfg.x0!r}, {cfg.hbar!r}) is "
+                         f"outside double range: {min(values, key=math.isfinite)} in the result")
+    return values
 
 
 def plate_zeta_energy(cfg: PlateConfig) -> RegularizedEnergy:
@@ -89,10 +77,10 @@ def plate_zeta_energy(cfg: PlateConfig) -> RegularizedEnergy:
     Returns the exact decomposition E = a/x0 + b/(1-2x0); a and b do not
     depend on x0.
     """
-    A, B = _zeta_half_coefficients(cfg.N, cfg.Z)
+    A, B = plate_zeta_coefficients(cfg.N, cfg.Z)
     a = cfg.hbar * math.pi * float(A) / 2
     b = cfg.hbar * math.pi * float(B) / 2
-    return RegularizedEnergy(a, b, a / cfg.x0 + b / (1 - 2 * cfg.x0))
+    return RegularizedEnergy(*_in_double_range(cfg, a, b, a / cfg.x0 + b / (1 - 2 * cfg.x0)))
 
 
 def _force_coefficients(N: int, Z: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -130,15 +118,17 @@ def casimir_force(cfg: PlateConfig) -> CasimirForce:
     where the pi-less term is active) `consistent` is False and both are
     reported.
     """
-    A, B = _zeta_half_coefficients(cfg.N, cfg.Z)
+    A, B = plate_zeta_coefficients(cfg.N, cfg.Z)
+    Api, Bpi, Bfree = _force_coefficients(cfg.N, cfg.Z)
     x0 = cfg.x0
+    if x0**2 == 0:
+        _in_double_range(cfg, math.inf)     # 1/x0^2 overflows
     oracle = cfg.hbar * math.pi * float(-A / 2) / x0**2 \
         + cfg.hbar * math.pi * float(B) / (1 - 2 * x0) ** 2
-
-    Api, Bpi, Bfree = _force_coefficients(cfg.N, cfg.Z)
     transcribed = cfg.hbar * (
         math.pi * (float(Api) / x0**2 + float(Bpi) / (1 - 2 * x0) ** 2)
         + float(Bfree) / (1 - 2 * x0) ** 2)
 
     agreement = abs(transcribed - oracle) / max(abs(oracle), 1e-300)
+    _in_double_range(cfg, oracle, transcribed, agreement)
     return CasimirForce(transcribed, oracle, agreement, agreement <= 1e-6)

@@ -29,6 +29,7 @@ floating point is not allowed here.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -452,22 +453,6 @@ def _check_graph(graph: QuantumGraph):
             raise GraphBuildError("shape decomposition does not partition the cells")
 
 
-def census_closed_form(seq: JSequence, n: int) -> tuple[int, int, int]:
-    """Closed-form shape counts (vees, loops, crosses) of the level-n graph.
-
-    vees = 2^n, loops = 2^(n-1) (j_n - 2) I_{n-1}, and for n >= 2
-    crosses = 2^(n-2) (I_{n-1} - 1).
-    """
-    if n < 1:
-        return (0, 0, 0)
-    products = level_products(seq, n)
-    j_n = seq.j(n)
-    vees = 2**n
-    loops = 2 ** (n - 1) * (j_n - 2) * products[n - 1]
-    crosses = 2 ** (n - 2) * (products[n - 1] - 1) if n >= 2 else 0
-    return (vees, loops, crosses)
-
-
 def _region_walls(graph: QuantumGraph, region: str) -> tuple[Fraction, Fraction]:
     I_n = graph.columns
     if region == "well":
@@ -661,9 +646,5 @@ def well_geometry(seq: JSequence, n: int) -> WellGeometry:
         raise ValueError("well geometry needs level >= 1")
     I_n = level_products(seq, n)[n]
     w = Fraction(I_n, 4)
-    d = Fraction(_ceil_fraction(w) - w, I_n)
+    d = Fraction(math.ceil(w) - w, I_n)
     return WellGeometry(n, w, d, d == 0)
-
-
-def _ceil_fraction(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)

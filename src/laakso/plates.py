@@ -78,11 +78,6 @@ class PlateConfig:
         """The plate distance as the exact rational value of the float."""
         return Fraction(self.x0)
 
-    @property
-    def natural_x0(self) -> Fraction:
-        """Plate distance at which nothing is stretched: (Z+1)/(2N)."""
-        return Fraction(self.Z + 1, 2 * self.N)
-
     def interior_scale(self) -> Fraction:
         """Interior cell lengths are interior_scale / I_n."""
         return 2 * self.N * self.x0_exact / (self.Z + 1)

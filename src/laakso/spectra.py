@@ -6,11 +6,10 @@ multiplicity, giving the lines lambda = pi^2 c^2 kform(k) / scale.  The
 scale belongs to the row's region: 1 on the whole space ("unit"), x0^2
 inside the plates and (1 - 2 x0)^2 outside them.  Three tables:
 
-* `free_families` - the Laplacian with Kirchhoff conditions.  Five
-  families: interval modes k^2 pi^2 (mult 1), V modes (k+1/2)^2 pi^2 I_n^2
-  (mult 2^n), loop modes k^2 pi^2 I_n^2 (mult 2^(n-1) (j_n-2) I_{n-1}),
-  cross modes k^2 pi^2 I_n^2 (mult 2^(n-1) (I_{n-1}-1)), and wide cross
-  modes k^2 pi^2 I_n^2 / 4 (mult 2^(n-2) (I_{n-1}-1)).
+* `free_families` - the Laplacian with Kirchhoff conditions: interval
+  modes k^2 pi^2, then at each level n the V modes (k+1/2)^2 pi^2 I_n^2,
+  loop and cross modes k^2 pi^2 I_n^2 and wide cross modes
+  k^2 pi^2 I_n^2 / 4.
 
 * `square_well_families` - the Hamiltonian with an infinite square well
   on [1/4, 3/4].  Ten families whose multiplicities branch on exact
@@ -21,6 +20,11 @@ inside the plates and (1 - 2 x0)^2 outside them.  Three tables:
 * `plate_families` - the Laplacian on a constant-j space with two
   conducting plates (Dirichlet nodes), interior eigenvalues scaling as
   x0^-2 and exterior ones as (1-2 x0)^-2.
+
+The free and plate tables are written once, as per-level rows
+(`free_level`, `plate_level`) that the lambda_max loops, the zeta
+continuation (`laakso.zeta.continued_sum`) and `census_closed_form` all
+read.  The square-well table is not geometric in the level: one loop.
 
 `enumerate_families` lists the lines of a table up to a ceiling as numpy
 arrays; `free_spectrum`, `square_well_spectrum` and `plates_spectrum`
@@ -39,6 +43,7 @@ over one common denominator per region.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -302,35 +307,51 @@ def merge_lines(lines: list[SpectralLine], policy: str = MERGED) -> list[Spectra
 # ---------------------------------------------------------------------------
 # free Laplacian
 
+def free_level(seq: JSequence, n: int, I_prev: int) -> list[Family]:
+    """The free Laplacian's rows at level n, given I_prev = I_{n-1}; the
+    k = 0 line of level 0 is the zero eigenvalue (constant mode)."""
+    if n == 0:
+        return [Family("level0", 0, "unit", Fraction(1), False, 0, 1)]
+    j_n = seq.j(n)
+    rate = Fraction((I_prev * j_n) ** 2)
+    rows = [Family("vee", n, "unit", rate, True, 0, 2**n),
+            Family("loop", n, "unit", rate, False, 1, 2 ** (n - 1) * (j_n - 2) * I_prev)]
+    if n >= 2:
+        crosses = 2 ** (n - 2) * (I_prev - 1)
+        rows += [Family("cross", n, "unit", rate, False, 1, 2 * crosses),
+                 Family("cross_wide", n, "unit", rate / 4, False, 1, crosses)]
+    return rows
+
+
+def _collect(level, first: int, lambda_max: float, scales=UNIT_SCALE) -> list[Family]:
+    """The rows of levels n < first, then of each level up to one wholly above lambda_max."""
+    rows = [f for n in range(first) for f in level(n)]
+    for n in itertools.count(first):
+        rows_n = level(n)
+        if all(_above(Fraction(*f.q(f.k_min)), scales[f.region], lambda_max) for f in rows_n):
+            return rows
+        rows += rows_n
+
+
 def free_families(seq: JSequence, lambda_max: float) -> list[Family]:
     """The free Laplacian's families with a line <= lambda_max.
 
-    The zero eigenvalue (constant mode) is level0 at k = 0.  Level n has
-    no line below pi^2 I_n^2 / 4, which bounds the level loop by log2 of
-    the ceiling since I_n >= 2^n.
+    Level n has no line below pi^2 I_n^2 / 4 >= pi^2 I_{n-1}^2, so a level
+    is ruled out before its j_n is fetched (explicit sequences are only
+    consulted as deep as needed), and I_n >= 2^n stops the levels early.
     """
-    rows = [Family("level0", 0, "unit", Fraction(1), False, 0, 1)]
-    # Since I_n >= 2 I_{n-1}, a level is ruled out before its j_n is
-    # fetched, so explicit sequences are only consulted as deep as needed.
-    products = [1]
-    n = 1
-    while PI2 * products[-1] ** 2 <= lambda_max:
-        j_n = seq.j(n)
-        products.append(products[-1] * j_n)
-        I_n, I_prev = products[n], products[n - 1]
-        rate = Fraction(I_n * I_n)
-        if _above(rate / 4, 1.0, lambda_max):
-            break
-        rows.append(Family("vee", n, "unit", rate, True, 0, 2**n))
-        rows.append(Family("loop", n, "unit", rate, False, 1,
-                           2 ** (n - 1) * (j_n - 2) * I_prev))
-        if n >= 2:
-            rows.append(Family("cross", n, "unit", rate, False, 1,
-                               2 ** (n - 1) * (I_prev - 1)))
-            rows.append(Family("cross_wide", n, "unit", rate / 4, False, 1,
-                               2 ** (n - 2) * (I_prev - 1)))
-        n += 1
-    return rows
+    def level(n):
+        I_prev = math.prod(seq.prefix(n - 1))
+        return free_level(seq, n, I_prev) if n == 0 or PI2 * I_prev**2 <= lambda_max else []
+    return _collect(level, 1, lambda_max)
+
+
+def census_closed_form(seq: JSequence, n: int) -> tuple[int, int, int]:
+    """Closed-form shape counts (vees, loops, crosses) of the level-n graph:
+    the multiplicities of the free table's vee, loop and cross_wide rows."""
+    rows = free_level(seq, n, math.prod(seq.prefix(n - 1))) if n >= 1 else []
+    mult = {f.name: f.multiplicity for f in rows}
+    return (mult.get("vee", 0), mult.get("loop", 0), mult.get("cross_wide", 0))
 
 
 def free_spectrum(seq: JSequence, query: SpectrumQuery) -> Spectrum:
@@ -370,15 +391,11 @@ def _matches(w: Fraction, j: int, guards) -> list[int]:
     return vals[:1]
 
 
-def _ceil(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
-
-
 def _well_loop_mult(n: int, j: int, I_prev: int, w: Fraction) -> int:
     total = 2 ** (n - 1) * (j - 2) * I_prev
     vals = _matches(w, j, [
         (lambda m: (m - 1) * j + 1 <= w <= m * j - 1,
-         lambda m: total - 2**n * (1 + _ceil(w) - 2 * m)),
+         lambda m: total - 2**n * (1 + math.ceil(w) - 2 * m)),
         (lambda m: m * j - 1 <= w <= m * j + 1,
          lambda m: total - m * 2**n * (j - 2)),
     ])
@@ -421,12 +438,10 @@ def square_well_families(seq: JSequence, lambda_max: float) -> list[Family]:
 
     # the lowest line of level n, pi^2 I_n^2 / 4, is below every wall rate
     # 1/d_n^2 >= 16 I_n^2 / 49, so it gates the level as for the free space
-    products = [1]
-    n = 1
-    while PI2 * products[-1] ** 2 <= lambda_max:
+    I_prev, n = 1, 1
+    while PI2 * I_prev**2 <= lambda_max:
         j_n = seq.j(n)
-        products.append(products[-1] * j_n)
-        I_n, I_prev = products[n], products[n - 1]
+        I_n = I_prev * j_n
         rate = Fraction(I_n * I_n)
         if _above(rate / 4, 1.0, lambda_max):
             break
@@ -454,7 +469,7 @@ def square_well_families(seq: JSequence, lambda_max: float) -> list[Family]:
                                _well_cross_mult(n, j_n, I_prev, w, wide=False)))
             rows.append(Family("cross_wide", n, "unit", rate / 4, False, 1,
                                _well_cross_mult(n, j_n, I_prev, w, wide=True)))
-        n += 1
+        I_prev, n = I_n, n + 1
     return rows
 
 
@@ -486,7 +501,7 @@ def interior_shape_counts(seq: JSequence, n: int, region: str = "well"
     loops = _matches(w, j, [
         (lambda m: (m - 1) * j < w <= m * j - 1,
          lambda m: 2 ** (n - 1) * (j - 2) * I_prev
-         - 2**n * (1 + _ceil(w) - 2 * m)),
+         - 2**n * (1 + math.ceil(w) - 2 * m)),
         (lambda m: m * j - 1 < w <= m * j + 1,
          lambda m: 2 ** (n - 1) * (j - 2) * I_prev - m * 2**n * (j - 2)),
     ])
@@ -515,6 +530,31 @@ def plate_scales(cfg: PlateConfig) -> dict[str, float]:
     return {"interior": cfg.x0 * cfg.x0, "exterior": (1 - 2 * cfg.x0) ** 2}
 
 
+def plate_level(N: int, Z: int, n: int) -> list[Family]:
+    """The plate-configured Laplacian's rows at level n."""
+    E = N - (Z + 1)               # exterior cells per row at level 1
+    if n == 0:
+        return [Family("interior_level0", 0, "interior", Fraction(1, 4), False, 1, 1),
+                Family("exterior_level0", 0, "exterior", Fraction(4), True, 0, 2)]
+    if n == 1:
+        return [Family("vee_level1", 1, "exterior", Fraction(E * E), True, 0, 2),
+                Family("exterior_loop_level1", 1, "exterior", Fraction(E * E), False, 1, E - 2),
+                Family("interior_loop_level1", 1, "interior", Fraction((Z + 1) ** 2, 4),
+                       False, 1, Z + 1)]
+    I_n = N**n
+    aI = E * N ** (n - 2)         # (1 - (Z+1)/N) I_{n-1}, an integer
+    zI = (Z + 1) * N ** (n - 2)   # ((Z+1)/N) I_{n-1}
+    ext = Fraction(I_n * E, N) ** 2
+    inner = Fraction(I_n * (Z + 1), 2 * N) ** 2
+    return [
+        Family("vee", n, "exterior", ext, True, 0, 2**n),
+        Family("exterior_cell", n, "exterior", ext, False, 1, 2 ** (n - 1) * aI * (N - 1)),
+        Family("exterior_cell_wide", n, "exterior", ext / 4, False, 1, 2 ** (n - 2) * (aI - 2)),
+        Family("interior_cell", n, "interior", inner, False, 1, 2 ** (n - 1) * (zI * (N - 1) + 1)),
+        Family("interior_cell_wide", n, "interior", inner / 4, False, 1, 2 ** (n - 2) * (zI - 1)),
+    ]
+
+
 def plate_families(cfg: PlateConfig, lambda_max: float) -> list[Family]:
     """The plate-configured Laplacian's families with a line <= lambda_max.
 
@@ -523,42 +563,7 @@ def plate_families(cfg: PlateConfig, lambda_max: float) -> list[Family]:
     pi / x0 or pi / (1-2 x0).  Interior and exterior lines are never
     merged with each other (their ratio depends on x0).
     """
-    N, Z = cfg.N, cfg.Z
-    E = N - (Z + 1)               # exterior cells per row at level 1
-    scales = plate_scales(cfg)
-    rows = [
-        Family("interior_level0", 0, "interior", Fraction(1, 4), False, 1, 1),
-        Family("exterior_level0", 0, "exterior", Fraction(4), True, 0, 2),
-        Family("vee_level1", 1, "exterior", Fraction(E * E), True, 0, 2),
-        Family("exterior_loop_level1", 1, "exterior", Fraction(E * E), False, 1,
-               N - Z - 3),
-        Family("interior_loop_level1", 1, "interior", Fraction((Z + 1) ** 2, 4),
-               False, 1, Z + 1),
-    ]
-    n = 2
-    while True:
-        I_n = N**n
-        aI = E * N ** (n - 2)         # (1 - (Z+1)/N) I_{n-1}, an integer
-        zI = (Z + 1) * N ** (n - 2)   # ((Z+1)/N) I_{n-1}
-        ext = Fraction(I_n * E, N) ** 2
-        inner = Fraction(I_n * (Z + 1), 2 * N) ** 2
-        # lowest lines of the level: interior_cell_wide and the vee at k = 0
-        if (_above(inner / 4, scales["interior"], lambda_max)
-                and _above(ext / 4, scales["exterior"], lambda_max)):
-            break
-        rows += [
-            Family("vee", n, "exterior", ext, True, 0, 2**n),
-            Family("exterior_cell", n, "exterior", ext, False, 1,
-                   aI * 2 ** (n - 1) * (N - 2) + 2 ** (n - 1) * aI),
-            Family("exterior_cell_wide", n, "exterior", ext / 4, False, 1,
-                   2 ** (n - 2) * (aI - 1) - 2 ** (n - 2)),
-            Family("interior_cell", n, "interior", inner, False, 1,
-                   zI * 2 ** (n - 1) * (N - 2) + 2 ** (n - 1) * zI + 2 ** (n - 1)),
-            Family("interior_cell_wide", n, "interior", inner / 4, False, 1,
-                   2 ** (n - 2) * (zI - 1)),
-        ]
-        n += 1
-    return rows
+    return _collect(lambda n: plate_level(cfg.N, cfg.Z, n), 2, lambda_max, plate_scales(cfg))
 
 
 def plates_spectrum(cfg: PlateConfig, query: SpectrumQuery) -> Spectrum:

@@ -10,23 +10,29 @@ period T the continuation is the closed form
       + (I_T^(2s)/(I_T^(2s) - 2^T))   * 2^(p-1) (3/2 2^(2s)-3)/I_p^(2s) )
       + (2^(2s+1)-4+j_1)/j_1^(2s) + 1 ],
 
-with indices extended periodically.  Poles sit where the two geometric
-denominators vanish; their largest real part is half the spectral
-dimension d_s = ln(2^T I_T)/ln(I_T) (the frequency-variable convention
-doubles the pole abscissa).
+with indices extended periodically, which `spectral_zeta_periodic`
+evaluates.  Poles sit where the two geometric denominators vanish; their
+largest real part is half the spectral dimension d_s = ln(2^T I_T)/ln(I_T)
+(the frequency-variable convention doubles the pole abscissa).
+
+`continued_sum` sums any family table given as per-level rows, as exact
+geometric series whose bases are the pole lattices: over the free table
+it is `table_zeta`, the closed form's oracle at every period; over the
+plate table at s = -1/2 it gives the Casimir coefficients.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
 from .sequences import JSequence, level_products
-from .spectra import SpectrumQuery, enumerate_families, free_families
+from .spectra import SpectrumQuery, enumerate_families, free_families, free_level
 
 
 class PoleError(ZeroDivisionError):
@@ -96,17 +102,19 @@ def geometric_continuation(r):
     """The value 1/(1 - r) assigned to sum_{n>=0} r^n for any r != 1.
 
     Inside the unit disc this is the actual sum; outside it is the
-    analytic continuation (so r = 2 gives -1).  Exact for rational r.
+    analytic continuation (so r = 2 gives -1).  Exact for rational r; a
+    float r within 1e-9 of 1 raises PoleError.
     """
-    if r == 1:
-        raise PoleError("geometric series has a pole at ratio 1")
-    if isinstance(r, (int, Fraction)):
-        return Fraction(1, 1) / (1 - Fraction(r))
-    return 1.0 / (1.0 - r)
+    exact = isinstance(r, (int, Fraction))
+    if abs(1 - r) <= (0 if exact else 1e-9):
+        raise PoleError(f"geometric series ratio {r} is at or too near the pole at 1")
+    return Fraction(1, 1) / (1 - Fraction(r)) if exact else 1.0 / (1.0 - r)
 
 
 def _zeta_any(s) -> complex:
     """zeta_R for arbitrary complex s (continuation via mpmath off-domain)."""
+    if s == 1:
+        raise PoleError("zeta_R has a pole at 1")
     if s == -1 or s == 0:
         return complex(float(riemann_zeta(s)), 0.0)
     re = s.real if isinstance(s, complex) else s
@@ -124,21 +132,20 @@ def _periodic_products(seq: JSequence) -> tuple[int, list[int], list[int]]:
     return T, products, js
 
 
-def _closed_form(seq: JSequence, s, value) -> ZetaValue:
-    """The steps every closed form shares, around its own arithmetic.
+def spectral_zeta_periodic(seq: JSequence, s) -> ZetaValue:
+    """Evaluate the continued spectral zeta function of a periodic space.
 
-    Rejects s = 1/2 (see `zeta_limit_half`) and s on the pole lattice,
-    where I_T^(2s) meets I_T 2^T or 2^T.  Then evaluates
-    value(t, I_T^t, I_T^t - I_T 2^T, I_T^t - 2^T) at t = 2s, tags the
-    mode and, for real s, drops an imaginary part that is round-off.
-    A power that overflows or underflows to a zero divisor, or a value
-    that is not finite (|Re s| near 100 and beyond), raises ValueError.
+    Raises PoleError at s = 1/2 (see `zeta_limit_half`) and on (or too
+    near) the pole lattice, where I_T^(2s) meets I_T 2^T or 2^T, and
+    ValueError where a power or the value leaves double range (|Re s|
+    near 100 and beyond).  For real s, a round-off imaginary part is dropped.
     """
+    T, products, js = _periodic_products(seq)
     s = complex(s)
     if s == 0.5:
         raise PoleError("s = 1/2 is a removable singularity; "
                         "use zeta_limit_half for the limit value")
-    T, I_T = len(seq.values), math.prod(seq.values)
+    I_T = products[T]
     t = 2 * s
     try:
         IT2s = complex(I_T) ** t
@@ -147,7 +154,16 @@ def _closed_form(seq: JSequence, s, value) -> ZetaValue:
         for den in (den_loop, den_cross):
             if abs(den) <= 1e-9 * max(abs(IT2s), 1.0):
                 raise PoleError(f"s = {s} lies on the pole lattice")
-        v = value(t, IT2s, den_loop, den_cross)
+        c = 2.0**t if t.imag == 0 else cmath.exp(t * math.log(2))
+        bracket = 0j
+        for p in range(2, T + 2):
+            I_p, I_prev, j_p = products[p], products[p - 1], js[p - 1]
+            Ip2s = complex(I_p) ** t
+            bracket += (IT2s / den_loop) * (2 ** (p - 1) * I_prev * (c / 2 + j_p - 1)) / Ip2s
+            bracket += (IT2s / den_cross) * (2 ** (p - 1) * (1.5 * c - 3)) / Ip2s
+        j1 = js[0]
+        bracket += (2 * c - 4 + j1) / complex(j1) ** t + 1
+        v = _zeta_any(t) * bracket / complex(math.pi) ** t
         if not cmath.isfinite(v):
             raise OverflowError(f"the value rounds to {v}")
     except PoleError:
@@ -161,63 +177,76 @@ def _closed_form(seq: JSequence, s, value) -> ZetaValue:
     return ZetaValue(s, v, mode)
 
 
-def spectral_zeta_periodic(seq: JSequence, s) -> ZetaValue:
-    """Evaluate the continued spectral zeta function of a periodic space.
+def _exact_sqrt(q: Fraction) -> Fraction:
+    """The rational square root of q; raises ArithmeticError if q has none."""
+    root = Fraction(math.isqrt(abs(q.numerator)), math.isqrt(q.denominator))
+    if root * root != q:
+        raise ArithmeticError(f"{q} has no rational square root")
+    return root
 
-    Raises PoleError at (or too near) the pole lattice, and rejects
-    s = 1/2, whose finite limit is computed by `zeta_limit_half`.
+
+def _geometric_terms(a) -> list[tuple[Fraction, Fraction]]:
+    """Exact (c, B) pairs, at most two, with a[m] = sum c B^m for every m.
+
+    Fitted on a[0..3] through the recurrence a[m+2] = e1 a[m+1] + e0 a[m]
+    and checked on every a[m]; raises ArithmeticError when that fails.
     """
-    T, products, js = _periodic_products(seq)
+    a = [Fraction(x) for x in a]
+    det = a[1] * a[1] - a[0] * a[2]
+    if det:                         # the bases solve B^2 = e1 B + e0
+        e1 = (a[1] * a[2] - a[0] * a[3]) / det
+        e0 = (a[1] * a[3] - a[2] * a[2]) / det
+        root = _exact_sqrt(e1 * e1 + 4 * e0)
+        B1, B2 = (e1 + root) / 2, (e1 - root) / 2
+        c2 = (a[1] - a[0] * B1) / (B2 - B1)     # ZeroDivisionError at a double root
+        terms = [(a[0] - c2, B1), (c2, B2)]
+    else:
+        terms = [(a[0], a[1] / a[0])] if a[0] else []
+    if any(sum(c * B**m for c, B in terms) != x for m, x in enumerate(a)):
+        raise ArithmeticError(f"{a} is not a sum of at most two geometric terms")
+    return terms
 
-    def value(t, IT2s, den_loop, den_cross):
-        c = 2.0**t if t.imag == 0 else cmath.exp(t * math.log(2))
-        bracket = 0j
-        for p in range(2, T + 2):
-            I_p, I_prev, j_p = products[p], products[p - 1], js[p - 1]
-            Ip2s = complex(I_p) ** t
-            bracket += (IT2s / den_loop) * (2 ** (p - 1) * I_prev * (c / 2 + j_p - 1)) / Ip2s
-            bracket += (IT2s / den_cross) * (2 ** (p - 1) * (1.5 * c - 3)) / Ip2s
-        j1 = js[0]
-        bracket += (2 * c - 4 + j1) / complex(j1) ** t + 1
-        return _zeta_any(t) * bracket / complex(math.pi) ** t
 
-    return _closed_form(seq, s, value)
+def continued_sum(level, first: int, T: int, I_T: int, power, kfac) -> dict:
+    """A family table's zeta sum over all levels, continued; one total per region.
 
-
-def constant_j_zeta(j: int, s) -> ZetaValue:
-    """Closed form of the spectral zeta function for constant j_n = j.
-
-    Single rational expression in y = j^(2s) and c = 2^(2s):
-
-        zeta_L(s) = zeta_R(2s)/pi^(2s) *
-            (y^2 - jy + 2cy - 6y - 3cj + 8j - c + 2) / ((y - 2j)(y - 2)).
+    level(n) returns the rows of level n.  A row adds multiplicity *
+    kfac[half] * power(rate), where power(x) is x^(-s) and kfac holds the
+    continued sums of k^(-2s), k >= 1, and (k + 1/2)^(-2s), k >= 0.
+    Levels below `first` are summed directly.  On each residue class p
+    from `first` on, levels p + mT must repeat the families with rates
+    times I_T^2; each multiplicity sum c B^m (`_geometric_terms`) then
+    adds c * geometric_continuation(B * power(I_T^2)), whose poles are
+    the zeta poles (Lapidus & van Frankenhuijsen; Steinhurst & Teplyaev).
     """
-    if j < 2:
-        raise ValueError(f"j must be >= 2, got {j}")
+    totals = defaultdict(int)
+    for n in range(first):
+        for fam in level(n):
+            totals[fam.region] += fam.multiplicity * kfac[fam.half] * power(fam.rate)
+    ratio = power(I_T * I_T)
+    for p in range(first, first + T):
+        for rows in zip(*(level(p + m * T) for m in range(5)), strict=True):
+            fam = rows[0]
+            if any(f.name != fam.name or f.rate != fam.rate * I_T ** (2 * m)
+                   for m, f in enumerate(rows)):
+                raise ArithmeticError(f"{fam.name} at level {p} is not periodic in the level")
+            for c, B in _geometric_terms([f.multiplicity for f in rows]):
+                totals[fam.region] += (c * kfac[fam.half] * power(fam.rate)
+                                       * geometric_continuation(B * ratio))
+    return totals
 
-    def value(t, y, y_minus_2j, y_minus_2):
-        c = complex(2) ** t
-        num = y * y - j * y + 2 * c * y - 6 * y - 3 * c * j + 8 * j - c + 2
-        return _zeta_any(t) * num / (y_minus_2j * y_minus_2) / complex(math.pi) ** t
 
-    return _closed_form(JSequence((j,), periodic=True), s, value)
-
-
-def period2_zeta(j1: int, j2: int, s) -> ZetaValue:
-    """Closed form of the spectral zeta function for period-2 sequences."""
-    if j1 < 2 or j2 < 2:
-        raise ValueError("subdivision counts must be >= 2")
-
-    def value(t, I2s, den_loop, den_cross):
-        j1s = complex(j1) ** t
-        c = complex(2) ** t
-        bracket = (2 * j1 / den_loop) * (c / 2 + j2 - 1
-                                         + 2 * j2 * (c / 2 + j1 - 1) / j1s)
-        bracket += ((3 * c - 6) / den_cross) * (1 + 2 / j1s)
-        bracket += (2 * c - 4 + j1) / j1s + 1
-        return _zeta_any(t) * bracket / complex(math.pi) ** t
-
-    return _closed_form(JSequence((j1, j2), periodic=True), s, value)
+def table_zeta(seq: JSequence, s) -> complex:
+    """zeta_L(s) as `continued_sum` over `free_level`, divided by pi^(2s):
+    an oracle for `spectral_zeta_periodic` at any period that shares none
+    of its arithmetic.  Raises PoleError at s = 1/2 and on the poles."""
+    T, products, _ = _periodic_products(seq)
+    t = 2 * complex(s)
+    z = _zeta_any(t)
+    totals = continued_sum(lambda n: free_level(seq, n, math.prod(seq.prefix(n - 1))),
+                           2, T, products[T], lambda x: complex(x) ** (-t / 2),
+                           (z, (2**t - 1) * z))
+    return totals["unit"] / complex(math.pi) ** t
 
 
 def zeta_limit_half(seq: JSequence) -> float:

@@ -1,15 +1,37 @@
 """Regularized plate energy and force."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
 from laakso import PlateConfig, casimir_force, plate_zeta_energy
-from laakso.casimir import _force_coefficients, _zeta_half_coefficients
+from laakso.casimir import _force_coefficients, plate_zeta_coefficients
 from laakso.plates import PlateConfigError
 
 CONFIGS = [(4, 1, 0.2), (5, 2, 0.3), (6, 1, 0.15)]
+
+# (A, B) from the nine hand-written plate mode sums the family table
+# replaced, for every (N, Z) the benchmark's casimir calls use
+HAND_COEFFICIENTS = {
+    (3, 0): (Fraction(-13, 1020), Fraction(76, 255)),
+    (4, 1): (Fraction(5, 1736), Fraction(71, 217)),
+    (5, 0): (Fraction(-11, 882), Fraction(383, 882)),
+    (5, 2): (Fraction(5, 392), Fraction(152, 441)),
+    (6, 1): (Fraction(145, 18744), Fraction(2207, 4686)),
+    (6, 3): (Fraction(367, 18744), Fraction(835, 2343)),
+    (7, 0): (Fraction(-61, 5044), Fraction(2138, 3783)),
+    (7, 2): (Fraction(683, 30264), Fraction(1255, 2522)),
+    (7, 4): (Fraction(31, 1261), Fraction(460, 1261)),
+    (8, 1): (Fraction(161, 15240), Fraction(1156, 1905)),
+    (8, 3): (Fraction(517, 15240), Fraction(1973, 3810)),
+    (8, 5): (Fraction(433, 15240), Fraction(707, 1905)),
+    (9, 0): (Fraction(-97, 8211), Fraction(11393, 16422)),
+    (9, 2): (Fraction(1871, 65688), Fraction(5252, 8211)),
+    (9, 4): (Fraction(1409, 32844), Fraction(8765, 16422)),
+    (9, 6): (Fraction(295, 9384), Fraction(3088, 8211)),
+}
 
 
 def finite_difference_force(N, Z, x0, h=1e-6, hbar=1.0):
@@ -46,7 +68,7 @@ def test_exact_coefficients_match_derivative():
         for Z in range(0, N - 2):
             if (N - (Z + 1)) % 2:
                 continue
-            A, B = _zeta_half_coefficients(N, Z)
+            A, B = plate_zeta_coefficients(N, Z)
             Api, Bpi, Bfree = _force_coefficients(N, Z)
             assert Api == -A / 2
             assert Bpi + Bfree == B
@@ -96,10 +118,34 @@ def test_invalid_configs_rejected_before_evaluation():
 
 
 def test_coefficients_are_exact_rationals():
-    A, B = _zeta_half_coefficients(4, 1)
+    A, B = plate_zeta_coefficients(4, 1)
     assert isinstance(A, Fraction) and isinstance(B, Fraction)
     assert A == Fraction(5, 1736)
     assert B == Fraction(71, 217)
     e = plate_zeta_energy(PlateConfig(4, 1, 0.25))
     assert e.a == pytest.approx(math.pi * float(A) / 2, rel=1e-15)
     assert e.b == pytest.approx(math.pi * float(B) / 2, rel=1e-15)
+
+
+@pytest.mark.parametrize("N,Z", sorted(HAND_COEFFICIENTS))
+def test_table_coefficients_equal_hand_mode_sums(N, Z):
+    A, B = plate_zeta_coefficients(N, Z)
+    assert (A, B) == HAND_COEFFICIENTS[N, Z]
+    assert isinstance(A, Fraction) and isinstance(B, Fraction)
+
+
+@pytest.mark.parametrize("x0,hbar,energy_fits", [
+    (1e-200, 1.0, True),        # x0**2 underflows to 0 in the force
+    (5e-324, 1.0, False),       # a / x0 overflows as well
+    (0.2, 1e308, False),        # hbar * pi overflows
+])
+def test_outside_double_range_raises_value_error(x0, hbar, energy_fits):
+    cfg = PlateConfig(4, 1, x0, hbar=hbar)
+    named = f"(N, Z, x0, hbar) = (4, 1, {x0!r}, {hbar!r}) is outside double range"
+    calls = [casimir_force] if energy_fits else [plate_zeta_energy, casimir_force]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(named)) as exc:
+            call(cfg)
+        assert not isinstance(exc.value, ZeroDivisionError)
+    if energy_fits:
+        assert math.isfinite(plate_zeta_energy(cfg).total)

@@ -242,6 +242,17 @@ def test_casimir_hbar_must_be_finite_and_positive(hbar):
     assert json.loads(err)["error"].startswith("hbar must be finite and positive")
 
 
+@pytest.mark.parametrize("args", ["--X0 1e-200", "--X0 5e-324", "--X0 0.2 --hbar 1e308"])
+def test_casimir_outside_double_range_exits_2(args):
+    # x0**2 underflows to 0, a / x0 overflows, hbar * pi overflows
+    rc, out, err = run(f"casimir --N 4 --Z 1 {args}")
+    assert (rc, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["exit"] == 2
+    assert doc["error"].startswith("(N, Z, x0, hbar) = (4, 1, ")
+    assert "is outside double range" in doc["error"]
+
+
 def test_parser_is_built_once():
     assert cli._parser() is cli._parser()
     assert cli.build_parser() is not cli.build_parser()

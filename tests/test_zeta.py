@@ -9,17 +9,19 @@ import pytest
 from laakso import (
     JSequence,
     PoleError,
-    constant_j_zeta,
     geometric_continuation,
     hurwitz_half_sum,
-    period2_zeta,
+    level_products,
     riemann_zeta,
     spectral_dimension,
     spectral_zeta_direct,
     spectral_zeta_periodic,
+    table_zeta,
     zeta_limit_half,
     zeta_poles,
 )
+from laakso.spectra import free_level
+from laakso.zeta import _geometric_terms
 
 SEQ2 = JSequence((2,), periodic=True)
 SEQ3 = JSequence((3,), periodic=True)
@@ -94,12 +96,11 @@ def test_geometric_continuation_values():
 
 
 # ---------------------------------------------------------------------------
-# closed-form reductions
+# closed-form reductions: the closed form against the family table summed
+# level by level, in the convergent and the continued region
 
-@pytest.mark.parametrize("j", [2, 3, 4, 5])
-def test_periodic_reduces_to_constant_j(j):
-    seq = JSequence((j,), periodic=True)
-    # for period T = 1 the m = -3..3 rows cover every pole with |Im s| < 4
+def _check_against_table(seq):
+    # the m = -3..3 rows cover every pole with |Im s| < 2.7 for I_T <= 30
     poles = zeta_poles(seq, range(-3, 4))
     checked = []
     for s in SAMPLE_POINTS:
@@ -107,38 +108,96 @@ def test_periodic_reduces_to_constant_j(j):
             with pytest.raises(PoleError):
                 spectral_zeta_periodic(seq, s)
             with pytest.raises(PoleError):
-                constant_j_zeta(j, s)
+                table_zeta(seq, s)
             # keep the identity checked right next to the excluded point
             checked += [s - 1e-3, s + 1e-3, s + 0.01j]
         else:
             checked.append(s)
     for s in checked:
         a = spectral_zeta_periodic(seq, s).value
-        b = constant_j_zeta(j, s).value
+        b = table_zeta(seq, s)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), f"s={s}"
+
+
+@pytest.mark.parametrize("j", [2, 3, 4, 5])
+def test_periodic_reduces_to_constant_j(j):
+    _check_against_table(JSequence((j,), periodic=True))
 
 
 @pytest.mark.parametrize("j1,j2", [(2, 3), (3, 2), (3, 4)])
 def test_periodic_reduces_to_period2(j1, j2):
-    seq = JSequence((j1, j2), periodic=True)
-    for s in SAMPLE_POINTS:
-        a = spectral_zeta_periodic(seq, s).value
-        b = period2_zeta(j1, j2, s).value
-        assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), f"s={s}"
+    _check_against_table(JSequence((j1, j2), periodic=True))
+
+
+@pytest.mark.parametrize("values", [(2, 3, 5), (3, 2, 4), (2, 2, 3)])
+def test_periodic_matches_table_at_period3(values):
+    _check_against_table(JSequence(values, periodic=True))
 
 
 def test_constant_j_half_negative_value():
-    got = constant_j_zeta(2, -0.5).value
+    got = spectral_zeta_periodic(SEQ2, -0.5).value
     assert got.imag == 0
     assert got.real == pytest.approx(-5 * math.pi / 28, abs=1e-12)
+    assert table_zeta(SEQ2, -0.5).real == pytest.approx(-5 * math.pi / 28, abs=1e-12)
     # j = 3: -pi/12 (13/8 + 7/68 + 9/40)
     want = -math.pi / 12 * (13 / 8 + 7 / 68 + 9 / 40)
-    assert constant_j_zeta(3, -0.5).value.real == pytest.approx(want, abs=1e-12)
+    assert spectral_zeta_periodic(SEQ3, -0.5).value.real == pytest.approx(want, abs=1e-12)
+    assert table_zeta(SEQ3, -0.5).real == pytest.approx(want, abs=1e-12)
 
 
 def test_constant_j_half_negative_sweep():
     for j in range(2, 11):
-        assert constant_j_zeta(j, -0.5).value.real < 0
+        assert table_zeta(JSequence((j,), periodic=True), -0.5).real < 0
+
+
+# ---------------------------------------------------------------------------
+# the exact geometric fit behind the table sum
+
+@pytest.mark.parametrize("a,terms", [
+    ([0, 0, 0, 0, 0], []),
+    ([3, 6, 12, 24, 48], [(3, 2)]),
+    ([5, 0, 0, 0, 0], [(5, 0)]),
+    ([2, 5, 13, 35, 97], [(1, 3), (1, 2)]),
+    ([0, 2, 12, 56, 240], [(1, 4), (-1, 2)]),      # 4^m - 2^m
+    ([1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)],
+     [(1, Fraction(1, 2))]),
+])
+def test_geometric_terms_fit(a, terms):
+    got = _geometric_terms(a)
+    assert sorted(got) == sorted((Fraction(c), Fraction(B)) for c, B in terms)
+    assert all(isinstance(x, Fraction) for term in got for x in term)
+
+
+@pytest.mark.parametrize("a", [
+    [1, 0, 0, 0, 1],                 # not geometric at all
+    [1, 1, 2, 3, 5],                 # Fibonacci: bases (1 +- sqrt 5)/2
+    [1, 2, 3, 4, 5],                 # a double root: (c0 + c1 m) 1^m
+    [1, 0, -1, 0, 1],                # complex bases +-i
+    [1, 3, 9, 27, 80],               # fits on a[0..3], fails the check at a[4]
+    [0, 0, 1, 2, 4],                 # zero start, nonzero tail
+])
+def test_geometric_terms_reject(a):
+    with pytest.raises(ArithmeticError):
+        _geometric_terms(a)
+
+
+@pytest.mark.parametrize("values", [(2,), (3,), (4,), (2, 3), (3, 2), (2, 3, 5), (3, 2, 4)])
+def test_table_bases_are_the_pole_lattices(values):
+    # each residue class of levels p, p + T, ... of the free table fits as
+    # geometric terms whose bases are exactly 2^T I_T and 2^T: the two
+    # lattices of zeta_poles, at Re 2s = ln B / ln I_T
+    seq = JSequence(values, periodic=True)
+    T, I_T = len(values), math.prod(values)
+    bases = set()
+    for p in range(2, T + 2):
+        levels = [free_level(seq, n, level_products(seq, n - 1)[-1])
+                  for n in range(p, p + 5 * T, T)]
+        for rows in zip(*levels):
+            bases |= {B for _, B in _geometric_terms([f.multiplicity for f in rows])}
+    assert bases == {2**T * I_T, 2**T}
+    lattice = zeta_poles(seq, (0,))
+    assert sorted(lattice, key=abs) == sorted(
+        (complex(math.log(B) / math.log(I_T**2)) for B in bases), key=abs)
 
 
 @pytest.mark.parametrize("seq,s", [(SEQ2, 2.0), (SEQ23, 2.0), (SEQ3, 2.0)])
@@ -171,7 +230,6 @@ def test_pole_real_parts_constant_in_m():
 @pytest.mark.parametrize("seq", [SEQ2, SEQ3, SEQ23])
 def test_poles_zero_the_denominators(seq):
     T = seq.period
-    from laakso import level_products
     I_T = level_products(seq, T)[T]
     for m in (-1, 0, 1):
         loop_pole, cross_pole = zeta_poles(seq, (m,))[:2]
@@ -198,7 +256,9 @@ def test_evaluation_at_pole_raises():
     with pytest.raises(PoleError):
         spectral_zeta_periodic(SEQ2, 1.0)
     with pytest.raises(PoleError):
-        constant_j_zeta(2, 0.5 + 0j * 1)  # s = 1/2 redirects
+        table_zeta(SEQ2, 1.0)
+    with pytest.raises(PoleError):
+        table_zeta(SEQ2, 0.5 + 0j * 1)  # s = 1/2: zeta_R(2s) has its pole
     with pytest.raises(PoleError):
         spectral_zeta_periodic(SEQ2, 0.5)
 
