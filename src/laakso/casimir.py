@@ -121,8 +121,8 @@ def casimir_force(cfg: PlateConfig) -> CasimirForce:
     A, B = plate_zeta_coefficients(cfg.N, cfg.Z)
     Api, Bpi, Bfree = _force_coefficients(cfg.N, cfg.Z)
     x0 = cfg.x0
-    if x0**2 == 0:
-        _in_double_range(cfg, math.inf)     # 1/x0^2 overflows
+    if x0**2 == 0:                          # 1/x0^2 overflows: raise
+        _in_double_range(cfg, math.inf)
     oracle = cfg.hbar * math.pi * float(-A / 2) / x0**2 \
         + cfg.hbar * math.pi * float(B) / (1 - 2 * x0) ** 2
     transcribed = cfg.hbar * (

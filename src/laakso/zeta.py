@@ -203,7 +203,7 @@ def _geometric_terms(a) -> list[tuple[Fraction, Fraction]]:
     else:
         terms = [(a[0], a[1] / a[0])] if a[0] else []
     if any(sum(c * B**m for c, B in terms) != x for m, x in enumerate(a)):
-        raise ArithmeticError(f"{a} is not a sum of at most two geometric terms")
+        raise ArithmeticError(f"{list(map(str, a))} is not a sum of at most two geometric terms")
     return terms
 
 
@@ -229,7 +229,7 @@ def continued_sum(level, first: int, T: int, I_T: int, power, kfac) -> dict:
             fam = rows[0]
             if any(f.name != fam.name or f.rate != fam.rate * I_T ** (2 * m)
                    for m, f in enumerate(rows)):
-                raise ArithmeticError(f"{fam.name} at level {p} is not periodic in the level")
+                raise ArithmeticError(f"{fam.name} at level {p} does not repeat every {T} levels")
             for c, B in _geometric_terms([f.multiplicity for f in rows]):
                 totals[fam.region] += (c * kfac[fam.half] * power(fam.rate)
                                        * geometric_continuation(B * ratio))
@@ -237,9 +237,9 @@ def continued_sum(level, first: int, T: int, I_T: int, power, kfac) -> dict:
 
 
 def table_zeta(seq: JSequence, s) -> complex:
-    """zeta_L(s) as `continued_sum` over `free_level`, divided by pi^(2s):
-    an oracle for `spectral_zeta_periodic` at any period that shares none
-    of its arithmetic.  Raises PoleError at s = 1/2 and on the poles."""
+    """zeta_L(s) as `continued_sum` over `free_level`, divided by pi^(2s): an
+    independent oracle for `spectral_zeta_periodic` at any period.  Raises
+    PoleError at s = 1/2 and on the poles."""
     T, products, _ = _periodic_products(seq)
     t = 2 * complex(s)
     z = _zeta_any(t)
