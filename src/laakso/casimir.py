@@ -66,8 +66,7 @@ def plate_zeta_coefficients(N: int, Z: int) -> tuple[Fraction, Fraction]:
 def _in_double_range(cfg: PlateConfig, *values: float) -> tuple[float, ...]:
     """The values, if all are finite doubles; else ValueError naming cfg."""
     if not all(map(math.isfinite, values)):
-        raise ValueError(f"(N, Z, x0, hbar) = ({cfg.N}, {cfg.Z}, {cfg.x0!r}, {cfg.hbar!r}) is "
-                         f"outside double range: {min(values, key=math.isfinite)} in the result")
+        raise cfg.outside_double_range(f"{min(values, key=math.isfinite)} in the result")
     return values
 
 

@@ -85,3 +85,8 @@ class PlateConfig:
     def exterior_scale(self) -> Fraction:
         """Exterior cell lengths are exterior_scale / I_n."""
         return (1 - 2 * self.x0_exact) / Fraction(self.N - (self.Z + 1), self.N)
+
+    def outside_double_range(self, detail: str) -> ValueError:
+        """The error for a quantity of this configuration that no double holds."""
+        return ValueError(f"(N, Z, x0, hbar) = ({self.N}, {self.Z}, {self.x0!r}, "
+                          f"{self.hbar!r}) is outside double range: {detail}")

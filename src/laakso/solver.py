@@ -35,19 +35,48 @@ one (one thread of a 2-core VM, 20 eigenpairs, dense against row-flip:
 2.4 against 2.7 ms at 140 nodes, 4.7 against 2.5 ms at 242, 1.3 s
 against 12 ms at 1944).  `solve_lowest` on the assembled H is also the
 reduction's oracle.
+
+scipy loads on the first solve, not at import: the commands that never
+solve (`describe`, `census`, `spectrum`, `zeta`, `casimir`) would spend
+most of their start-up importing it.  The first `discretize` or row-flip
+solve loads `scipy.sparse` and `eigh_tridiagonal` together, so a warm-up
+solve pays for every later one; `eigsh`, the heaviest import, loads only
+when the shift-invert branch first looks it up.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import eigsh
 
 from .graphs import QuantumGraph
+
+if TYPE_CHECKING:
+    from scipy import sparse
+
+
+@functools.cache
+def _scipy():
+    """(scipy.sparse, eigh_tridiagonal), imported together on first use."""
+    from scipy import sparse
+    from scipy.linalg import eigh_tridiagonal
+
+    return sparse, eigh_tridiagonal
+
+
+def __getattr__(name: str):
+    # PEP 562: `laakso.solver.eigsh` resolves on first lookup; solve_lowest
+    # calls it through the module, so patching the name intercepts the call
+    if name == "eigsh":
+        from scipy.sparse.linalg import eigsh
+
+        return eigsh
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class MeshError(ValueError):
@@ -130,6 +159,10 @@ class DiscretizedOperator:
         return float(abs(d).max()) if d.nnz else 0.0
 
 
+# Overflow and division by zero in the assembly end as non-finite entries,
+# which discretize and reduce_rows reject with MeshError; numpy's warnings
+# would only print ahead of that error.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def discretize(graph: QuantumGraph, mesh: int, potential: Potential
                ) -> DiscretizedOperator:
     """Assemble the symmetric finite-difference Hamiltonian.
@@ -146,7 +179,7 @@ def discretize(graph: QuantumGraph, mesh: int, potential: Potential
     DiscretizedOperator
         Second-order accurate; matrix exactly symmetric by construction;
         conducting vertices and wall nodes (|V| >= potential.cutoff)
-        eliminated.
+        eliminated.  MeshError if an entry is outside double range.
     """
     if mesh < 2:
         raise MeshError(f"mesh must have at least 2 interior points, got {mesh}")
@@ -225,6 +258,9 @@ def discretize(graph: QuantumGraph, mesh: int, potential: Potential
     hval *= s[col]
     hval *= val
     hval[at_diag] += V[idx]
+    if not np.isfinite(hval).all():
+        raise MeshError(f"discretize: H on {n} kept nodes (mesh {M}) is outside double range")
+    sparse, _ = _scipy()
     H = sparse.csr_matrix((hval, col, indptr), shape=(n, n))
     H.eliminate_zeros()       # a diagonal that cancels exactly is not stored
     return DiscretizedOperator(
@@ -289,13 +325,15 @@ class RowFlipOperator:
                                np.outer(chi, interior).ravel()])
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")     # as in discretize
 def reduce_rows(graph: QuantumGraph, mesh: int, potential: Potential
                 ) -> RowFlipOperator:
     """Split the Hamiltonian `discretize(graph, mesh, potential)` assembles
     into its row-flip segments, without assembling it.
 
     Reads only the graph's columns: birth levels, x, the length class of
-    each column's cell and the conducting columns.
+    each column's cell and the conducting columns.  MeshError if an entry
+    of T is outside double range.
     """
     if mesh < 2:
         raise MeshError(f"mesh must have at least 2 interior points, got {mesh}")
@@ -323,6 +361,9 @@ def reduce_rows(graph: QuantumGraph, mesh: int, potential: Potential
     s = 1.0 / np.sqrt(mass)
     diag = stiff * (s * s) + np.where(cut, 0.0, V)
     off = -w * (s[:-1] * s[1:])
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise MeshError(f"reduce_rows: T on {len(xs)} path nodes (mesh {M}) "
+                        "is outside double range")
 
     # A column born at level m >= 1 is Dirichlet for the characters holding
     # row bit n - m.  Pad each character's cut nodes with the two path ends
@@ -362,6 +403,7 @@ def _count_negative(diag, off, starts, stops) -> np.ndarray:
 def _segment_eigh(op: RowFlipOperator, i: int, lo: int, hi: int, vectors: bool):
     """Eigenpairs lo..hi-1 (by index) of segment i."""
     a, b = op.starts[i], op.stops[i]
+    _, eigh_tridiagonal = _scipy()
     return eigh_tridiagonal(op.diag[a:b], op.off[a:b - 1], eigvals_only=not vectors,
                             select="i", select_range=(lo, hi - 1), lapack_driver="stemr")
 
@@ -445,6 +487,7 @@ def solve_lowest(op: DiscretizedOperator, count: int, mode: str = "auto",
         # ARPACK's default ncv = 2k + 1 is too small a Krylov space when a
         # degenerate cluster straddles the k_solve boundary
         ncv = min(dim, 3 * k_solve)
+        eigsh = sys.modules[__name__].eigsh       # the module name: a patch of it applies
         try:
             vals, vecs = eigsh(H, k=k_solve, sigma=sigma, which="LM", ncv=ncv,
                                v0=_start_vector(dim), maxiter=5000)

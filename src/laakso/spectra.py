@@ -526,8 +526,15 @@ def interior_shape_counts(seq: JSequence, n: int, region: str = "well"
 # conducting plates
 
 def plate_scales(cfg: PlateConfig) -> dict[str, float]:
-    """lambda = pi^2 q / scale: x0^2 inside the plates, (1-2 x0)^2 outside."""
-    return {"interior": cfg.x0 * cfg.x0, "exterior": (1 - 2 * cfg.x0) ** 2}
+    """lambda = pi^2 q / scale: x0^2 inside the plates, (1-2 x0)^2 outside.
+
+    Raises ValueError naming cfg if a scale underflows to 0 or is not finite.
+    """
+    scales = {"interior": cfg.x0 * cfg.x0, "exterior": (1 - 2 * cfg.x0) ** 2}
+    for region, scale in scales.items():
+        if not 0 < scale < math.inf:
+            raise cfg.outside_double_range(f"the {region} scale is {scale!r}")
+    return scales
 
 
 def plate_level(N: int, Z: int, n: int) -> list[Family]:

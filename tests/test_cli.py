@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import time
 
@@ -251,6 +252,66 @@ def test_casimir_outside_double_range_exits_2(args):
     assert doc["exit"] == 2
     assert doc["error"].startswith("(N, Z, x0, hbar) = (4, 1, ")
     assert "is outside double range" in doc["error"]
+
+
+def test_plate_spectrum_outside_double_range_exits_2():
+    # x0**2 underflows to 0, and lambda = pi^2 q / x0^2 divided by it
+    rc, out, err = run("spectrum --kind plates --plates 3,0,1e-200 --lambda-max 1e9")
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "(N, Z, x0, hbar) = (3, 0, 1e-200, 1.0) is outside double range: "
+                 "the interior scale is 0.0",
+        "exit": 2}
+
+
+@pytest.mark.parametrize("x0", ["1e-200", "5e-324"])
+def test_plate_solve_outside_double_range_exits_2(x0):
+    # the mass-scaled stiffness of the interior cells overflows (1e-200) or
+    # divides by a zero step (5e-324); it used to print NaN eigenvalues
+    rc, out, err = run(f"solve --j 5 --periodic --level 1 --plates 5,0,{x0} --count 2")
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "reduce_rows: T on 41 path nodes (mesh 7) is outside double range",
+        "exit": 2}
+
+
+# One call through laakso.cli.main in a new interpreter; prints the exit code
+# and the scipy modules loaded by then.
+_FRESH_CALL = """\
+import contextlib, io, json, sys
+import laakso.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = laakso.cli.main(sys.argv[1:])
+print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def _fresh_call(argv: str) -> tuple[int, list[str]]:
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_CALL, *argv.split()],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120, check=True)
+    return tuple(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("argv", [
+    "describe --j 2 --periodic",
+    "zeta --j 2 --periodic --s 2",
+    "casimir --N 5 --Z 0 --X0 0.2",
+    "spectrum --kind free --j 2 --periodic --lambda-max 100",
+    "census --j 2 --periodic --level 2",
+])
+def test_commands_that_never_solve_load_no_scipy(argv):
+    assert _fresh_call(argv) == (0, [])
+
+
+def test_first_solve_loads_what_every_solve_needs():
+    # the dense warm-up solve loads the row-flip path's eigh_tridiagonal too,
+    # so no later solve imports inside its own time; eigsh stays unloaded
+    rc, loaded = _fresh_call("solve --j 2 --periodic --level 1 --count 2")
+    assert rc == 0
+    assert {"scipy.sparse", "scipy.linalg"} <= set(loaded)
+    assert "scipy.sparse.linalg" not in loaded
 
 
 def test_parser_is_built_once():

@@ -502,6 +502,34 @@ def test_export_matrix_roundtrip(tmp_path):
         assert vals[(c, r)] == v
 
 
+def test_shift_invert_calls_the_patchable_eigsh(monkeypatch):
+    # laakso.solver.eigsh resolves on first lookup (PEP 562); a patch of the
+    # name must still intercept the shift-invert call
+    import laakso.solver
+    from scipy.sparse.linalg import eigsh
+
+    assert laakso.solver.eigsh is eigsh
+
+    def patched(*args, **kwargs):
+        raise RuntimeError("patched eigsh")
+
+    monkeypatch.setattr(laakso.solver, "eigsh", patched)
+    op = discretize(build_graph(SEQ2, 5), 7, Potential("free"))
+    assert op.dimension > laakso.solver._DENSE_LIMIT
+    with pytest.raises(ConvergenceError, match="patched eigsh"):
+        solve_lowest(op, 5)
+
+
+def test_entries_outside_double_range_raise_mesh_error():
+    g = build_graph(JSequence((5,), periodic=True), 1, plates=PlateConfig(5, 0, 1e-200))
+    with pytest.raises(MeshError, match=r"^reduce_rows: T on 41 path nodes \(mesh 7\) is "
+                                        "outside double range$"):
+        reduce_rows(g, 7, Potential("free"))
+    with pytest.raises(MeshError, match=r"^discretize: H on 76 kept nodes \(mesh 7\) is "
+                                        "outside double range$"):
+        discretize(g, 7, Potential("free"))
+
+
 def test_lowest_mode_rejects_potential_below_shift():
     # shift-invert at sigma = -10 misses eigenvalues below it: unchecked,
     # this solve returned 16.8 while the true bottom is about -9527.5
