@@ -40,15 +40,14 @@ scipy loads on the first solve, not at import: the commands that never
 solve (`describe`, `census`, `spectrum`, `zeta`, `casimir`) would spend
 most of their start-up importing it.  The first `discretize` or row-flip
 solve loads `scipy.sparse` and `eigh_tridiagonal` together, so a warm-up
-solve pays for every later one; `eigsh`, the heaviest import, loads only
-when the shift-invert branch first looks it up.
+solve pays for every later one; scipy's `eigsh`, the heaviest import,
+loads only when the shift-invert branch first calls it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -69,14 +68,11 @@ def _scipy():
     return sparse, eigh_tridiagonal
 
 
-def __getattr__(name: str):
-    # PEP 562: `laakso.solver.eigsh` resolves on first lookup; solve_lowest
-    # calls it through the module, so patching the name intercepts the call
-    if name == "eigsh":
-        from scipy.sparse.linalg import eigsh
+def eigsh(*args, **kwargs):
+    """scipy.sparse.linalg.eigsh, imported on the first call."""
+    from scipy.sparse.linalg import eigsh
 
-        return eigsh
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return eigsh(*args, **kwargs)
 
 
 class MeshError(ValueError):
@@ -487,7 +483,6 @@ def solve_lowest(op: DiscretizedOperator, count: int, mode: str = "auto",
         # ARPACK's default ncv = 2k + 1 is too small a Krylov space when a
         # degenerate cluster straddles the k_solve boundary
         ncv = min(dim, 3 * k_solve)
-        eigsh = sys.modules[__name__].eigsh       # the module name: a patch of it applies
         try:
             vals, vecs = eigsh(H, k=k_solve, sigma=sigma, which="LM", ncv=ncv,
                                v0=_start_vector(dim), maxiter=5000)
