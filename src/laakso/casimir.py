@@ -82,11 +82,13 @@ def plate_zeta_energy(cfg: PlateConfig) -> RegularizedEnergy:
     return RegularizedEnergy(*_in_double_range(cfg, a, b, a / cfg.x0 + b / (1 - 2 * cfg.x0)))
 
 
+@functools.cache
 def _force_coefficients(N: int, Z: int) -> tuple[Fraction, Fraction, Fraction]:
     """Exact coefficients of the transcribed 14-term force expression.
 
     F = hbar [ pi (Api/x0^2 + Bpi/(1-2x0)^2) + Bfree/(1-2x0)^2 ];
-    Bfree is the one term published without a factor of pi.
+    Bfree is the one term published without a factor of pi.  Cached, as
+    `plate_zeta_coefficients` is: they depend on (N, Z) alone.
     """
     alpha = Fraction(N - Z - 1, N)
     d2N = Fraction(1, 1 - 2 * N)

@@ -143,6 +143,25 @@ def _spectrum_to_json(kind: str, lambda_max: float, policy: str, spectrum) -> st
     return ",\n".join(items)
 
 
+_TRACE_JSON = '    {\n      "row": "%s",\n      "value": %.17g,\n      "x": %.17g\n    }'
+
+
+def _trace_to_json(eigenvalue: float, trace) -> str:
+    """The trace document exactly as `render_json` prints it, one `%`
+    template per node (row labels are 0, 1 and *, so they need no
+    escaping)."""
+    rows = ",\n".join([_TRACE_JSON % (row, val, x) for x, row, val in trace])
+    return ('{\n  "eigenvalue": %.17g,\n  "trace": %s\n}'
+            % (eigenvalue, "[\n" + rows + "\n  ]" if rows else "[]"))
+
+
+def _trace_to_csv(trace) -> str:
+    rows = ["x,row,value"]
+    rows += ["%.17g,%s,%.17g" % node for node in trace]
+    rows.append("")                     # the closing newline
+    return "\n".join(rows)
+
+
 def _lines_to_csv(spectrum) -> str:
     rows = ["lambda,multiplicity,sources"]
     rows += ["%.17g,%d,%s" % line for line in _line_fields(spectrum, "%s:%d:%%d", ";")]
@@ -371,12 +390,8 @@ def _cmd_solve(args):
     if args.trace is not None:
         trace = eigenfunction_trace(op, result, args.trace)
         if args.format == "csv":
-            rows = ["x,row,value"]
-            rows += [f"{_fmt(x)},{row},{_fmt(val)}" for x, row, val in trace]
-            return "\n".join(rows) + "\n"
-        return {"eigenvalue": float(result.eigenvalues[args.trace]),
-                "trace": [{"x": x, "row": row, "value": val}
-                          for x, row, val in trace]}
+            return _trace_to_csv(trace)
+        return _trace_to_json(float(result.eigenvalues[args.trace]), trace)
     clusters = cluster(result, args.cluster_tol)
     return {
         "dim": op.dimension,

@@ -26,20 +26,24 @@ walls and conducting columns.  Cut at its Dirichlet nodes, a block falls
 into segments.  A segment whose end columns are Dirichlet only through S
 and born at levels R, and whose inner columns are born at levels B, lies
 in 2^(n - |R u B|) blocks, and in none if R and B meet: the closed-form
-multiplicities of the paper, at the discrete level.  `reduce_rows` and
-`solve_row_flip` solve each distinct segment once as a tridiagonal
-problem and never assemble H.  `solve` runs them above 200 kept nodes
-and `discretize` + `solve_lowest` at or below it: 200 is the measured
-crossover, below which the dense solve of the assembled H is the faster
-one (one thread of a 2-core VM, 20 eigenpairs, dense against row-flip:
-2.4 against 2.7 ms at 140 nodes, 4.7 against 2.5 ms at 242, 1.3 s
-against 12 ms at 1944).  `solve_lowest` on the assembled H is also the
+multiplicities of the paper, at the discrete level.  `reduce_rows` keeps
+each distinct segment once, and `solve_row_flip` solves them as
+tridiagonal problems without assembling H.  Segments at different
+places can still carry the same T (the paper's families repeat), so
+within one call each distinct problem, T's bytes and the index window
+asked of it, goes to LAPACK once: the eigenvalues of the 184 segments
+of the free j = 2, n = 6 solve (count 20) take 23 calls.  `solve` runs
+them above 200 kept nodes and `discretize` + `solve_lowest` at or below
+it: 200 is the measured crossover, below which the dense solve of the
+assembled H is the faster one (one thread of a 2-core VM, 20 eigenpairs,
+dense against row-flip: 2.4 against 2.7 ms at 140 nodes, 4.7 against
+2.5 ms at 242, 1.3 s against 12 ms at 1944).  `solve_lowest` on the assembled H is also the
 reduction's oracle.
 
 scipy loads on the first solve, not at import: the commands that never
 solve (`describe`, `census`, `spectrum`, `zeta`, `casimir`) would spend
 most of their start-up importing it.  The first `discretize` or row-flip
-solve loads `scipy.sparse` and `eigh_tridiagonal` together, so a warm-up
+solve loads `scipy.sparse` and LAPACK's `dstemr` together, so a warm-up
 solve pays for every later one; scipy's `eigsh`, the heaviest import,
 loads only when the shift-invert branch first calls it.
 """
@@ -61,11 +65,11 @@ if TYPE_CHECKING:
 
 @functools.cache
 def _scipy():
-    """(scipy.sparse, eigh_tridiagonal), imported together on first use."""
+    """(scipy.sparse, dstemr, dstemr_lwork), imported together on first use."""
     from scipy import sparse
-    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.lapack import dstemr, dstemr_lwork
 
-    return sparse, eigh_tridiagonal
+    return sparse, dstemr, dstemr_lwork
 
 
 def eigsh(*args, **kwargs):
@@ -256,7 +260,7 @@ def discretize(graph: QuantumGraph, mesh: int, potential: Potential
     hval[at_diag] += V[idx]
     if not np.isfinite(hval).all():
         raise MeshError(f"discretize: H on {n} kept nodes (mesh {M}) is outside double range")
-    sparse, _ = _scipy()
+    sparse = _scipy()[0]
     H = sparse.csr_matrix((hval, col, indptr), shape=(n, n))
     H.eliminate_zeros()       # a diagonal that cancels exactly is not stored
     return DiscretizedOperator(
@@ -396,12 +400,25 @@ def _count_negative(diag, off, starts, stops) -> np.ndarray:
     return count
 
 
-def _segment_eigh(op: RowFlipOperator, i: int, lo: int, hi: int, vectors: bool):
-    """Eigenpairs lo..hi-1 (by index) of segment i."""
-    a, b = op.starts[i], op.stops[i]
-    _, eigh_tridiagonal = _scipy()
-    return eigh_tridiagonal(op.diag[a:b], op.off[a:b - 1], eigvals_only=not vectors,
-                            select="i", select_range=(lo, hi - 1), lapack_driver="stemr")
+def _segment_eigh(d: np.ndarray, e: np.ndarray, lo: int, hi: int, vectors: bool):
+    """Eigenvalues lo..hi-1 (by index) of the tridiagonal T with diagonal d
+    and off-diagonal e, and with `vectors` their eigenvectors (columns).
+
+    LAPACK's MRRR driver dstemr, called with the arguments scipy's
+    `eigh_tridiagonal(d, e, select="i", select_range=(lo, hi - 1),
+    lapack_driver="stemr")` passes it (e padded to length N), so the
+    output is bit for bit the same, without that wrapper's validation.
+    """
+    _, dstemr, dstemr_lwork = _scipy()
+    e_n = np.zeros(len(d))
+    e_n[:-1] = e
+    lwork, liwork, info = dstemr_lwork(d, e_n, 2, 0.0, 1.0, lo + 1, hi, compute_v=vectors)
+    if info == 0:
+        m, w, v, info = dstemr(d, e_n, 2, 0.0, 1.0, lo + 1, hi, compute_v=vectors,
+                               lwork=lwork, liwork=liwork)
+    if info != 0:
+        raise ConvergenceError(f"dstemr failed (info={info}) on a segment of {len(d)} nodes")
+    return (w[:m], v[:, :m]) if vectors else w[:m]
 
 
 @dataclass
@@ -426,9 +443,25 @@ def _start_vector(dim: int) -> np.ndarray:
     return 1.1 + np.cos(0.7 * np.arange(dim))
 
 
+def _relative_norms(R: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """||R[:, i]|| / ||vecs[:, i]|| for each column i.
+
+    The plain 2-norm squares the entries and overflows beyond about
+    1e154; only a column where it does is recomputed with both columns
+    scaled by their largest |entry|.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.linalg.norm(R, axis=0) / np.linalg.norm(vecs, axis=0)
+        for i in np.flatnonzero(~np.isfinite(out)):
+            r, v = np.abs(R[:, i]).max(), np.abs(vecs[:, i]).max()
+            if np.isfinite(r) and r > 0 and np.isfinite(v) and v > 0:
+                out[i] = (np.linalg.norm(R[:, i] / r) / np.linalg.norm(vecs[:, i] / v)
+                          * (r / v))
+    return out
+
+
 def _residuals(H, vals, vecs) -> np.ndarray:
-    R = H @ vecs - vecs * vals[None, :]
-    return np.linalg.norm(R, axis=0) / np.linalg.norm(vecs, axis=0)
+    return _relative_norms(H @ vecs - vecs * vals[None, :], vecs)
 
 
 def solve_lowest(op: DiscretizedOperator, count: int, mode: str = "auto",
@@ -518,13 +551,17 @@ def solve_lowest(op: DiscretizedOperator, count: int, mode: str = "auto",
 def solve_row_flip(op: RowFlipOperator, count: int, mode: str = "auto") -> EigenResult:
     """The eigenvalues `solve_lowest` returns, from the row-flip segments.
 
-    Modes are those of `solve_lowest`.  Each distinct segment is solved
-    once by index with LAPACK's MRRR driver (stemr): 'lowest' takes the
-    bottom of every segment, so it finds the true bottom of the spectrum
-    for any potential, and 'nearest_zero' takes a window around each
-    segment's count of negative eigenvalues.  A segment eigenvalue
-    counts weights[i] times; its c-th copy belongs to the segment's c-th
-    character, so a degenerate eigenspace gets a canonical basis.
+    Modes are those of `solve_lowest`.  Each segment is solved by index
+    with LAPACK's MRRR driver (dstemr, `_segment_eigh`): 'lowest' takes
+    the bottom of every segment, so it finds the true bottom of the
+    spectrum for any potential, and 'nearest_zero' takes a window around
+    each segment's count of negative eigenvalues.  Segments with the same
+    T and window share one LAPACK call, in the values pass and in the
+    vectors pass; info["segment_solves"] counts the calls made, next to
+    info["segments"].  Masses, residuals and characters are still taken
+    per segment.  A segment eigenvalue counts weights[i] times; its c-th
+    copy belongs to the segment's c-th character, so a degenerate
+    eigenspace gets a canonical basis.
 
     Eigenvectors are the path functions f (columns on the path nodes,
     zero off their segment, unit discrete L2); `characters` holds each
@@ -552,7 +589,19 @@ def solve_row_flip(op: RowFlipOperator, count: int, mode: str = "auto") -> Eigen
         neg = _count_negative(op.diag, op.off, starts, stops)
         lo = np.maximum(neg - k, 0)
         k = np.minimum(stops - starts, neg + k) - lo
-    cand = [_segment_eigh(op, i, lo[i], lo[i] + k[i], False) for i in range(len(k))]
+    # Segments repeat (the paper's families), so each distinct problem,
+    # T's bytes and the index window, goes to LAPACK once per call.
+    memo = {}
+
+    def segment_eigh(i, lo_i, hi_i, vectors):
+        a, b = starts[i], stops[i]
+        d, e = op.diag[a:b], op.off[a:b - 1]
+        key = (d.tobytes(), e.tobytes(), lo_i, hi_i, vectors)
+        if key not in memo:
+            memo[key] = _segment_eigh(d, e, lo_i, hi_i, vectors)
+        return memo[key]
+
+    cand = [segment_eigh(i, lo[i], lo[i] + k[i], False) for i in range(len(k))]
     vals = np.concatenate(cand)
     seg = np.repeat(np.arange(len(k)), k)
     idx = np.concatenate([np.arange(lo[i], lo[i] + k[i]) for i in range(len(k))])
@@ -571,20 +620,20 @@ def solve_row_flip(op: RowFlipOperator, count: int, mode: str = "auto") -> Eigen
         cols = np.flatnonzero(seg[pick] == i)
         want = idx[pick[cols]]
         first = int(want.min())
-        lam, g = _segment_eigh(op, i, first, int(want.max()) + 1, True)
-        lam, g = lam[want - first], g[:, want - first]
-        a, b = op.starts[i], op.stops[i]
+        lam, g = segment_eigh(i, first, int(want.max()) + 1, True)
+        lam, g = lam[want - first], g[:, want - first]      # copies: the memo stays intact
+        a, b = starts[i], stops[i]
         e = op.off[a:b - 1, None]
         r = op.diag[a:b, None] * g - g * lam
         r[:-1] += e * g[1:]
         r[1:] += e * g[:-1]
         out[cols] = lam
-        res[cols] = np.linalg.norm(r, axis=0) / np.linalg.norm(g, axis=0)
+        res[cols] = _relative_norms(r, g)
         funcs[a:b, cols] = g / np.sqrt(op.mass[a:b])[:, None]
         characters[cols] = op.pair_character[op.pair_segment == i][copy[cols]]
     o = np.argsort(out, kind="stable")
     info = {"method": "row-flip", "mode": mode, "dim": dim, "characters": 1 << op.graph.level,
-            "segments": len(k)}
+            "segments": len(k), "segment_solves": len(memo)}
     if np.any(res > _RESIDUAL_TOL):
         raise ConvergenceError(
             f"residuals up to {res.max():.3e} exceed {_RESIDUAL_TOL:.0e} "
