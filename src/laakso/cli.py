@@ -155,13 +155,6 @@ def _trace_to_json(eigenvalue: float, trace) -> str:
             % (eigenvalue, "[\n" + rows + "\n  ]" if rows else "[]"))
 
 
-def _trace_to_csv(trace) -> str:
-    rows = ["x,row,value"]
-    rows += ["%.17g,%s,%.17g" % node for node in trace]
-    rows.append("")                     # the closing newline
-    return "\n".join(rows)
-
-
 def _lines_to_csv(spectrum) -> str:
     rows = ["lambda,multiplicity,sources"]
     rows += ["%.17g,%d,%s" % line for line in _line_fields(spectrum, "%s:%d:%%d", ";")]
@@ -390,7 +383,7 @@ def _cmd_solve(args):
     if args.trace is not None:
         trace = eigenfunction_trace(op, result, args.trace)
         if args.format == "csv":
-            return _trace_to_csv(trace)
+            return "x,row,value\n" + "".join(["%.17g,%s,%.17g\n" % node for node in trace])
         return _trace_to_json(float(result.eigenvalues[args.trace]), trace)
     clusters = cluster(result, args.cluster_tol)
     return {

@@ -410,6 +410,7 @@ def _segment_eigh(d: np.ndarray, e: np.ndarray, lo: int, hi: int, vectors: bool)
     output is bit for bit the same, without that wrapper's validation.
     """
     _, dstemr, dstemr_lwork = _scipy()
+    # range 2 selects by 1-based index il..iu; vl and vu are then unused
     e_n = np.zeros(len(d))
     e_n[:-1] = e
     lwork, liwork, info = dstemr_lwork(d, e_n, 2, 0.0, 1.0, lo + 1, hi, compute_v=vectors)
@@ -448,13 +449,13 @@ def _relative_norms(R: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
     The plain 2-norm squares the entries and overflows beyond about
     1e154; only a column where it does is recomputed with both columns
-    scaled by their largest |entry|.
+    scaled by their largest |entry|.  A column of R holding inf stays inf.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.linalg.norm(R, axis=0) / np.linalg.norm(vecs, axis=0)
         for i in np.flatnonzero(~np.isfinite(out)):
             r, v = np.abs(R[:, i]).max(), np.abs(vecs[:, i]).max()
-            if np.isfinite(r) and r > 0 and np.isfinite(v) and v > 0:
+            if np.isfinite(r):
                 out[i] = (np.linalg.norm(R[:, i] / r) / np.linalg.norm(vecs[:, i] / v)
                           * (r / v))
     return out

@@ -127,6 +127,18 @@ def test_coefficients_are_exact_rationals():
     assert e.b == pytest.approx(math.pi * float(B) / 2, rel=1e-15)
 
 
+def test_force_coefficients_are_computed_once_per_plate_count():
+    # pure in (N, Z): a second force at another x0 or hbar reuses them
+    first = casimir_force(PlateConfig(9, 4, 0.2))
+    hits = _force_coefficients.cache_info().hits
+    again = casimir_force(PlateConfig(9, 4, 0.2))
+    assert _force_coefficients.cache_info().hits == hits + 1
+    assert again == first
+    scaled = casimir_force(PlateConfig(9, 4, 0.3, hbar=2.0))
+    assert _force_coefficients.cache_info().hits == hits + 2
+    assert scaled != first
+
+
 @pytest.mark.parametrize("N,Z", sorted(HAND_COEFFICIENTS))
 def test_table_coefficients_equal_hand_mode_sums(N, Z):
     A, B = plate_zeta_coefficients(N, Z)

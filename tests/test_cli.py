@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -51,6 +52,11 @@ GOLDEN = {
     "solve_dense": "solve --j 2 --periodic --level 1 --mesh 4 --count 6",
     "solve_trace_csv":
         "solve --j 2 --periodic --level 1 --mesh 3 --count 4 --trace 1 --format csv",
+    # 492 kept nodes: the row-flip path
+    "solve_row_flip": "solve --j 2 --periodic --level 3 --count 8",
+    "solve_row_flip_trace": "solve --j 2 --periodic --level 3 --count 8 --trace 2",
+    "solve_row_flip_trace_csv":
+        "solve --j 2 --periodic --level 3 --count 8 --trace 2 --format csv",
     "zeta_continued": "zeta --j 2,3 --periodic --s=-1.5,40",
     "zeta_limit": "zeta --j 3 --periodic --s 0.5",
     "casimir": "casimir --N 7 --Z 2 --X0 0.15",
@@ -337,6 +343,32 @@ def test_back_to_back_calls_share_no_state():
     assert (rc, err) == (0, "")
     with open(_golden_path("casimir")) as fh:
         assert out == fh.read()
+
+
+@pytest.mark.parametrize("seq,n,method", [((2,), 1, "dense"), ((2,), 3, "row-flip")])
+def test_trace_writer_matches_render_json(seq, n, method):
+    graph = cli.build_graph(JSequence(seq, periodic=True), n)
+    op, result = cli.solve(graph, 5, cli.Potential("coulomb"), 6)
+    assert result.info["method"] == method
+    trace = cli.eigenfunction_trace(op, result, 4)
+    eigenvalue = float(result.eigenvalues[4])
+    doc = {"eigenvalue": eigenvalue,
+           "trace": [{"x": x, "row": row, "value": val} for x, row, val in trace]}
+    assert cli._trace_to_json(eigenvalue, trace) == cli.render_json(doc)
+
+
+@pytest.mark.parametrize("x0", ["1e-150", "1e-100"])
+def test_plate_widths_near_double_range_fail_cleanly(x0):
+    # entries near 1e302 are finite, but squaring residual entries
+    # overflowed: stderr read "residuals up to inf" after numpy warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        rc, out, err = run(f"solve --j 5 --periodic --level 1 --plates 5,0,{x0} --count 2")
+    assert (rc, out) == (3, "")
+    doc = json.loads(err)
+    assert doc["exit"] == 3
+    residual = float(doc["error"].split()[3])
+    assert math.isfinite(residual) and residual > 1e-8
 
 
 def test_pole_error_message():

@@ -401,6 +401,86 @@ def test_row_flip_lift_character_signs():
         assert np.array_equal(u[:g.num_vertices], chi[g.vertex_rows()])
 
 
+def _segment_problems():
+    """(d, e) of every segment of a free, a square-well, a Coulomb and a
+    plates op, then a 1-node and a 2-node problem."""
+    for seq, n, plates, pot in [(SEQ2, 4, None, "free"), (SEQ2, 4, None, "square_well"),
+                                (SEQ23, 3, None, "coulomb"),
+                                (PLATES5[0], 2, PLATES5[1], "free")]:
+        rop = reduce_rows(build_graph(seq, n, plates=plates), 7, Potential(pot))
+        for a, b in zip(rop.starts, rop.stops):
+            yield rop.diag[a:b], rop.off[a:b - 1]
+    yield np.array([2.5]), np.array([])
+    yield np.array([2.5, -1.25]), np.array([0.75])
+
+
+def test_segment_eigh_matches_eigh_tridiagonal():
+    # the direct dstemr call is bit for bit scipy's wrapper, with index
+    # windows at both ends of the spectrum
+    from scipy.linalg import eigh_tridiagonal
+
+    from laakso.solver import _segment_eigh
+
+    problems = 0
+    for d, e in _segment_problems():
+        N = len(d)
+        for lo, hi in {(0, min(3, N)), (max(N - 3, 0), N), (N // 2, N // 2 + 1)}:
+            w = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                 select_range=(lo, hi - 1), lapack_driver="stemr")
+            assert _segment_eigh(d, e, lo, hi, False).tobytes() == w.tobytes()
+            w, v = eigh_tridiagonal(d, e, select="i", select_range=(lo, hi - 1),
+                                    lapack_driver="stemr")
+            lam, g = _segment_eigh(d, e, lo, hi, True)
+            assert lam.tobytes() == w.tobytes()
+            assert g.shape == v.shape and g.tobytes() == v.tobytes()
+        problems += 1
+    assert problems > 100
+
+
+def _counted_segment_eigh(monkeypatch):
+    """Patch `_segment_eigh` to log the `vectors` flag of every call."""
+    import laakso.solver
+
+    calls = []
+    inner = laakso.solver._segment_eigh
+
+    def counted(d, e, lo, hi, vectors):
+        calls.append(vectors)
+        return inner(d, e, lo, hi, vectors)
+
+    monkeypatch.setattr(laakso.solver, "_segment_eigh", counted)
+    return calls
+
+
+def test_segment_solves_count_lapack_calls(monkeypatch):
+    # the free segments repeat, so far fewer LAPACK calls than segments
+    calls = _counted_segment_eigh(monkeypatch)
+    r = solve_row_flip(reduce_rows(build_graph(SEQ2, 6), 7, Potential("free")), 20)
+    assert r.info["segments"] == 184
+    assert r.info["segment_solves"] == len(calls) < 184 // 4
+    assert 0 < calls.count(True) <= 20
+
+
+def test_parabolic_segments_are_all_distinct(monkeypatch):
+    # no two segments see the same V = 1/(x(1-x)), so the values pass
+    # makes one LAPACK call per segment
+    calls = _counted_segment_eigh(monkeypatch)
+    r = solve_row_flip(reduce_rows(build_graph(SEQ2, 6), 7, Potential("parabolic")), 20)
+    assert calls.count(False) == r.info["segments"] == 184
+    assert r.info["segment_solves"] == len(calls) > r.info["segments"]
+
+
+def test_memoized_solve_leaves_shared_arrays_intact():
+    # two calls on one op share nothing, and a call's arrays are its own
+    rop = reduce_rows(build_graph(SEQ2, 5), 7, Potential("free"))
+    r1 = solve_row_flip(rop, 20)
+    r1.eigenvalues[:] = 0.0
+    r1.eigenvectors[:] = 0.0
+    r2 = solve_row_flip(rop, 20)
+    assert r2.eigenvalues[0] != 0.0 and np.abs(r2.eigenvectors).max() > 0.0
+    assert r2.info["segment_solves"] < r2.info["segments"]
+
+
 @pytest.mark.parametrize("seq,n,dim,method", [
     (JSequence((3,), periodic=True), 2, 140, "dense"),
     (SEQ2, 3, 244, "row-flip"),
@@ -525,6 +605,22 @@ def test_entries_outside_double_range_raise_mesh_error():
     with pytest.raises(MeshError, match=r"^discretize: H on 76 kept nodes \(mesh 7\) is "
                                         "outside double range$"):
         discretize(g, 7, Potential("free"))
+
+
+def test_relative_norms_rescale_only_columns_that_overflow():
+    from laakso.solver import _relative_norms
+
+    rng = np.random.default_rng(5)
+    R, V = rng.standard_normal((30, 4)), rng.standard_normal((30, 4))
+    plain = np.linalg.norm(R, axis=0) / np.linalg.norm(V, axis=0)
+    big = R.copy()
+    big[:, 1] *= 1e200                 # squares overflow; the norm does not
+    with np.errstate(over="raise"):
+        got = _relative_norms(big, V)
+    assert np.array_equal(got[[0, 2, 3]], plain[[0, 2, 3]])
+    assert got[1] == pytest.approx(1e200 * plain[1], rel=1e-14)
+    R[0, 3] = np.inf                   # an overflowed residual stays infinite
+    assert _relative_norms(R, V)[3] == np.inf
 
 
 def test_lowest_mode_rejects_potential_below_shift():
