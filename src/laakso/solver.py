@@ -419,7 +419,8 @@ def _segment_eigh(d: np.ndarray, e: np.ndarray, lo: int, hi: int, vectors: bool)
                                lwork=lwork, liwork=liwork)
     if info != 0:
         raise ConvergenceError(f"dstemr failed (info={info}) on a segment of {len(d)} nodes")
-    return (w[:m], v[:, :m]) if vectors else w[:m]
+    # v is N x N whatever m is; a copy of its m columns lets it go
+    return (w[:m], v[:, :m].copy(order="K")) if vectors else w[:m]
 
 
 @dataclass

@@ -21,9 +21,13 @@ from laakso import (
     ConvergenceError,
     JSequence,
     PlateConfig,
+    Potential,
     SpectrumQuery,
+    build_graph,
+    eigenfunction_trace,
     free_spectrum,
     plates_spectrum,
+    solve,
     square_well_spectrum,
 )
 from laakso import cli
@@ -347,10 +351,10 @@ def test_back_to_back_calls_share_no_state():
 
 @pytest.mark.parametrize("seq,n,method", [((2,), 1, "dense"), ((2,), 3, "row-flip")])
 def test_trace_writer_matches_render_json(seq, n, method):
-    graph = cli.build_graph(JSequence(seq, periodic=True), n)
-    op, result = cli.solve(graph, 5, cli.Potential("coulomb"), 6)
+    graph = build_graph(JSequence(seq, periodic=True), n)
+    op, result = solve(graph, 5, Potential("coulomb"), 6)
     assert result.info["method"] == method
-    trace = cli.eigenfunction_trace(op, result, 4)
+    trace = eigenfunction_trace(op, result, 4)
     eigenvalue = float(result.eigenvalues[4])
     doc = {"eigenvalue": eigenvalue,
            "trace": [{"x": x, "row": row, "value": val} for x, row, val in trace]}
