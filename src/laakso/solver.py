@@ -37,8 +37,8 @@ them above 200 kept nodes and `discretize` + `solve_lowest` at or below
 it: 200 is the measured crossover, below which the dense solve of the
 assembled H is the faster one (one thread of a 2-core VM, 20 eigenpairs,
 dense against row-flip: 2.4 against 2.7 ms at 140 nodes, 4.7 against
-2.5 ms at 242, 1.3 s against 12 ms at 1944).  `solve_lowest` on the assembled H is also the
-reduction's oracle.
+2.5 ms at 242, 1.3 s against 12 ms at 1944).  `solve_lowest` on the
+assembled H is also the reduction's oracle.
 
 scipy loads on the first solve, not at import: the commands that never
 solve (`describe`, `census`, `spectrum`, `zeta`, `casimir`) would spend
@@ -410,9 +410,9 @@ def _segment_eigh(d: np.ndarray, e: np.ndarray, lo: int, hi: int, vectors: bool)
     output is bit for bit the same, without that wrapper's validation.
     """
     _, dstemr, dstemr_lwork = _scipy()
-    # range 2 selects by 1-based index il..iu; vl and vu are then unused
     e_n = np.zeros(len(d))
     e_n[:-1] = e
+    # range 2 selects by 1-based index il..iu; vl and vu are then unused
     lwork, liwork, info = dstemr_lwork(d, e_n, 2, 0.0, 1.0, lo + 1, hi, compute_v=vectors)
     if info == 0:
         m, w, v, info = dstemr(d, e_n, 2, 0.0, 1.0, lo + 1, hi, compute_v=vectors,
