@@ -37,15 +37,14 @@ them above 200 kept nodes and `discretize` + `solve_lowest` at or below
 it: 200 is the measured crossover, below which the dense solve of the
 assembled H is the faster one (one thread of a 2-core VM, 20 eigenpairs,
 dense against row-flip: 2.4 against 2.7 ms at 140 nodes, 4.7 against
-2.5 ms at 242, 1.3 s against 12 ms at 1944).  `solve_lowest` on the
-assembled H is also the reduction's oracle.
+2.5 ms at 242, 1.3 s against 12 ms at 1944).  `solve_lowest`, that
+dense solve, is also the reduction's oracle.
 
 scipy loads on the first solve, not at import: the commands that never
 solve (`describe`, `census`, `spectrum`, `zeta`, `casimir`) would spend
 most of their start-up importing it.  The first `discretize` or row-flip
 solve loads `scipy.sparse` and LAPACK's `dstemr` together, so a warm-up
-solve pays for every later one; scipy's `eigsh`, the heaviest import,
-loads only when the shift-invert branch first calls it.
+solve pays for every later one.
 """
 
 from __future__ import annotations
@@ -73,7 +72,8 @@ def _scipy():
 
 
 def eigsh(*args, **kwargs):
-    """scipy.sparse.linalg.eigsh, imported on the first call."""
+    """scipy.sparse.linalg.eigsh, imported on the first call.  Nothing in the
+    package calls it; the benchmark's tracer wraps the name (ROADMAP item 1)."""
     from scipy.sparse.linalg import eigsh
 
     return eigsh(*args, **kwargs)
@@ -109,7 +109,7 @@ class Potential:
             raise ValueError(f"unknown potential kind {self.kind!r}")
         if self.kind == "custom" and not callable(self.func):
             raise ValueError("custom potential needs a callable func")
-        if self.cutoff <= 0:
+        if not self.cutoff > 0:        # NaN too: |V| < nan would wall every node
             raise ValueError("cutoff must be positive")
 
     def values(self, x: np.ndarray) -> np.ndarray:
@@ -159,6 +159,26 @@ class DiscretizedOperator:
         return float(abs(d).max()) if d.nnz else 0.0
 
 
+def _lengths(graph: QuantumGraph, mesh: int) -> np.ndarray:
+    """The graph's lengths as floats; MeshError for mesh < 2 or a length <= 0."""
+    if mesh < 2:
+        raise MeshError(f"mesh must have at least 2 interior points, got {mesh}")
+    lengths = np.array([float(x) for x in graph.lengths])
+    if np.any(lengths <= 0):
+        raise MeshError("degenerate edge length")
+    return lengths
+
+
+def _potential_at(potential: Potential, xs: np.ndarray) -> np.ndarray:
+    """V at the nodes xs; MeshError unless it holds one value per node, none NaN."""
+    V = potential.values(xs)
+    if V.shape != xs.shape:
+        raise MeshError(f"potential returned shape {V.shape}, expected {xs.shape}")
+    if np.isnan(V).any():
+        raise MeshError(f"potential is NaN at x = {xs[np.isnan(V)][0]!r}")
+    return V
+
+
 # Overflow and division by zero in the assembly end as non-finite entries,
 # which discretize and reduce_rows reject with MeshError; numpy's warnings
 # would only print ahead of that error.
@@ -181,12 +201,8 @@ def discretize(graph: QuantumGraph, mesh: int, potential: Potential
         conducting vertices and wall nodes (|V| >= potential.cutoff)
         eliminated.  MeshError if an entry is outside double range.
     """
-    if mesh < 2:
-        raise MeshError(f"mesh must have at least 2 interior points, got {mesh}")
+    lengths = _lengths(graph, mesh)
     nv, ne, M = graph.num_vertices, graph.num_cells, mesh
-    lengths = np.array([float(x) for x in graph.lengths])
-    if np.any(lengths <= 0):
-        raise MeshError("degenerate edge length")
     h = lengths[graph.length_class] / (M + 1)
     w = 1.0 / h                        # weight of every link of a cell
     eu, ev = graph.u, graph.v
@@ -206,9 +222,7 @@ def discretize(graph: QuantumGraph, mesh: int, potential: Potential
     xs[:nv] = xv
     xs[nv:] = (xv[eu][:, None] + t[None, :] * (xv[ev] - xv[eu])[:, None]).ravel()
 
-    V = potential.values(xs)
-    if np.isnan(V).any():
-        raise MeshError(f"potential is NaN at x = {xs[np.isnan(V)][0]!r}")
+    V = _potential_at(potential, xs)
     keep = np.abs(V) < potential.cutoff
     keep[graph.conducting_ids()] = False
     idx = np.flatnonzero(keep)
@@ -335,12 +349,8 @@ def reduce_rows(graph: QuantumGraph, mesh: int, potential: Potential
     each column's cell and the conducting columns.  MeshError if an entry
     of T is outside double range.
     """
-    if mesh < 2:
-        raise MeshError(f"mesh must have at least 2 interior points, got {mesh}")
+    lengths = _lengths(graph, mesh)
     n, I_n, M = graph.level, graph.columns, mesh
-    lengths = np.array([float(x) for x in graph.lengths])
-    if np.any(lengths <= 0):
-        raise MeshError("degenerate edge length")
     # cell k of row 0 has id k; link p joins path nodes p and p + 1
     h = np.repeat(lengths[graph.length_class[:I_n]] / (M + 1), M + 1)
     w = 1.0 / h
@@ -353,9 +363,7 @@ def reduce_rows(graph: QuantumGraph, mesh: int, potential: Potential
     xs = np.empty(len(h) + 1)
     xs[::M + 1] = xv
     xs[:-1].reshape(I_n, M + 1)[:, 1:] = xv[:-1, None] + t[None, :] * (xv[1:] - xv[:-1])[:, None]
-    V = potential.values(xs)
-    if np.isnan(V).any():
-        raise MeshError(f"potential is NaN at x = {xs[np.isnan(V)][0]!r}")
+    V = _potential_at(potential, xs)
     cut = ~(np.abs(V) < potential.cutoff)
     cut[np.asarray(graph.conducting_columns(), dtype=np.int64) * (M + 1)] = True
     s = 1.0 / np.sqrt(mass)
@@ -435,14 +443,8 @@ class EigenResult:
         return len(self.eigenvalues)
 
 
-_DENSE_LIMIT = 2000        # solve_lowest: dense eigh up to here, shift-invert above
 _SOLVE_DENSE_LIMIT = 200   # solve: dense up to here, row-flip above (module docstring)
 _RESIDUAL_TOL = 1e-8
-
-
-def _start_vector(dim: int) -> np.ndarray:
-    # fixed, generic start vector keeps ARPACK runs bit-reproducible
-    return 1.1 + np.cos(0.7 * np.arange(dim))
 
 
 def _relative_norms(R: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -462,30 +464,9 @@ def _relative_norms(R: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _residuals(H, vals, vecs) -> np.ndarray:
-    return _relative_norms(H @ vecs - vecs * vals[None, :], vecs)
-
-
-def solve_lowest(op: DiscretizedOperator, count: int, mode: str = "auto",
-                 keep_vectors: bool = True) -> EigenResult:
-    """Solve for eigenvalues at the physical end of the spectrum.
-
-    mode 'lowest' returns the `count` algebraically smallest eigenvalues.
-    Above the dense limit it shift-inverts at sigma = -10, which reaches
-    the bottom of the spectrum only when H >= sigma; the mass-scaled
-    kinetic part is positive semidefinite, so H >= min V, and a potential
-    whose minimum over the kept nodes is below sigma raises ValueError.
-    mode 'nearest_zero' returns the
-    `count` eigenvalues closest to zero, the meaningful window for the
-    Coulomb potential: the discretized -1/(x-1/2)^2 is unbounded below
-    as h -> 0, so its lowest eigenvalues are mesh artifacts far below
-    zero.  'auto' picks 'nearest_zero' for Coulomb and 'lowest'
-    otherwise.
-
-    Raises ConvergenceError if any residual exceeds 1e-8.  Walls are
-    eliminated in `discretize`, so no refinement follows the solve and
-    info["polish_rounds"] is always 0.
-    """
+def _window(op, count: int, mode: str) -> str:
+    """The mode `count` eigenpairs of op are asked in ('auto': 'nearest_zero'
+    for Coulomb, else 'lowest'); ValueError for a bad count or mode."""
     dim = op.dimension
     if not 1 <= count <= dim:
         raise ValueError(f"count must be in 1..{dim}, got {count}")
@@ -493,52 +474,45 @@ def solve_lowest(op: DiscretizedOperator, count: int, mode: str = "auto",
         mode = "nearest_zero" if op.potential.kind == "coulomb" else "lowest"
     if mode not in ("lowest", "nearest_zero"):
         raise ValueError(f"unknown mode {mode!r}")
+    return mode
 
-    H = op.matrix
-    if dim <= _DENSE_LIMIT:
-        vals, vecs = np.linalg.eigh(H.toarray())
-        if mode == "lowest":
-            sel = np.arange(count)
-        else:
-            sel = np.sort(np.argsort(np.abs(vals), kind="stable")[:count])
-        vals, vecs = vals[sel], vecs[:, sel]
-        info = {"method": "dense", "mode": mode, "dim": dim}
-    else:
-        sigma = -10.0 if mode == "lowest" else 0.0
-        if mode == "lowest":
-            v_min = float(op.potential.values(op.xs[op.kept]).min())
-            if v_min < sigma:
-                raise ValueError(
-                    f"mode 'lowest' cannot reach the bottom of the spectrum: "
-                    f"min V = {v_min:.6g} is below the shift sigma = {sigma:g} "
-                    f"(dim={dim}); use mode='nearest_zero'")
-        # the outermost Ritz pairs converge worst; solve a few extra and
-        # keep only the requested window
-        k_solve = min(dim - 1, count + max(3, count // 20))
-        # ARPACK's default ncv = 2k + 1 is too small a Krylov space when a
-        # degenerate cluster straddles the k_solve boundary
-        ncv = min(dim, 3 * k_solve)
-        try:
-            vals, vecs = eigsh(H, k=k_solve, sigma=sigma, which="LM", ncv=ncv,
-                               v0=_start_vector(dim), maxiter=5000)
-        except Exception as exc:     # ARPACK failures surface with context
-            raise ConvergenceError(f"eigensolve failed ({mode}, dim={dim}): {exc}")
-        if mode == "lowest":
-            sel = np.argsort(vals, kind="stable")[:count]
-        else:
-            sel = np.argsort(np.abs(vals), kind="stable")[:count]
-        sel = sel[np.argsort(vals[sel], kind="stable")]
-        vals, vecs = vals[sel], vecs[:, sel]
-        info = {"method": "shift-invert", "mode": mode, "sigma": sigma, "dim": dim}
 
-    res = _residuals(H, vals, vecs)
+def _contract(res: np.ndarray, info: dict):
+    """ConvergenceError if a residual exceeds 1e-8, else record residual_max
+    and polish_rounds (0: walls are eliminated, so no refinement follows)."""
     if np.any(res > _RESIDUAL_TOL):
         raise ConvergenceError(
             f"residuals up to {res.max():.3e} exceed {_RESIDUAL_TOL:.0e} "
-            f"({info['method']}, dim={dim})"
+            f"({info['method']}, dim={info['dim']})"
         )
     info["residual_max"] = float(res.max())
     info["polish_rounds"] = 0
+
+
+def solve_lowest(op: DiscretizedOperator, count: int, mode: str = "auto",
+                 keep_vectors: bool = True) -> EigenResult:
+    """Dense eigensolve of the assembled H, the row-flip reduction's oracle.
+
+    It holds about 16 dim^2 bytes (H as a dense array and its
+    eigenvectors); `solve` calls it at or below 200 kept nodes only.
+    mode 'lowest' returns the `count` algebraically smallest eigenvalues,
+    'nearest_zero' the `count` closest to zero: the meaningful window for
+    the Coulomb potential, whose discretized -1/(x-1/2)^2 is unbounded
+    below as h -> 0, so its lowest eigenvalues are mesh artifacts far
+    below zero.  'auto' picks 'nearest_zero' for Coulomb and 'lowest'
+    otherwise.  Raises ConvergenceError if any residual exceeds 1e-8.
+    """
+    mode = _window(op, count, mode)
+    H = op.matrix
+    vals, vecs = np.linalg.eigh(H.toarray())
+    if mode == "lowest":
+        sel = np.arange(count)
+    else:
+        sel = np.sort(np.argsort(np.abs(vals), kind="stable")[:count])
+    vals, vecs = vals[sel], vecs[:, sel]
+    res = _relative_norms(H @ vecs - vecs * vals[None, :], vecs)
+    info = {"method": "dense", "mode": mode, "dim": op.dimension}
+    _contract(res, info)
 
     funcs = None
     if keep_vectors:
@@ -572,14 +546,7 @@ def solve_row_flip(op: RowFlipOperator, count: int, mode: str = "auto") -> Eigen
     equals that of the lifted pair under H.  Raises ConvergenceError if
     any residual exceeds 1e-8.
     """
-    dim = op.dimension
-    if not 1 <= count <= dim:
-        raise ValueError(f"count must be in 1..{dim}, got {count}")
-    if mode == "auto":
-        mode = "nearest_zero" if op.potential.kind == "coulomb" else "lowest"
-    if mode not in ("lowest", "nearest_zero"):
-        raise ValueError(f"unknown mode {mode!r}")
-
+    mode = _window(op, count, mode)
     starts, stops, weights = op.starts, op.stops, op.weights
     # An eigenvalue of a segment with w copies is picked only if fewer
     # than count / w of the segment's eigenvalues come before it; one more
@@ -634,15 +601,9 @@ def solve_row_flip(op: RowFlipOperator, count: int, mode: str = "auto") -> Eigen
         funcs[a:b, cols] = g / np.sqrt(op.mass[a:b])[:, None]
         characters[cols] = op.pair_character[op.pair_segment == i][copy[cols]]
     o = np.argsort(out, kind="stable")
-    info = {"method": "row-flip", "mode": mode, "dim": dim, "characters": 1 << op.graph.level,
-            "segments": len(k), "segment_solves": len(memo)}
-    if np.any(res > _RESIDUAL_TOL):
-        raise ConvergenceError(
-            f"residuals up to {res.max():.3e} exceed {_RESIDUAL_TOL:.0e} "
-            f"({info['method']}, dim={dim})"
-        )
-    info["residual_max"] = float(res.max())
-    info["polish_rounds"] = 0
+    info = {"method": "row-flip", "mode": mode, "dim": op.dimension,
+            "characters": 1 << op.graph.level, "segments": len(k), "segment_solves": len(memo)}
+    _contract(res, info)
     return EigenResult(out[o], funcs[:, o], res[o], info, characters[o])
 
 

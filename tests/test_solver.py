@@ -1,17 +1,14 @@
 """Discretization and eigensolver behavior on small graphs."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from scipy import sparse
+from shift_invert import shift_invert_eigenvalues
 
 import laakso
 from laakso import (
-    ConvergenceError,
     JSequence,
     PlateConfig,
     Potential,
@@ -59,6 +56,9 @@ def test_potential_validation():
         Potential("custom")
     with pytest.raises(ValueError):
         Potential("free", cutoff=-1.0)
+    with pytest.raises(ValueError):
+        Potential("free", cutoff=math.nan)    # |V| < nan would wall every node
+    assert Potential("free", cutoff=math.inf).cutoff == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +155,17 @@ def test_nan_potential_is_not_a_wall():
         discretize(build_graph(SEQ2, 1), 4, pot)
 
 
+def test_potential_of_the_wrong_shape_raises_mesh_error():
+    # a custom func must return one value per node
+    g = build_graph(SEQ2, 1)
+    for build, n in [(discretize, len(g.vertices) + len(g.edges) * 4),
+                     (reduce_rows, g.columns * 5 + 1)]:
+        for func, got in [(lambda x: 5.0, "()"), (lambda x: x[1:], f"({n - 1},)")]:
+            with pytest.raises(MeshError) as err:
+                build(g, 4, Potential("custom", func=func))
+            assert str(err.value) == f"potential returned shape {got}, expected ({n},)"
+
+
 def test_trace_zero_on_eliminated_nodes():
     cases = [
         (build_graph(SEQ23, 2), 20, "coulomb", lambda x, row: x == 0.5),
@@ -172,37 +183,23 @@ def test_trace_zero_on_eliminated_nodes():
         assert max(abs(v) for _, _, v in trace) > 0
 
 
-def test_square_well_shift_invert_regression():
-    # The 631.5 cluster (multiplicity >= 11) straddles k_solve = 23.  With
-    # ARPACK's default ncv = 2k + 1 this solve misses the contract under
-    # single-threaded BLAS, as the CLI benchmark runs it; the thread count
-    # must be set before numpy is imported, hence the child process.
-    code = (
-        "from laakso import JSequence, Potential, build_graph, discretize, solve_lowest\n"
-        "g = build_graph(JSequence((2,), periodic=True), 6)\n"
-        "r = solve_lowest(discretize(g, 7, Potential('square_well')), 20)\n"
-        "print(r.info['method'], r.info['polish_rounds'], float(r.residuals.max()))\n"
-    )
-    src = os.path.dirname(os.path.dirname(laakso.__file__))
-    env = dict(os.environ, PYTHONPATH=src, LAAKSO_THREADS="1", OMP_NUM_THREADS="1",
-               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    method, rounds, res = proc.stdout.split()
-    assert (method, rounds) == ("shift-invert", "0")
-    assert float(res) <= 1e-8
-
-
 def test_mesh_and_count_validation():
     g = build_graph(SEQ2, 1)
-    with pytest.raises(MeshError):
-        discretize(g, 1, Potential("free"))
+    for build in (discretize, reduce_rows):
+        with pytest.raises(MeshError, match="^mesh must have at least 2 interior points, got 1$"):
+            build(g, 1, Potential("free"))
     op = discretize(g, 4, Potential("free"))
-    with pytest.raises(ValueError):
-        solve_lowest(op, 0)
-    with pytest.raises(ValueError):
-        solve_lowest(op, op.dimension + 1)
+    rop = reduce_rows(g, 4, Potential("free"))
+    dim = op.dimension
+    assert rop.dimension == dim
+    # both solvers reject a request with the same words
+    for count, mode, message in [(0, "auto", f"count must be in 1..{dim}, got 0"),
+                                 (dim + 1, "auto", f"count must be in 1..{dim}, got {dim + 1}"),
+                                 (1, "highest", "unknown mode 'highest'")]:
+        for solver, o in [(solve_lowest, op), (solve_row_flip, rop)]:
+            with pytest.raises(ValueError) as err:
+                solver(o, count, mode)
+            assert str(err.value) == message
 
 
 def test_mesh_convergence_second_order():
@@ -281,6 +278,9 @@ def _close(got, want, rel):
     (PLATES5[0], 2, PLATES5[1], Potential("free")),
     (PLATES5[0], 2, PLATES5[1], Potential("square_well")),
     (SEQ23, 3, None, SINE),
+    # bottom near -9532: 'lowest' has no floor on V
+    pytest.param(SEQ23, 3, None, Potential("custom", func=lambda x: -1e4 * x),
+                 id="2,3-3-None-steep"),
 ], ids=_case_id)
 def test_row_flip_full_spectrum(seq, n, plates, pot):
     # the union of the segment spectra, with multiplicity, is the spectrum of H
@@ -314,14 +314,16 @@ def test_row_flip_full_spectrum(seq, n, plates, pot):
      "nearest_zero"),
 ], ids=_case_id)
 def test_row_flip_matches_full_path(seq, n, plates, pot, mode):
+    # against ARPACK on the assembled H, where a dense solve is slow
     g = build_graph(seq, n, plates=plates)
     op = discretize(g, 7, pot)
     rop = reduce_rows(g, 7, pot)
     assert rop.dimension == op.dimension > 2000
     r = solve_row_flip(rop, 20, mode)
-    ref = solve_lowest(op, 20, mode)
-    assert (r.info["mode"], r.info["method"]) == (ref.info["mode"], "row-flip")
-    assert _close(r.eigenvalues, ref.eigenvalues, 1e-9)
+    if mode == "auto":
+        mode = "nearest_zero" if pot.kind == "coulomb" else "lowest"
+    assert (r.info["mode"], r.info["method"]) == (mode, "row-flip")
+    assert _close(r.eigenvalues, shift_invert_eigenvalues(op, 20, mode), 1e-9)
     assert r.info["residual_max"] == r.residuals.max() <= 1e-8
     assert r.info["characters"] == 2**n
     assert r.info["segments"] == len(rop.starts)
@@ -582,21 +584,6 @@ def test_export_matrix_roundtrip(tmp_path):
         assert vals[(c, r)] == v
 
 
-def test_shift_invert_calls_the_patchable_eigsh(monkeypatch):
-    # laakso.solver.eigsh imports scipy's eigsh only when called; a patch of
-    # the name must still intercept the shift-invert call
-    import laakso.solver
-
-    def patched(*args, **kwargs):
-        raise RuntimeError("patched eigsh")
-
-    monkeypatch.setattr(laakso.solver, "eigsh", patched)
-    op = discretize(build_graph(SEQ2, 5), 7, Potential("free"))
-    assert op.dimension > laakso.solver._DENSE_LIMIT
-    with pytest.raises(ConvergenceError, match="patched eigsh"):
-        solve_lowest(op, 5)
-
-
 def test_entries_outside_double_range_raise_mesh_error():
     g = build_graph(JSequence((5,), periodic=True), 1, plates=PlateConfig(5, 0, 1e-200))
     with pytest.raises(MeshError, match=r"^reduce_rows: T on 41 path nodes \(mesh 7\) is "
@@ -621,12 +608,3 @@ def test_relative_norms_rescale_only_columns_that_overflow():
     assert got[1] == pytest.approx(1e200 * plain[1], rel=1e-14)
     R[0, 3] = np.inf                   # an overflowed residual stays infinite
     assert _relative_norms(R, V)[3] == np.inf
-
-
-def test_lowest_mode_rejects_potential_below_shift():
-    # shift-invert at sigma = -10 misses eigenvalues below it: unchecked,
-    # this solve returned 16.8 while the true bottom is about -9527.5
-    op = discretize(build_graph(SEQ2, 5), 7, Potential("custom", func=lambda x: -1e4 * x))
-    assert op.dimension > 2000
-    with pytest.raises(ValueError, match="nearest_zero"):
-        solve_lowest(op, 5, mode="lowest")

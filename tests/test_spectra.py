@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from shift_invert import shift_invert_eigenvalues
 
 from laakso import (
     JSequence,
@@ -139,7 +140,7 @@ def test_well_zero_multiplicity_suppressed():
 def test_well_matches_eigensolve_level4():
     lines = square_well_spectrum(SEQ23, SpectrumQuery(700.0))
     op = discretize(build_graph(SEQ23, 4), 8, Potential("square_well"))
-    result = solve_lowest(op, 20)
+    result = shift_invert_eigenvalues(op, 20, "lowest")
     clusters = cluster(result, 1.2e-2)
     for lam, mult in as_pairs(lines):
         matched = [c for c in clusters if abs(c[0] - lam) <= 0.05 * lam]
@@ -203,7 +204,7 @@ def test_plates_match_eigensolve():
     lines = plates_spectrum(cfg, SpectrumQuery(500.0))
     op = discretize(build_graph(seq, 3, plates=cfg), 8, Potential("free"))
     count = sum(l.multiplicity for l in lines)
-    result = solve_lowest(op, count + 3)
+    result = shift_invert_eigenvalues(op, count + 3, "lowest")
     clusters = cluster(result, 1e-2)
     for lam, mult in as_pairs(lines):
         matched = [c for c in clusters if abs(c[0] - lam) <= 0.02 * lam]
