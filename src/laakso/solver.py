@@ -40,17 +40,23 @@ dense against row-flip: 2.4 against 2.7 ms at 140 nodes, 4.7 against
 2.5 ms at 242, 1.3 s against 12 ms at 1944).  `solve_lowest`, that
 dense solve, is also the reduction's oracle.
 
-scipy loads on the first solve, not at import: the commands that never
-solve (`describe`, `census`, `spectrum`, `zeta`, `casimir`) would spend
-most of their start-up importing it.  The first `discretize` or row-flip
-solve loads `scipy.sparse` and LAPACK's `dstemr` together, so a warm-up
-solve pays for every later one.
+The commands that never solve (`describe`, `census`, `spectrum`, `zeta`,
+`casimir`) would spend most of their start-up importing scipy, and even
+`solve` needs only two kernels: numpy's `eigh` for the dense path and
+LAPACK's `dstemr` for the row-flip segments.  So no scipy package is
+imported at all: `_lapack` loads scipy's `_flapack` extension straight
+from its file (the same shared object `scipy.linalg.lapack` wraps, so
+the bits are the same), and `discretize` keeps H as numpy CSR arrays,
+which `solve_lowest` scatters and multiplies itself.  Every `solve`
+loads `_flapack`, so a warm-up solve pays for every later one.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -63,12 +69,30 @@ if TYPE_CHECKING:
 
 
 @functools.cache
-def _scipy():
-    """(scipy.sparse, dstemr, dstemr_lwork), imported together on first use."""
-    from scipy import sparse
-    from scipy.linalg.lapack import dstemr, dstemr_lwork
+def _lapack():
+    """(dstemr, dstemr_lwork) from scipy's `_flapack` extension, loaded from
+    its file without running `scipy/linalg/__init__.py`.
 
-    return sparse, dstemr, dstemr_lwork
+    The module goes into sys.modules under its own name, so a later
+    `import scipy.linalg` wraps this very module.
+    """
+    import importlib.machinery as machinery
+    import importlib.util
+
+    import scipy
+
+    where = os.path.join(scipy.__path__[0], "linalg")
+    finder = machinery.FileFinder(where, (machinery.ExtensionFileLoader,
+                                          machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"no _flapack extension in {where}")
+    mod = sys.modules.get(spec.name)
+    if mod is None:
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        sys.modules[spec.name] = mod
+    return mod.dstemr, mod.dstemr_lwork
 
 
 def eigsh(*args, **kwargs):
@@ -138,11 +162,15 @@ class Potential:
 class DiscretizedOperator:
     """Symmetric matrix realization of a Hamiltonian on a quantum graph.
 
-    The matrix acts on the kept nodes, `kept` indexes them among all
-    nodes; eliminated nodes (walls, conducting vertices) are Dirichlet.
+    H acts on the kept nodes, `kept` indexes them among all nodes;
+    eliminated nodes (walls, conducting vertices) are Dirichlet.  H is
+    held as CSR arrays (rows ascending, columns ascending within a row,
+    no stored zero); `matrix`, the scipy.sparse form, is built on demand.
     """
 
-    matrix: sparse.csr_matrix          # symmetrized H on kept nodes
+    data: np.ndarray                   # symmetrized H on kept nodes, CSR
+    indices: np.ndarray
+    indptr: np.ndarray
     mass: np.ndarray                   # lumped node masses (kept nodes)
     xs: np.ndarray                     # x-coordinate per node
     kept: np.ndarray                   # indices of the kept nodes
@@ -152,7 +180,37 @@ class DiscretizedOperator:
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.indptr) - 1
+
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.dimension), np.diff(self.indptr))
+
+    @functools.cached_property
+    def matrix(self) -> sparse.csr_matrix:
+        from scipy import sparse
+
+        n = self.dimension
+        return sparse.csr_matrix((self.data, self.indices, self.indptr), shape=(n, n))
+
+    def dense(self) -> np.ndarray:
+        """H as a dense array: `matrix.toarray()`."""
+        n = self.dimension
+        H = np.zeros((n, n))
+        H[self.rows(), self.indices] = self.data
+        return H
+
+    def matmul(self, X: np.ndarray) -> np.ndarray:
+        """H @ X for a 2-D X, bit for bit `matrix @ X`: each row sums its
+        entries' products in CSR order, as scipy's csr_matvecs does."""
+        Y = np.zeros((self.dimension, X.shape[1]))
+        length = np.diff(self.indptr)
+        live = np.arange(self.dimension)
+        for t in range(int(length.max(initial=0))):
+            live = live[length[live] > t]
+            jj = self.indptr[live] + t
+            Y[live] += self.data[jj, None] * X[self.indices[jj]]
+        return Y
 
     def symmetry_defect(self) -> float:
         d = self.matrix - self.matrix.T
@@ -274,11 +332,14 @@ def discretize(graph: QuantumGraph, mesh: int, potential: Potential
     hval[at_diag] += V[idx]
     if not np.isfinite(hval).all():
         raise MeshError(f"discretize: H on {n} kept nodes (mesh {M}) is outside double range")
-    sparse = _scipy()[0]
-    H = sparse.csr_matrix((hval, col, indptr), shape=(n, n))
-    H.eliminate_zeros()       # a diagonal that cancels exactly is not stored
+    nz = hval != 0            # a diagonal that cancels exactly is not stored
+    if not nz.all():
+        indptr = np.concatenate([[0], np.cumsum(nz)])[indptr]
+        hval, col = hval[nz], col[nz]
     return DiscretizedOperator(
-        matrix=H,
+        data=hval,
+        indices=col,
+        indptr=indptr,
         mass=massk,
         xs=xs,
         kept=idx,
@@ -417,7 +478,7 @@ def _segment_eigh(d: np.ndarray, e: np.ndarray, lo: int, hi: int, vectors: bool)
     lapack_driver="stemr")` passes it (e padded to length N), so the
     output is bit for bit the same, without that wrapper's validation.
     """
-    _, dstemr, dstemr_lwork = _scipy()
+    dstemr, dstemr_lwork = _lapack()
     e_n = np.zeros(len(d))
     e_n[:-1] = e
     # range 2 selects by 1-based index il..iu; vl and vu are then unused
@@ -503,14 +564,13 @@ def solve_lowest(op: DiscretizedOperator, count: int, mode: str = "auto",
     otherwise.  Raises ConvergenceError if any residual exceeds 1e-8.
     """
     mode = _window(op, count, mode)
-    H = op.matrix
-    vals, vecs = np.linalg.eigh(H.toarray())
+    vals, vecs = np.linalg.eigh(op.dense())
     if mode == "lowest":
         sel = np.arange(count)
     else:
         sel = np.sort(np.argsort(np.abs(vals), kind="stable")[:count])
     vals, vecs = vals[sel], vecs[:, sel]
-    res = _relative_norms(H @ vecs - vecs * vals[None, :], vecs)
+    res = _relative_norms(op.matmul(vecs) - vecs * vals[None, :], vecs)
     info = {"method": "dense", "mode": mode, "dim": op.dimension}
     _contract(res, info)
 
@@ -618,6 +678,7 @@ def solve(graph: QuantumGraph, mesh: int, potential: Potential, count: int,
     (module docstring).  Returns (op, result); `eigenfunction_trace` takes
     either kind of op.
     """
+    _lapack()                   # every solve, so a dense warm-up loads the row-flip kernel
     op = reduce_rows(graph, mesh, potential)     # one row: cheap at any size
     if op.dimension > _SOLVE_DENSE_LIMIT:
         return op, solve_row_flip(op, count, mode)
@@ -687,10 +748,9 @@ def eigenfunction_trace(op: DiscretizedOperator | RowFlipOperator, result: Eigen
 
 
 def export_matrix(op: DiscretizedOperator, path: str):
-    """Write the assembled matrix in coordinate text format (row col value)."""
-    coo = op.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
+    """Write the assembled matrix in coordinate text format (row col value),
+    rows ascending and columns ascending within a row."""
     with open(path, "w") as fh:
-        fh.write(f"% symmetric {op.dimension} x {op.dimension}, nnz {coo.nnz}\n")
-        for i in order:
-            fh.write(f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.17g}\n")
+        fh.write(f"% symmetric {op.dimension} x {op.dimension}, nnz {len(op.data)}\n")
+        for r, c, v in zip(op.rows().tolist(), op.indices.tolist(), op.data.tolist()):
+            fh.write(f"{r} {c} {v:.17g}\n")

@@ -286,13 +286,14 @@ def test_plate_solve_outside_double_range_exits_2(x0):
 
 
 # One call through laakso.cli.main in a new interpreter; prints the exit code
-# and the scipy modules loaded by then.
+# and the scipy and numpy.f2py modules loaded by then.
 _FRESH_CALL = """\
 import contextlib, io, json, sys
 import laakso.cli
 with contextlib.redirect_stdout(io.StringIO()):
     rc = laakso.cli.main(sys.argv[1:])
-print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+print(json.dumps([rc, sorted(m for m in sys.modules
+                             if m.split(".")[0] == "scipy" or m.startswith("numpy.f2py"))]))
 """
 
 
@@ -316,12 +317,16 @@ def test_commands_that_never_solve_load_no_scipy(argv):
 
 
 def test_first_solve_loads_what_every_solve_needs():
-    # the dense warm-up solve loads the row-flip path's eigh_tridiagonal too,
-    # so no later solve imports inside its own time; eigsh stays unloaded
-    rc, loaded = _fresh_call("solve --j 2 --periodic --level 1 --count 2")
-    assert rc == 0
-    assert {"scipy.sparse", "scipy.linalg"} <= set(loaded)
-    assert "scipy.sparse.linalg" not in loaded
+    # the dense warm-up solve loads the row-flip path's dstemr too, so no
+    # later solve imports inside its own time; both paths load LAPACK's
+    # extension alone, not the scipy packages (and what their imports pull in)
+    for argv in ("solve --j 2 --periodic --level 1 --count 2",      # dense
+                 "solve --j 2 --periodic --level 3 --count 8"):     # row-flip
+        rc, loaded = _fresh_call(argv)
+        assert rc == 0
+        assert "scipy.linalg._flapack" in loaded
+        assert not {"scipy.linalg", "scipy.sparse", "scipy._lib._array_api",
+                    "numpy.f2py"} & set(loaded), argv
 
 
 def test_parser_is_built_once():

@@ -1,6 +1,9 @@
 """Discretization and eigensolver behavior on small graphs."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -582,6 +585,73 @@ def test_export_matrix_roundtrip(tmp_path):
     vals = {(int(r), int(c)): float(v) for r, c, v in entries}
     for (r, c), v in vals.items():
         assert vals[(c, r)] == v
+
+
+def test_export_matrix_writes_the_coo_text(tmp_path):
+    # the entries come straight from the CSR arrays, in the order the
+    # scipy route (tocoo, then a sort by row and column) wrote them
+    op = discretize(build_graph(SEQ23, 2), 5, Potential("square_well"))
+    path = tmp_path / "matrix.txt"
+    export_matrix(op, str(path))
+    coo = op.matrix.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    want = f"% symmetric {op.dimension} x {op.dimension}, nnz {coo.nnz}\n" + "".join(
+        f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.17g}\n" for i in order)
+    assert path.read_bytes() == want.encode()
+
+
+# ---------------------------------------------------------------------------
+# H's CSR arrays against scipy's own kernels
+
+@pytest.mark.parametrize("seq,n,M,pot,plates", [
+    (SEQ2, 2, 7, Potential("free"), None),
+    (SEQ2, 2, 7, Potential("square_well"), None),       # walls
+    (SEQ2, 2, 8, Potential("coulomb"), None),           # the centre nodes
+    (SEQ2, 2, 7, Potential("parabolic"), None),         # the ends
+    (PLATES5[0], 1, 7, Potential("free"), PLATES5[1]),  # conducting vertices
+    (SEQ23, 2, 5, Potential("square_well"), None),
+], ids=_case_id)
+def test_csr_kernels_are_scipys_bit_for_bit(seq, n, M, pot, plates):
+    op = discretize(build_graph(seq, n, plates=plates), M, pot)
+    assert op.dimension <= 200                          # the dense path's sizes
+    assert np.all(op.data != 0)
+    assert op.dense().tobytes() == op.matrix.toarray().tobytes()
+    rng = np.random.default_rng(7)
+    for X in (rng.standard_normal((op.dimension, 1)),
+              rng.standard_normal((op.dimension, 6)),
+              np.linalg.eigh(op.dense())[1][:, [0, 2, 3]]):
+        assert op.matmul(X).tobytes() == (op.matrix @ X).tobytes()
+
+
+def test_exact_zero_diagonal_is_not_stored():
+    # a potential cancelling the kinetic diagonal exactly leaves the
+    # arrays scipy's eliminate_zeros leaves
+    g = build_graph(SEQ23, 2)
+    free = discretize(g, 5, Potential("free"))
+    diagonal = free.rows() == free.indices
+    op = discretize(g, 5, Potential("custom", func=lambda x: -free.data[diagonal]))
+    data = free.data.copy()
+    data[diagonal] = 0.0
+    want = sparse.csr_matrix((data, free.indices, free.indptr), shape=free.matrix.shape)
+    want.eliminate_zeros()
+    assert len(op.data) == len(free.data) - free.dimension
+    for got, ref in ((op.data, want.data), (op.indices, want.indices),
+                     (op.indptr, want.indptr)):
+        assert np.array_equal(got, ref)
+    assert op.matmul(np.eye(op.dimension)).tobytes() == op.dense().tobytes()
+
+
+def test_lapack_is_the_extension_scipy_linalg_wraps():
+    # loaded from its file first, _flapack is the module a later
+    # `import scipy.linalg` wraps, so dstemr is the very same routine
+    code = ("import sys; from laakso.solver import _lapack; dstemr, lwork = _lapack(); "
+            "assert 'scipy.linalg' not in sys.modules; "
+            "from scipy.linalg import lapack; "
+            "print(dstemr is lapack.dstemr, lwork is lapack.dstemr_lwork)")
+    src = os.path.dirname(os.path.dirname(laakso.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.split() == ["True", "True"]
 
 
 def test_entries_outside_double_range_raise_mesh_error():
