@@ -43,8 +43,8 @@ dense solve, is also the reduction's oracle.
 The commands that never solve (`describe`, `census`, `spectrum`, `zeta`,
 `casimir`) would spend most of their start-up importing scipy, and even
 `solve` needs only two kernels: numpy's `eigh` for the dense path and
-LAPACK's `dstemr` for the row-flip segments.  So no scipy package is
-imported at all: `_lapack` loads scipy's `_flapack` extension straight
+LAPACK's `dstemr` for the row-flip segments.  So it imports none of
+scipy's subpackages: `_lapack` loads scipy's `_flapack` extension straight
 from its file (the same shared object `scipy.linalg.lapack` wraps, so
 the bits are the same), and `discretize` keeps H as numpy CSR arrays,
 which `solve_lowest` scatters and multiplies itself.  Every `solve`
