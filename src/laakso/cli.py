@@ -3,8 +3,12 @@
 Subcommands: describe, census, spectrum, solve, zeta, casimir.  Results
 are deterministic: JSON keys are sorted, floats are printed with 17
 significant digits, and identical invocations produce byte-identical
-output.  Exit codes: 0 success, 2 invalid configuration, 3 solver
-failure.
+output.  Exit codes: 0 success, 2 invalid configuration (or a command
+that ran out of memory), 3 solver failure.
+
+`spectrum` prints its JSON and CSV through one column writer: it formats
+a bounded chunk of lines at a time straight from the spectrum's columns,
+with no line records and no Python code per line.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ import cmath
 import functools
 import math
 import sys
-from itertools import islice
+from typing import NamedTuple
+
+import numpy as np
 
 from . import (
     ConvergenceError,
@@ -61,8 +67,9 @@ class UsageError(ValueError):
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+# RFC 8259: a JSON string escapes the quote, the backslash and U+0000-U+001F
+_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"',
+                          **{chr(c): f"\\u{c:04x}" for c in range(0x20)}})
 
 
 def render_json(obj, indent: int = 0) -> str:
@@ -87,10 +94,9 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return _fmt(obj)
+        return format(obj, ".17g")
     if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return f'"{obj.translate(_ESCAPES)}"'
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
@@ -106,41 +112,101 @@ def _write(text: str, path: str | None):
                 fh.write("\n")
 
 
-_SOURCE_JSON = ('        {\n          "family": "%s",\n          "k": %%d,\n'
-                '          "n": %d\n        }')
-_LINE_JSON = ('    {\n      "lambda": %.17g,\n      "multiplicity": %d,\n'
-              '      "sources": [\n%s\n      ]\n    }')
+# The spectrum writer formats this many lines at a time, so the pieces it
+# holds at once are a bounded slice of the document.
+_CHUNK_LINES = 4096
 
 
-def _line_fields(spectrum, source: str, sep: str):
-    """(lambda, multiplicity, sources) of each line, from the spectrum's
-    columns.  `source % (name, n)` is rendered once per family and level
-    and takes k; a line's sources are joined by `sep`, and the source
-    strings are built one line at a time."""
-    a, order = spectrum.arrays, spectrum.order
-    levels = int(a.n.max(initial=0)) + 1
-    templates = [source % (name, n) for name in a.names for n in range(levels)]
-    code = a.family[order] * levels + a.n[order]
-    sources = map(str.__mod__, map(templates.__getitem__, code.tolist()), a.k[order].tolist())
-    bounds = spectrum.bounds.tolist()
-    return ((lam, m, sep.join(islice(sources, b - a))) for lam, m, a, b in zip(
-        spectrum.lam.tolist(), spectrum.multiplicity.tolist(), bounds, bounds[1:]))
+class _Layout(NamedTuple):
+    """The constant text of one spectrum format.
+
+    A line prints as `open` (`start` for the first line), lambda,
+    `lam_mult`, multiplicity, `mult_sources`, its sources and `close`;
+    `end` follows the last line, and `empty` stands for no lines.  A
+    source prints as `source`, k and `source_end`, each formatted with
+    `% {"family": name, "n": n}`, and every source but a line's first is
+    preceded by `sep`.
+    """
+    start: str
+    open: str
+    lam_mult: str
+    mult_sources: str
+    source: str
+    sep: str
+    source_end: str
+    close: str
+    end: str
+    empty: str
 
 
-def _spectrum_to_json(kind: str, lambda_max: float, policy: str, spectrum) -> str:
-    """The spectrum document exactly as `render_json` prints it, formatted
-    from the spectrum's columns (family names are plain identifiers, so
-    they need no escaping)."""
-    head = (f'{{\n  "kind": {render_json(kind)},\n  "lambda_max": {_fmt(lambda_max)},\n'
-            f'  "lines": ')
-    tail = f',\n  "policy": {render_json(policy)}\n}}'
-    items = [_LINE_JSON % line for line in _line_fields(spectrum, _SOURCE_JSON, ",\n")]
-    if not items:
-        return head + "[]" + tail
-    # one join builds the document, so it is never copied whole
-    items[0] = head + "[\n" + items[0]
-    items[-1] += "\n  ]" + tail
-    return ",\n".join(items)
+# as `render_json` prints the lines (family names are plain identifiers,
+# so they need no escaping)
+_JSON_LAYOUT = _Layout(
+    start='[\n    {\n      "lambda": ',
+    open=',\n    {\n      "lambda": ',
+    lam_mult=',\n      "multiplicity": ',
+    mult_sources=',\n      "sources": [\n',
+    source='        {\n          "family": "%(family)s",\n          "k": ',
+    sep=",\n",
+    source_end=',\n          "n": %(n)d\n        }',
+    close="\n      ]\n    }",
+    end="\n  ]",
+    empty="[]")
+
+_CSV_HEADER = "lambda,multiplicity,sources\n"
+_CSV_LAYOUT = _Layout(start=_CSV_HEADER, open="\n", lam_mult=",", mult_sources=",",
+                      source="%(family)s:%(n)d:", sep=";", source_end="", close="",
+                      end="\n", empty=_CSV_HEADER)
+
+
+def _write_spectrum(spectrum, layout: _Layout, prefix: str = "", suffix: str = "") -> str:
+    """`prefix`, the spectrum's lines in `layout`, then `suffix`: the
+    column writer behind both spectrum formats.
+
+    It formats _CHUNK_LINES lines at a time from the spectrum's columns.
+    A chunk is one object array of string pieces, joined once: with
+    b = bounds - bounds[i0], line i0 + i takes 6 pieces of its own and 3
+    per source, so it starts at piece 6 i + 3 b[i], and the source at
+    order[bounds[i0] + j] puts its source, k and source_end at
+    6 i + 3 j + 5 onwards.  The numbers are formatted a column at a time,
+    the source texts are looked up by family and level, and all of them
+    are scattered by that index arithmetic: no Python code runs per line
+    or per source.  The chunks are joined once at the end.
+    """
+    a, order, bounds, lam = spectrum.arrays, spectrum.order, spectrum.bounds, spectrum.lam
+    if not len(lam):
+        return prefix + layout.empty + suffix
+    levels = int(a.n.max()) + 1
+    keys = [{"family": name, "n": n} for name in a.names for n in range(levels)]
+    first = np.array([layout.source % key for key in keys], dtype=object)
+    later = np.array([layout.sep + text for text in first], dtype=object)
+    source_end = np.array([layout.source_end % key for key in keys], dtype=object)
+    chunks = []
+    for i0 in range(0, len(lam), _CHUNK_LINES):
+        i1 = min(i0 + _CHUNK_LINES, len(lam))
+        b = bounds[i0:i1 + 1] - bounds[i0]
+        starts = 6 * np.arange(i1 - i0 + 1) + 3 * b
+        line = starts[:-1]
+        sources = 6 * np.repeat(np.arange(i1 - i0), np.diff(b)) + 3 * np.arange(b[-1]) + 5
+        entries = order[bounds[i0]:bounds[i1]]
+        code = a.family[entries] * levels + a.n[entries]
+        pieces = np.empty(starts[-1], dtype=object)
+        pieces[line] = layout.open
+        pieces[line + 1] = list(map("%.17g".__mod__, lam[i0:i1].tolist()))
+        pieces[line + 2] = layout.lam_mult
+        pieces[line + 3] = list(map(str, spectrum.multiplicity[i0:i1].tolist()))
+        pieces[line + 4] = layout.mult_sources
+        pieces[sources] = later[code]
+        pieces[line + 5] = first[code[b[:-1]]]
+        pieces[sources + 1] = list(map(str, a.k[entries].tolist()))
+        pieces[sources + 2] = source_end[code]
+        pieces[starts[1:] - 1] = layout.close
+        if i0 == 0:
+            pieces[0] = prefix + layout.start
+        if i1 == len(lam):
+            pieces[-1] = layout.close + layout.end + suffix
+        chunks.append("".join(pieces.tolist()))
+    return "".join(chunks)
 
 
 _TRACE_JSON = '    {\n      "row": "%s",\n      "value": %.17g,\n      "x": %.17g\n    }'
@@ -153,13 +219,6 @@ def _trace_to_json(eigenvalue: float, trace) -> str:
     rows = ",\n".join([_TRACE_JSON % (row, val, x) for x, row, val in trace])
     return ('{\n  "eigenvalue": %.17g,\n  "trace": %s\n}'
             % (eigenvalue, "[\n" + rows + "\n  ]" if rows else "[]"))
-
-
-def _lines_to_csv(spectrum) -> str:
-    rows = ["lambda,multiplicity,sources"]
-    rows += ["%.17g,%d,%s" % line for line in _line_fields(spectrum, "%s:%d:%%d", ";")]
-    rows.append("")                     # the closing newline
-    return "\n".join(rows)
 
 
 def parse_lines_csv(text: str):
@@ -360,8 +419,11 @@ def _cmd_spectrum(args):
         gen = free_spectrum if args.kind == "free" else square_well_spectrum
         lines = gen(seq, query)
     if args.format == "csv":
-        return _lines_to_csv(lines)
-    return _spectrum_to_json(args.kind, args.lambda_max, args.policy, lines)
+        return _write_spectrum(lines, _CSV_LAYOUT)
+    # the document around the lines, as render_json prints it
+    head, _, tail = render_json({"kind": args.kind, "lambda_max": args.lambda_max,
+                                 "lines": [], "policy": args.policy}).partition("[]")
+    return _write_spectrum(lines, _JSON_LAYOUT, head, tail)
 
 
 # h = (1/I_n)/(M+1) <= 1/(8 I_n) needs M >= 7: at least 8 segments per cell
@@ -459,6 +521,11 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         sys.stderr.write(render_json({"error": str(exc), "exit": 3}) + "\n")
         return 3
+    except MemoryError as exc:
+        sys.stderr.write(render_json({"error": f"{args.command} ran out of memory: "
+                                               f"{str(exc) or 'MemoryError'}", "exit": 2})
+                         + "\n")
+        return 2
     text = out if isinstance(out, str) else render_json(out)
     try:
         _write(text, args.output)

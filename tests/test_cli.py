@@ -6,6 +6,8 @@ output change, run `PYTHONPATH=src python tests/test_cli.py`.
 """
 
 import contextlib
+import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -67,10 +69,10 @@ GOLDEN = {
 }
 
 
-def run(argv: str) -> tuple[int, str, str]:
+def run(argv: str | list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main(argv.split())
+        rc = cli.main(argv.split() if isinstance(argv, str) else argv)
     return rc, out.getvalue(), err.getvalue()
 
 
@@ -91,6 +93,18 @@ def test_golden_covers_every_subcommand():
     assert used == set(cli._COMMANDS)
 
 
+# Lines per chunk the spectrum writer is run with: every line its own
+# chunk, pairs, an odd size, and one chunk larger than any spectrum here.
+CHUNK_SIZES = (1, 2, 7, 1 << 30)
+
+
+def _spectrum_json(kind, lambda_max, policy, spectrum) -> str:
+    """The spectrum document as `laakso spectrum` writes it."""
+    head, _, tail = cli.render_json({"kind": kind, "lambda_max": lambda_max, "lines": [],
+                                     "policy": policy}).partition("[]")
+    return cli._write_spectrum(spectrum, cli._JSON_LAYOUT, head, tail)
+
+
 def _spectrum_cases():
     query = SpectrumQuery
     for policy in ("merged", "per-family"):
@@ -103,10 +117,12 @@ def _spectrum_cases():
 
 
 @pytest.mark.parametrize("kind,lines", list(_spectrum_cases()))
-def test_spectrum_writer_matches_render_json(kind, lines):
+def test_spectrum_writer_matches_render_json(monkeypatch, kind, lines):
     doc = {"kind": kind, "lambda_max": 3e4, "policy": "merged",
            "lines": [line.as_dict() for line in lines]}
-    assert cli._spectrum_to_json(kind, 3e4, "merged", lines) == cli.render_json(doc)
+    for size in CHUNK_SIZES:
+        monkeypatch.setattr(cli, "_CHUNK_LINES", size)
+        assert _spectrum_json(kind, 3e4, "merged", lines) == cli.render_json(doc), size
 
 
 def _csv_from_records(lines) -> str:
@@ -114,7 +130,7 @@ def _csv_from_records(lines) -> str:
     rows = ["lambda,multiplicity,sources"]
     for line in lines:
         srcs = ";".join(f"{s.family}:{s.n}:{s.k}" for s in line.sources)
-        rows.append(f"{cli._fmt(line.lam)},{line.multiplicity},{srcs}")
+        rows.append(f"{line.lam:.17g},{line.multiplicity},{srcs}")
     return "\n".join(rows) + "\n"
 
 
@@ -131,16 +147,81 @@ def _column_cases():
     lam = next(line.lam for line in merged if len(line.sources) >= 3)
     for ceiling in (lam, math.nextafter(lam, 0)):
         yield "free", "merged", lambda q: free_spectrum(seq23, q), ceiling
+    # a one-line spectrum
+    lowest = square_well_spectrum(seq2, SpectrumQuery(3e4))[0].lam
+    yield "square-well", "merged", lambda q: square_well_spectrum(seq2, q), lowest
 
 
-@pytest.mark.parametrize("kind,policy,gen,lambda_max", list(_column_cases()))
-def test_spectrum_writers_match_line_records(kind, policy, gen, lambda_max):
-    spectrum = gen(SpectrumQuery(lambda_max, policy))
+def _assert_writers_match_line_records(kind, policy, spectrum, lambda_max):
     lines = list(spectrum)
     doc = {"kind": kind, "lambda_max": lambda_max, "policy": policy,
            "lines": [line.as_dict() for line in lines]}
-    assert cli._spectrum_to_json(kind, lambda_max, policy, spectrum) == cli.render_json(doc)
-    assert cli._lines_to_csv(spectrum) == _csv_from_records(lines)
+    assert _spectrum_json(kind, lambda_max, policy, spectrum) == cli.render_json(doc)
+    csv = cli._write_spectrum(spectrum, cli._CSV_LAYOUT)
+    assert csv == _csv_from_records(lines)
+    assert cli.parse_lines_csv(csv) == [
+        (line.lam, line.multiplicity, [(s.family, s.n, s.k) for s in line.sources])
+        for line in lines]
+
+
+@pytest.mark.parametrize("kind,policy,gen,lambda_max", list(_column_cases()))
+def test_spectrum_writers_match_line_records(monkeypatch, kind, policy, gen, lambda_max):
+    spectrum = gen(SpectrumQuery(lambda_max, policy))
+    for size in CHUNK_SIZES:
+        monkeypatch.setattr(cli, "_CHUNK_LINES", size)
+        _assert_writers_match_line_records(kind, policy, spectrum, lambda_max)
+
+
+def test_spectrum_writers_split_chunks_at_a_merged_line(monkeypatch):
+    # a line of three or more sources ends one chunk, then starts the next
+    spectrum = free_spectrum(JSequence((2, 3), periodic=True), SpectrumQuery(3e4))
+    i = next(i for i, line in enumerate(spectrum) if i and len(line.sources) >= 3)
+    for size in (i + 1, i):
+        monkeypatch.setattr(cli, "_CHUNK_LINES", size)
+        _assert_writers_match_line_records("free", "merged", spectrum, 3e4)
+
+
+BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
+
+
+def test_bench_spectrum_calls_print_their_recorded_digests(monkeypatch):
+    # the benchmark's spectrum calls cross thousands of chunk boundaries;
+    # a writer that drifts there fails here before the benchmark runs
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)     # leave bench/ untouched
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  os.path.join(BENCH, "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    with open(os.path.join(BENCH, "expected.json")) as fh:
+        expected = json.load(fh)
+    assert len(workloads.SPECTRUM) == 6
+    for argv in workloads.SPECTRUM:
+        rc, out, err = run(argv)
+        assert (rc, err) == (0, ""), argv
+        assert hashlib.sha256(out.encode()).hexdigest() == expected[argv]["sha256"], argv
+
+
+def test_render_json_escapes_control_characters():
+    text = "".join(map(chr, range(0x20))) + '"\\ end'
+    assert json.loads(cli.render_json({"s": text})) == {"s": text}
+
+
+def test_error_json_with_a_control_character_parses():
+    rc, out, err = run(["describe", "--j", "2", "--periodic", "--output", "/nonexistent/a\nb"])
+    assert (rc, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["exit"] == 2 and "cannot write --output /nonexistent/a\nb: " in doc["error"]
+
+
+def test_memory_error_exits_2(monkeypatch):
+    def exhaust(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.3 TiB")
+
+    monkeypatch.setattr(cli, "free_spectrum", exhaust)
+    rc, out, err = run("spectrum --kind free --j 2 --periodic --lambda-max 1e16")
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"error": "spectrum ran out of memory: Unable to allocate 7.3 TiB",
+                               "exit": 2}
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
