@@ -302,13 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "solve", help="numeric eigensolve on a quantum graph",
         description="Lowest eigenvalues of the finite-difference Hamiltonian on the "
-                    "level-n graph (those nearest zero for coulomb).  With at most "
-                    "200 kept nodes the Hamiltonian is assembled and "
-                    "diagonalized densely; above that, the row flips split it into "
-                    "1-D tridiagonal segment problems, each solved once and counted "
-                    "with its multiplicity.  200 is the measured crossover: below "
-                    "it the dense solve is the faster one, above it the row-flip "
-                    "solve.")
+                    "level-n graph (those nearest zero for coulomb).  The row flips "
+                    "split the Hamiltonian into 1-D tridiagonal segment problems, "
+                    "each solved once and counted with its multiplicity; the "
+                    "Hamiltonian is never assembled.")
     _add_sequence(p)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--potential", default="free",

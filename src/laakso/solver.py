@@ -32,23 +32,17 @@ tridiagonal problems without assembling H.  Segments at different
 places can still carry the same T (the paper's families repeat), so
 within one call each distinct problem, T's bytes and the index window
 asked of it, goes to LAPACK once: the eigenvalues of the 184 segments
-of the free j = 2, n = 6 solve (count 20) take 23 calls.  `solve` runs
-them above 200 kept nodes and `discretize` + `solve_lowest` at or below
-it: 200 is the measured crossover, below which the dense solve of the
-assembled H is the faster one (one thread of a 2-core VM, 20 eigenpairs,
-dense against row-flip: 2.4 against 2.7 ms at 140 nodes, 4.7 against
-2.5 ms at 242, 1.3 s against 12 ms at 1944).  `solve_lowest`, that
-dense solve, is also the reduction's oracle.
+of the free j = 2, n = 6 solve (count 20) take 23 calls.  `solve` takes
+this path at every size.  `discretize` + `solve_lowest`, the dense solve
+of the assembled H, is the reduction's oracle.
 
 The commands that never solve (`describe`, `census`, `spectrum`, `zeta`,
 `casimir`) would spend most of their start-up importing scipy, and even
-`solve` needs only two kernels: numpy's `eigh` for the dense path and
-LAPACK's `dstemr` for the row-flip segments.  So it imports none of
+`solve` needs only one kernel, LAPACK's `dstemr`.  So it imports none of
 scipy's subpackages: `_lapack` loads scipy's `_flapack` extension straight
 from its file (the same shared object `scipy.linalg.lapack` wraps, so
-the bits are the same), and `discretize` keeps H as numpy CSR arrays,
-which `solve_lowest` scatters and multiplies itself.  Every `solve`
-loads `_flapack`, so a warm-up solve pays for every later one.
+the bits are the same).  Every `solve` loads `_flapack`, so a warm-up
+solve pays for every later one.
 """
 
 from __future__ import annotations
@@ -199,18 +193,6 @@ class DiscretizedOperator:
         H = np.zeros((n, n))
         H[self.rows(), self.indices] = self.data
         return H
-
-    def matmul(self, X: np.ndarray) -> np.ndarray:
-        """H @ X for a 2-D X, bit for bit `matrix @ X`: each row sums its
-        entries' products in CSR order, as scipy's csr_matvecs does."""
-        Y = np.zeros((self.dimension, X.shape[1]))
-        length = np.diff(self.indptr)
-        live = np.arange(self.dimension)
-        for t in range(int(length.max(initial=0))):
-            live = live[length[live] > t]
-            jj = self.indptr[live] + t
-            Y[live] += self.data[jj, None] * X[self.indices[jj]]
-        return Y
 
     def symmetry_defect(self) -> float:
         d = self.matrix - self.matrix.T
@@ -504,7 +486,6 @@ class EigenResult:
         return len(self.eigenvalues)
 
 
-_SOLVE_DENSE_LIMIT = 200   # solve: dense up to here, row-flip above (module docstring)
 _RESIDUAL_TOL = 1e-8
 
 
@@ -555,8 +536,7 @@ def solve_lowest(op: DiscretizedOperator, count: int, mode: str = "auto",
     """Dense eigensolve of the assembled H, the row-flip reduction's oracle.
 
     It holds about 16 dim^2 bytes (H as a dense array and its
-    eigenvectors); `solve` calls it at or below 200 kept nodes only.
-    mode 'lowest' returns the `count` algebraically smallest eigenvalues,
+    eigenvectors); the tests compare `solve` against it.  mode 'lowest' returns the `count` algebraically smallest eigenvalues,
     'nearest_zero' the `count` closest to zero: the meaningful window for
     the Coulomb potential, whose discretized -1/(x-1/2)^2 is unbounded
     below as h -> 0, so its lowest eigenvalues are mesh artifacts far
@@ -564,13 +544,14 @@ def solve_lowest(op: DiscretizedOperator, count: int, mode: str = "auto",
     otherwise.  Raises ConvergenceError if any residual exceeds 1e-8.
     """
     mode = _window(op, count, mode)
-    vals, vecs = np.linalg.eigh(op.dense())
+    H = op.dense()
+    vals, vecs = np.linalg.eigh(H)
     if mode == "lowest":
         sel = np.arange(count)
     else:
         sel = np.sort(np.argsort(np.abs(vals), kind="stable")[:count])
     vals, vecs = vals[sel], vecs[:, sel]
-    res = _relative_norms(op.matmul(vecs) - vecs * vals[None, :], vecs)
+    res = _relative_norms(H @ vecs - vecs * vals[None, :], vecs)
     info = {"method": "dense", "mode": mode, "dim": op.dimension}
     _contract(res, info)
 
@@ -645,7 +626,7 @@ def solve_row_flip(op: RowFlipOperator, count: int, mode: str = "auto") -> Eigen
     res = np.empty(count)
     funcs = np.zeros((len(op.xs), count))
     characters = np.empty(count, dtype=np.int64)
-    for i in np.unique(seg[pick]):
+    for i in np.flatnonzero(np.bincount(seg[pick])):
         cols = np.flatnonzero(seg[pick] == i)
         want = idx[pick[cols]]
         first = int(want.min())
@@ -669,21 +650,12 @@ def solve_row_flip(op: RowFlipOperator, count: int, mode: str = "auto") -> Eigen
 
 def solve(graph: QuantumGraph, mesh: int, potential: Potential, count: int,
           mode: str = "auto"):
-    """The eigenpairs `solve_lowest` defines, by the path that suits the size.
-
-    With at most 200 kept nodes H is assembled (`discretize`) and
-    diagonalized densely (`solve_lowest`); above that, `reduce_rows` splits
-    it into row-flip segments and `solve_row_flip` solves them, never
-    assembling H.  200 is the measured crossover between the two paths
-    (module docstring).  Returns (op, result); `eigenfunction_trace` takes
-    either kind of op.
+    """The eigenpairs `solve_lowest` defines, without assembling H:
+    `reduce_rows` splits it into row-flip segments and `solve_row_flip`
+    solves them.  Returns (op, result).
     """
-    _lapack()                   # every solve, so a dense warm-up loads the row-flip kernel
-    op = reduce_rows(graph, mesh, potential)     # one row: cheap at any size
-    if op.dimension > _SOLVE_DENSE_LIMIT:
-        return op, solve_row_flip(op, count, mode)
-    op = discretize(graph, mesh, potential)
-    return op, solve_lowest(op, count, mode)
+    op = reduce_rows(graph, mesh, potential)
+    return op, solve_row_flip(op, count, mode)
 
 
 def cluster(eigenvalues, rel_tol: float = 1e-2):

@@ -26,10 +26,12 @@ from laakso import (
     Potential,
     SpectrumQuery,
     build_graph,
+    discretize,
     eigenfunction_trace,
     free_spectrum,
     plates_spectrum,
     solve,
+    solve_lowest,
     square_well_spectrum,
 )
 from laakso import cli
@@ -55,10 +57,10 @@ GOLDEN = {
     "spectrum_free_csv": "spectrum --kind free --j 2 --periodic --lambda-max 2e4 "
                          "--policy per-family --format csv",
     "spectrum_well_empty": "spectrum --kind square-well --j 2 --periodic --lambda-max 30",
-    "solve_dense": "solve --j 2 --periodic --level 1 --mesh 4 --count 6",
+    "solve_small": "solve --j 2 --periodic --level 1 --mesh 4 --count 6",
     "solve_trace_csv":
         "solve --j 2 --periodic --level 1 --mesh 3 --count 4 --trace 1 --format csv",
-    # 492 kept nodes: the row-flip path
+    # 492 kept nodes
     "solve_row_flip": "solve --j 2 --periodic --level 3 --count 8",
     "solve_row_flip_trace": "solve --j 2 --periodic --level 3 --count 8 --trace 2",
     "solve_row_flip_trace_csv":
@@ -367,14 +369,15 @@ def test_plate_solve_outside_double_range_exits_2(x0):
 
 
 # One call through laakso.cli.main in a new interpreter; prints the exit code
-# and the scipy and numpy.f2py modules loaded by then.
+# and the scipy, numpy.f2py and numpy.ma modules loaded by then.
 _FRESH_CALL = """\
 import contextlib, io, json, sys
 import laakso.cli
 with contextlib.redirect_stdout(io.StringIO()):
     rc = laakso.cli.main(sys.argv[1:])
 print(json.dumps([rc, sorted(m for m in sys.modules
-                             if m.split(".")[0] == "scipy" or m.startswith("numpy.f2py"))]))
+                             if m.split(".")[0] == "scipy"
+                             or m.split(".")[:2] in (["numpy", "f2py"], ["numpy", "ma"]))]))
 """
 
 
@@ -398,16 +401,17 @@ def test_commands_that_never_solve_load_no_scipy(argv):
 
 
 def test_first_solve_loads_what_every_solve_needs():
-    # the dense warm-up solve loads the row-flip path's dstemr too, so no
-    # later solve imports inside its own time; both paths load LAPACK's
-    # extension alone, not the scipy packages (and what their imports pull in)
-    for argv in ("solve --j 2 --periodic --level 1 --count 2",      # dense
-                 "solve --j 2 --periodic --level 3 --count 8"):     # row-flip
+    # the smallest solve, the bench's warm-up, loads dstemr as every other
+    # solve does, so no later solve imports inside its own time; a solve
+    # loads LAPACK's extension alone, not the scipy packages (and what their
+    # imports pull in), nor numpy.ma, which np.unique without return_* loads
+    for argv in ("solve --j 2 --periodic --level 1 --count 2",
+                 "solve --j 2 --periodic --level 3 --count 8"):
         rc, loaded = _fresh_call(argv)
         assert rc == 0
         assert "scipy.linalg._flapack" in loaded
         assert not {"scipy.linalg", "scipy.sparse", "scipy._lib._array_api",
-                    "numpy.f2py"} & set(loaded), argv
+                    "numpy.f2py", "numpy.ma"} & set(loaded), argv
 
 
 def test_parser_is_built_once():
@@ -435,7 +439,7 @@ def test_back_to_back_calls_share_no_state():
         assert out == fh.read()
 
 
-@pytest.mark.parametrize("seq,n,method", [((2,), 1, "dense"), ((2,), 3, "row-flip")])
+@pytest.mark.parametrize("seq,n,method", [((2,), 1, "row-flip"), ((2,), 3, "row-flip")])
 def test_trace_writer_matches_render_json(seq, n, method):
     graph = build_graph(JSequence(seq, periodic=True), n)
     op, result = solve(graph, 5, Potential("coulomb"), 6)
@@ -449,15 +453,22 @@ def test_trace_writer_matches_render_json(seq, n, method):
 
 @pytest.mark.parametrize("x0", ["1e-150", "1e-100"])
 def test_plate_widths_near_double_range_fail_cleanly(x0):
-    # entries near 1e302 are finite, but squaring residual entries
-    # overflowed: stderr read "residuals up to inf" after numpy warnings
+    # entries near 1e302 are finite; the row-flip segments keep the huge
+    # ones apart, so the solve meets the contract
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         rc, out, err = run(f"solve --j 5 --periodic --level 1 --plates 5,0,{x0} --count 2")
-    assert (rc, out) == (3, "")
-    doc = json.loads(err)
-    assert doc["exit"] == 3
-    residual = float(doc["error"].split()[3])
+    assert (rc, err) == (0, "")
+    residual = json.loads(out)["residual_max"]
+    assert math.isfinite(residual) and residual <= 1e-8
+    # the dense oracle misses it, and squaring its residual entries would
+    # overflow: the rescaled norm reports a finite residual, not inf
+    graph = build_graph(JSequence((5,), periodic=True), 1, plates=PlateConfig(5, 0, float(x0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError) as exc:
+            solve_lowest(discretize(graph, 7, Potential("free")), 2)
+    residual = float(str(exc.value).split()[3])
     assert math.isfinite(residual) and residual > 1e-8
 
 
@@ -477,8 +488,9 @@ def test_convergence_error_exits_3(monkeypatch):
     assert json.loads(err) == {"error": "residual 1e-6 exceeds the contract", "exit": 3}
 
 
+@pytest.mark.parametrize("level", [1, 6])
 @pytest.mark.parametrize("trace", ["", " --trace 1"])
-def test_solve_above_dense_limit_assembles_no_matrix(monkeypatch, trace):
+def test_solve_assembles_no_matrix(monkeypatch, trace, level):
     import laakso.solver
 
     def forbidden(*args, **kwargs):
@@ -488,20 +500,10 @@ def test_solve_above_dense_limit_assembles_no_matrix(monkeypatch, trace):
                          (cli, "solve_lowest"), (laakso.solver, "solve_lowest"),
                          (laakso.solver, "eigsh")]:
         monkeypatch.setattr(module, name, forbidden)
-    rc, out, err = run("solve --j 2 --periodic --level 6 --potential square_well --count 5"
-                       + trace)
+    rc, out, err = run(f"solve --j 2 --periodic --level {level} --potential square_well "
+                       "--count 5" + trace)
     assert (rc, err) == (0, "")
     assert ("trace" if trace else "dim") in json.loads(out)
-
-
-def test_solve_help_names_the_dense_limit():
-    import laakso.solver
-
-    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
-    limit = laakso.solver._SOLVE_DENSE_LIMIT
-    description = sub.choices["solve"].description
-    assert f"With at most {limit} kept nodes" in description
-    assert f"{limit} is the measured crossover" in description
 
 
 def test_level_8_square_well_solve():
