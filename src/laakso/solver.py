@@ -536,7 +536,8 @@ def solve_lowest(op: DiscretizedOperator, count: int, mode: str = "auto",
     """Dense eigensolve of the assembled H, the row-flip reduction's oracle.
 
     It holds about 16 dim^2 bytes (H as a dense array and its
-    eigenvectors); the tests compare `solve` against it.  mode 'lowest' returns the `count` algebraically smallest eigenvalues,
+    eigenvectors); the tests compare `solve` against it.  mode 'lowest'
+    returns the `count` algebraically smallest eigenvalues,
     'nearest_zero' the `count` closest to zero: the meaningful window for
     the Coulomb potential, whose discretized -1/(x-1/2)^2 is unbounded
     below as h -> 0, so its lowest eigenvalues are mesh artifacts far
@@ -626,7 +627,7 @@ def solve_row_flip(op: RowFlipOperator, count: int, mode: str = "auto") -> Eigen
     res = np.empty(count)
     funcs = np.zeros((len(op.xs), count))
     characters = np.empty(count, dtype=np.int64)
-    for i in np.flatnonzero(np.bincount(seg[pick])):
+    for i in np.flatnonzero(np.bincount(seg[pick])):     # np.unique would import numpy.ma
         cols = np.flatnonzero(seg[pick] == i)
         want = idx[pick[cols]]
         first = int(want.min())
