@@ -6,15 +6,19 @@ significant digits, and identical invocations produce byte-identical
 output.  Exit codes: 0 success, 2 invalid configuration (or a command
 that ran out of memory), 3 solver failure.
 
-`spectrum` prints its JSON and CSV through one column writer: it formats
-a bounded chunk of lines at a time straight from the spectrum's columns,
-with no line records and no Python code per line.
+`spectrum` prints its JSON and CSV through one column writer.  It yields
+a bounded chunk of lines at a time, made straight from the spectrum's
+columns with no line records and no Python code per line, and formats
+each distinct k and lambda once.  The spectrum is built, and every option
+checked, before the first chunk; each chunk is written as soon as it is
+made, so the text held at once is one chunk, not the document.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import functools
 import math
 import sys
@@ -100,16 +104,20 @@ def render_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def _write(text: str, path: str | None):
-    if path in (None, "-"):
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(path, "w") as fh:
+def _write(chunks, path: str | None):
+    """Write the strings `chunks` to stdout (`path` None or '-') or to the
+    file `path`, each as soon as it is made, and end with a newline.
+
+    An error raised while writing, or while a later chunk is being made,
+    can leave the output partly written.
+    """
+    with (contextlib.nullcontext(sys.stdout) if path in (None, "-")
+          else open(path, "w")) as fh:
+        text = ""
+        for text in chunks:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        if not text.endswith("\n"):
+            fh.write("\n")
 
 
 # The spectrum writer formats this many lines at a time, so the pieces it
@@ -159,29 +167,34 @@ _CSV_LAYOUT = _Layout(start=_CSV_HEADER, open="\n", lam_mult=",", mult_sources="
                       end="\n", empty=_CSV_HEADER)
 
 
-def _write_spectrum(spectrum, layout: _Layout, prefix: str = "", suffix: str = "") -> str:
-    """`prefix`, the spectrum's lines in `layout`, then `suffix`: the
-    column writer behind both spectrum formats.
+def _write_spectrum(spectrum, layout: _Layout, prefix: str = "", suffix: str = ""):
+    """Yield `prefix`, the spectrum's lines in `layout`, then `suffix`, in
+    chunks of _CHUNK_LINES lines: the column writer behind both spectrum
+    formats.
 
-    It formats _CHUNK_LINES lines at a time from the spectrum's columns.
     A chunk is one object array of string pieces, joined once: with
     b = bounds - bounds[i0], line i0 + i takes 6 pieces of its own and 3
     per source, so it starts at piece 6 i + 3 b[i], and the source at
     order[bounds[i0] + j] puts its source, k and source_end at
-    6 i + 3 j + 5 onwards.  The numbers are formatted a column at a time,
-    the source texts are looked up by family and level, and all of them
-    are scattered by that index arithmetic: no Python code runs per line
-    or per source.  The chunks are joined once at the end.
+    6 i + 3 j + 5 onwards.  The source texts are looked up by family and
+    level, and every distinct number is formatted once: k through one
+    table indexed by k (each family's k values are one run from k_min >= 0,
+    so the table is no longer than the sources), and lambda once per run of
+    bit-equal values in a chunk (compared as int64, so +0 and -0 differ).
+    All pieces are scattered by that index arithmetic: no Python code runs
+    per line or per source.
     """
     a, order, bounds, lam = spectrum.arrays, spectrum.order, spectrum.bounds, spectrum.lam
     if not len(lam):
-        return prefix + layout.empty + suffix
+        yield prefix + layout.empty + suffix
+        return
     levels = int(a.n.max()) + 1
     keys = [{"family": name, "n": n} for name in a.names for n in range(levels)]
     first = np.array([layout.source % key for key in keys], dtype=object)
     later = np.array([layout.sep + text for text in first], dtype=object)
     source_end = np.array([layout.source_end % key for key in keys], dtype=object)
-    chunks = []
+    k_text = np.array(list(map(str, range(int(a.k.max()) + 1))), dtype=object)
+    bits = lam.view(np.int64)
     for i0 in range(0, len(lam), _CHUNK_LINES):
         i1 = min(i0 + _CHUNK_LINES, len(lam))
         b = bounds[i0:i1 + 1] - bounds[i0]
@@ -190,23 +203,24 @@ def _write_spectrum(spectrum, layout: _Layout, prefix: str = "", suffix: str = "
         sources = 6 * np.repeat(np.arange(i1 - i0), np.diff(b)) + 3 * np.arange(b[-1]) + 5
         entries = order[bounds[i0]:bounds[i1]]
         code = a.family[entries] * levels + a.n[entries]
+        run = np.append(True, bits[i0 + 1:i1] != bits[i0:i1 - 1])
+        lam_text = np.array(list(map("%.17g".__mod__, lam[i0:i1][run].tolist())), dtype=object)
         pieces = np.empty(starts[-1], dtype=object)
         pieces[line] = layout.open
-        pieces[line + 1] = list(map("%.17g".__mod__, lam[i0:i1].tolist()))
+        pieces[line + 1] = lam_text[np.cumsum(run) - 1]
         pieces[line + 2] = layout.lam_mult
         pieces[line + 3] = list(map(str, spectrum.multiplicity[i0:i1].tolist()))
         pieces[line + 4] = layout.mult_sources
         pieces[sources] = later[code]
         pieces[line + 5] = first[code[b[:-1]]]
-        pieces[sources + 1] = list(map(str, a.k[entries].tolist()))
+        pieces[sources + 1] = k_text[a.k[entries]]
         pieces[sources + 2] = source_end[code]
         pieces[starts[1:] - 1] = layout.close
         if i0 == 0:
             pieces[0] = prefix + layout.start
         if i1 == len(lam):
             pieces[-1] = layout.close + layout.end + suffix
-        chunks.append("".join(pieces.tolist()))
-    return "".join(chunks)
+        yield "".join(pieces.tolist())
 
 
 _TRACE_JSON = '    {\n      "row": "%s",\n      "value": %.17g,\n      "x": %.17g\n    }'
@@ -464,6 +478,10 @@ def _cmd_zeta(args):
     s = complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
     if not cmath.isfinite(s):
         raise UsageError(f"--s must be finite, got {args.s!r}")
+    # Every zeta call loads mpmath, which the continuation at Re 2s <= 1
+    # uses, so that no later call in a process imports inside its own time;
+    # the other commands never load it.
+    import mpmath  # noqa: F401
     if s == 0.5:
         value = complex(zeta_limit_half(seq))
         mode = "limit"
@@ -506,6 +524,15 @@ def _check_format(args):
                          "only spectrum and solve --trace write CSV")
 
 
+def _error(message: str, code: int) -> int:
+    sys.stderr.write(render_json({"error": message, "exit": code}) + "\n")
+    return code
+
+
+def _out_of_memory(args, exc: MemoryError) -> int:
+    return _error(f"{args.command} ran out of memory: {str(exc) or 'MemoryError'}", 2)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -513,23 +540,20 @@ def main(argv=None) -> int:
         out = _COMMANDS[args.command](args)
     except (UsageError, ValueError, PlateConfigError, GraphBuildError,
             SequenceTooShort, MeshError, PoleError) as exc:
-        sys.stderr.write(render_json({"error": str(exc), "exit": 2}) + "\n")
-        return 2
+        return _error(str(exc), 2)
     except ConvergenceError as exc:
-        sys.stderr.write(render_json({"error": str(exc), "exit": 3}) + "\n")
-        return 3
+        return _error(str(exc), 3)
     except MemoryError as exc:
-        sys.stderr.write(render_json({"error": f"{args.command} ran out of memory: "
-                                               f"{str(exc) or 'MemoryError'}", "exit": 2})
-                         + "\n")
-        return 2
-    text = out if isinstance(out, str) else render_json(out)
+        return _out_of_memory(args, exc)
+    if isinstance(out, dict):
+        out = render_json(out)
     try:
-        _write(text, args.output)
+        # `spectrum` returns its chunks unmade: each is written as it is made
+        _write((out,) if isinstance(out, str) else out, args.output)
     except OSError as exc:
-        sys.stderr.write(render_json({"error": f"cannot write --output {args.output}: "
-                                               f"{exc.strerror or exc}", "exit": 2}) + "\n")
-        return 2
+        return _error(f"cannot write --output {args.output}: {exc.strerror or exc}", 2)
+    except MemoryError as exc:
+        return _out_of_memory(args, exc)
     return 0
 
 

@@ -29,8 +29,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .sequences import JSequence, level_products
 from .spectra import SpectrumQuery, enumerate_families, free_families, free_level
 
@@ -120,6 +118,7 @@ def _zeta_any(s) -> complex:
     re = s.real if isinstance(s, complex) else s
     if re > 1:
         return complex(riemann_zeta(s))
+    import mpmath       # only this branch uses it; see `laakso.cli._cmd_zeta`
     return complex(mpmath.zeta(complex(s)))
 
 

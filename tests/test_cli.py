@@ -104,7 +104,7 @@ def _spectrum_json(kind, lambda_max, policy, spectrum) -> str:
     """The spectrum document as `laakso spectrum` writes it."""
     head, _, tail = cli.render_json({"kind": kind, "lambda_max": lambda_max, "lines": [],
                                      "policy": policy}).partition("[]")
-    return cli._write_spectrum(spectrum, cli._JSON_LAYOUT, head, tail)
+    return "".join(cli._write_spectrum(spectrum, cli._JSON_LAYOUT, head, tail))
 
 
 def _spectrum_cases():
@@ -159,7 +159,9 @@ def _assert_writers_match_line_records(kind, policy, spectrum, lambda_max):
     doc = {"kind": kind, "lambda_max": lambda_max, "policy": policy,
            "lines": [line.as_dict() for line in lines]}
     assert _spectrum_json(kind, lambda_max, policy, spectrum) == cli.render_json(doc)
-    csv = cli._write_spectrum(spectrum, cli._CSV_LAYOUT)
+    chunks = list(cli._write_spectrum(spectrum, cli._CSV_LAYOUT))
+    assert len(chunks) == max(1, -(-len(lines) // cli._CHUNK_LINES))
+    csv = "".join(chunks)
     assert csv == _csv_from_records(lines)
     assert cli.parse_lines_csv(csv) == [
         (line.lam, line.multiplicity, [(s.family, s.n, s.k) for s in line.sources])
@@ -183,7 +185,92 @@ def test_spectrum_writers_split_chunks_at_a_merged_line(monkeypatch):
         _assert_writers_match_line_records("free", "merged", spectrum, 3e4)
 
 
+def test_spectrum_writers_split_chunks_in_a_run_of_equal_lambdas(monkeypatch):
+    # per family, lines of one lambda follow each other and the writer
+    # formats that lambda once per run in a chunk; a chunk ends inside a run
+    spectrum = free_spectrum(JSequence((2, 3), periodic=True),
+                             SpectrumQuery(3e4, "per-family"))
+    lam = spectrum.lam
+    i = next(i for i in range(1, len(lam) - 1) if lam[i - 1] == lam[i] == lam[i + 1])
+    for size in (i, i + 1):
+        assert lam[size - 1] == lam[size]
+        monkeypatch.setattr(cli, "_CHUNK_LINES", size)
+        _assert_writers_match_line_records("free", "per-family", spectrum, 3e4)
+
+
+class _Stdout:
+    """A stdout that records each write, in order with `events`."""
+
+    def __init__(self, events):
+        self.events = events
+
+    def write(self, text):
+        self.events.append(("write", text))
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_spectrum_writes_each_chunk_as_it_is_made(monkeypatch, fmt):
+    argv = f"spectrum --kind free --j 2,3 --periodic --lambda-max 5e4 --format {fmt}"
+    rc, whole, err = run(argv)
+    assert (rc, err) == (0, "")
+    events = []
+    write_spectrum = cli._write_spectrum
+
+    def traced(*args):
+        for chunk in write_spectrum(*args):
+            events.append(("chunk", chunk))
+            yield chunk
+
+    monkeypatch.setattr(cli, "_write_spectrum", traced)
+    monkeypatch.setattr(cli, "_CHUNK_LINES", 7)
+    with contextlib.redirect_stdout(_Stdout(events)):
+        assert cli.main(argv.split()) == 0
+    writes = [text for kind, text in events if kind == "write"]
+    assert len(writes) > 1 and "".join(writes) == whole
+    # every chunk is written before the next one is made
+    chunks = [text for kind, text in events if kind == "chunk"]
+    assert events[:2 * len(chunks)] == [e for c in chunks for e in (("chunk", c), ("write", c))]
+
+
+def test_memory_error_while_streaming_exits_2(monkeypatch):
+    write_spectrum = cli._write_spectrum
+
+    def exhaust_after_first(*args):
+        chunks = write_spectrum(*args)
+        yield next(chunks)
+        raise MemoryError("Unable to allocate 1.2 GiB")
+
+    monkeypatch.setattr(cli, "_CHUNK_LINES", 7)
+    argv = "spectrum --kind free --j 2 --periodic --lambda-max 1e4"
+    _, whole, _ = run(argv)
+    monkeypatch.setattr(cli, "_write_spectrum", exhaust_after_first)
+    rc, out, err = run(argv)
+    assert rc == 2
+    assert json.loads(err) == {"error": "spectrum ran out of memory: Unable to allocate 1.2 GiB",
+                               "exit": 2}
+    # the first chunk was written before the error: the output is partial
+    assert out and whole.startswith(out) and len(out) < len(whole)
+
+
+@pytest.mark.parametrize("argv", [
+    "spectrum --kind plates --j 2 --lambda-max 100",
+    "spectrum --kind plates --plates 3,0,1e-200 --lambda-max 1e9",
+    "spectrum --kind free --j 2 --periodic --lambda-max 1e20",
+])
+def test_spectrum_that_fails_creates_no_file(tmp_path, argv):
+    path = tmp_path / "out.json"
+    rc, out, err = run(f"{argv} --output {path}")
+    assert (rc, out) == (2, "") and json.loads(err)["exit"] == 2
+    assert not path.exists()
+
+
 BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
+
+
+def _bench_expected() -> dict:
+    with open(os.path.join(BENCH, "expected.json")) as fh:
+        return json.load(fh)
 
 
 def test_bench_spectrum_calls_print_their_recorded_digests(monkeypatch):
@@ -194,8 +281,7 @@ def test_bench_spectrum_calls_print_their_recorded_digests(monkeypatch):
                                                   os.path.join(BENCH, "workloads.py"))
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    with open(os.path.join(BENCH, "expected.json")) as fh:
-        expected = json.load(fh)
+    expected = _bench_expected()
     assert workloads.SPECTRUM
     for argv in workloads.SPECTRUM:
         rc, out, err = run(argv)
@@ -368,20 +454,23 @@ def test_plate_solve_outside_double_range_exits_2(x0):
         "exit": 2}
 
 
-# One call through laakso.cli.main in a new interpreter; prints the exit code
-# and the scipy, numpy.f2py and numpy.ma modules loaded by then.
+# One call through laakso.cli.main in a new interpreter; prints the exit code,
+# the scipy, mpmath, numpy.f2py and numpy.ma modules loaded by then, and the
+# sha256 of its stdout.
 _FRESH_CALL = """\
-import contextlib, io, json, sys
+import contextlib, hashlib, io, json, sys
 import laakso.cli
-with contextlib.redirect_stdout(io.StringIO()):
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
     rc = laakso.cli.main(sys.argv[1:])
 print(json.dumps([rc, sorted(m for m in sys.modules
-                             if m.split(".")[0] == "scipy"
-                             or m.split(".")[:2] in (["numpy", "f2py"], ["numpy", "ma"]))]))
+                             if m.split(".")[0] in ("scipy", "mpmath")
+                             or m.split(".")[:2] in (["numpy", "f2py"], ["numpy", "ma"])),
+                  hashlib.sha256(out.getvalue().encode()).hexdigest()]))
 """
 
 
-def _fresh_call(argv: str) -> tuple[int, list[str]]:
+def _fresh_call(argv: str) -> tuple[int, list[str], str]:
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run([sys.executable, "-c", _FRESH_CALL, *argv.split()],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
@@ -397,21 +486,35 @@ def _fresh_call(argv: str) -> tuple[int, list[str]]:
     "census --j 2 --periodic --level 2",
 ])
 def test_commands_that_never_solve_load_no_scipy(argv):
-    assert _fresh_call(argv) == (0, [])
+    # nor numpy.f2py or numpy.ma; and only zeta loads mpmath
+    rc, loaded, _ = _fresh_call(argv)
+    assert rc == 0
+    assert sorted({m.split(".")[0] for m in loaded}) == (
+        ["mpmath"] if argv.startswith("zeta") else []), loaded
 
 
 def test_first_solve_loads_what_every_solve_needs():
     # the smallest solve, the bench's warm-up, loads dstemr as every other
     # solve does, so no later solve imports inside its own time; a solve
     # loads LAPACK's extension alone, not the scipy packages (and what their
-    # imports pull in), nor numpy.ma, which np.unique without return_* loads
+    # imports pull in), nor numpy.ma, which np.unique without return_* loads,
+    # nor mpmath
     for argv in ("solve --j 2 --periodic --level 1 --count 2",
                  "solve --j 2 --periodic --level 3 --count 8"):
-        rc, loaded = _fresh_call(argv)
+        rc, loaded, _ = _fresh_call(argv)
         assert rc == 0
         assert "scipy.linalg._flapack" in loaded
         assert not {"scipy.linalg", "scipy.sparse", "scipy._lib._array_api",
-                    "numpy.f2py", "numpy.ma"} & set(loaded), argv
+                    "numpy.f2py", "numpy.ma", "mpmath"} & set(loaded), argv
+
+
+def test_continued_zeta_in_a_fresh_process():
+    # Re 2s <= 1 continues zeta_R through mpmath, which zeta.py imports
+    # only inside that branch
+    argv = "zeta --j 2 --periodic --s=-1.5,40"
+    rc, loaded, digest = _fresh_call(argv)
+    assert rc == 0 and "mpmath" in loaded
+    assert digest == _bench_expected()[argv]["sha256"]
 
 
 def test_parser_is_built_once():

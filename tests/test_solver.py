@@ -392,7 +392,7 @@ def _free_table(seq, n) -> Counter:
     return table
 
 
-@pytest.mark.parametrize("seq,n", [(SEQ2, n) for n in range(9)] + [
+@pytest.mark.parametrize("seq,n", [(SEQ2, n) for n in range(11)] + [
     (SEQ3, 4), (SEQ23, 5), (JSequence((3, 2, 4), periodic=True), 4),
 ], ids=_case_id)
 def test_row_flip_segments_are_the_free_table(seq, n):
