@@ -9,7 +9,7 @@ that ran out of memory), 3 solver failure.
 `spectrum` prints its JSON and CSV through one column writer.  It yields
 a bounded chunk of lines at a time, made straight from the spectrum's
 columns with no line records and no Python code per line, and formats
-each distinct k and lambda once.  The spectrum is built, and every option
+each distinct k, multiplicity and lambda once.  The spectrum is built, and every option
 checked, before the first chunk; each chunk is written as soon as it is
 made, so the text held at once is one chunk, not the document.
 """
@@ -172,15 +172,19 @@ def _write_spectrum(spectrum, layout: _Layout, prefix: str = "", suffix: str = "
     chunks of _CHUNK_LINES lines: the column writer behind both spectrum
     formats.
 
-    A chunk is one object array of string pieces, joined once: with
-    b = bounds - bounds[i0], line i0 + i takes 6 pieces of its own and 3
-    per source, so it starts at piece 6 i + 3 b[i], and the source at
-    order[bounds[i0] + j] puts its source, k and source_end at
-    6 i + 3 j + 5 onwards.  The source texts are looked up by family and
-    level, and every distinct number is formatted once: k through one
-    table indexed by k (each family's k values are one run from k_min >= 0,
-    so the table is no longer than the sources), and lambda once per run of
-    bit-equal values in a chunk (compared as int64, so +0 and -0 differ).
+    A chunk is one object array of string pieces, joined once.  Line i0 + i
+    takes 2 pieces of its own, lambda and its multiplicity text, and 3 per
+    source, so with b = bounds - bounds[i0] it starts at piece 2 i + 3 b[i],
+    and the source at order[bounds[i0] + j] puts its source, k and
+    source_end at 2 i + 3 j + 2 onwards.  The constant text is folded into
+    the looked-up texts: the multiplicity text holds `lam_mult` and
+    `mult_sources`, and a line's last source_end holds `close` and the next
+    line's `open`.  The source texts are looked up by family and level,
+    and every distinct number is formatted once: the multiplicities and k
+    through tables (each family's k values are one run from 0 or 1, so the
+    k table is at most one entry longer than the sources), and lambda once
+    per run of bit-equal values in a chunk (compared as int64, so +0 and -0
+    differ).
     All pieces are scattered by that index arithmetic: no Python code runs
     per line or per source.
     """
@@ -193,33 +197,34 @@ def _write_spectrum(spectrum, layout: _Layout, prefix: str = "", suffix: str = "
     first = np.array([layout.source % key for key in keys], dtype=object)
     later = np.array([layout.sep + text for text in first], dtype=object)
     source_end = np.array([layout.source_end % key for key in keys], dtype=object)
+    last_end = source_end + (layout.close + layout.open)
     k_text = np.array(list(map(str, range(int(a.k.max()) + 1))), dtype=object)
+    mults, mult_index = np.unique(spectrum.multiplicity, return_inverse=True)
+    mult_text = np.array([layout.lam_mult + str(m) + layout.mult_sources
+                          for m in mults.tolist()], dtype=object)
     bits = lam.view(np.int64)
     for i0 in range(0, len(lam), _CHUNK_LINES):
         i1 = min(i0 + _CHUNK_LINES, len(lam))
         b = bounds[i0:i1 + 1] - bounds[i0]
-        starts = 6 * np.arange(i1 - i0 + 1) + 3 * b
+        starts = 2 * np.arange(i1 - i0 + 1) + 3 * b
         line = starts[:-1]
-        sources = 6 * np.repeat(np.arange(i1 - i0), np.diff(b)) + 3 * np.arange(b[-1]) + 5
+        sources = 2 * np.repeat(np.arange(i1 - i0), np.diff(b)) + 3 * np.arange(b[-1]) + 2
         entries = order[bounds[i0]:bounds[i1]]
         code = a.family[entries] * levels + a.n[entries]
         run = np.append(True, bits[i0 + 1:i1] != bits[i0:i1 - 1])
         lam_text = np.array(list(map("%.17g".__mod__, lam[i0:i1][run].tolist())), dtype=object)
         pieces = np.empty(starts[-1], dtype=object)
-        pieces[line] = layout.open
-        pieces[line + 1] = lam_text[np.cumsum(run) - 1]
-        pieces[line + 2] = layout.lam_mult
-        pieces[line + 3] = list(map(str, spectrum.multiplicity[i0:i1].tolist()))
-        pieces[line + 4] = layout.mult_sources
+        pieces[line] = lam_text[np.cumsum(run) - 1]
+        pieces[line + 1] = mult_text[mult_index[i0:i1]]
         pieces[sources] = later[code]
-        pieces[line + 5] = first[code[b[:-1]]]
+        pieces[line + 2] = first[code[b[:-1]]]
         pieces[sources + 1] = k_text[a.k[entries]]
         pieces[sources + 2] = source_end[code]
-        pieces[starts[1:] - 1] = layout.close
+        pieces[starts[1:] - 1] = last_end[code[b[1:] - 1]]
         if i0 == 0:
-            pieces[0] = prefix + layout.start
+            pieces[0] = prefix + layout.start + pieces[0]
         if i1 == len(lam):
-            pieces[-1] = layout.close + layout.end + suffix
+            pieces[-1] = source_end[code[-1]] + layout.close + layout.end + suffix
         yield "".join(pieces.tolist())
 
 

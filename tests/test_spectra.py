@@ -317,12 +317,12 @@ def test_spectrum_columns_match_its_lines(policy):
 
 def _k_gaps(family, n, k):
     """The (family, n) whose k values are not one run k0, k0 + 1, ... from
-    some k0 >= 0."""
+    k0 = 0 or 1."""
     o = np.lexsort((k, n, family))
     family, n, k = family[o], n[o], k[o]
     start = np.append(True, (family[1:] != family[:-1]) | (n[1:] != n[:-1]))
     step = np.append(0, np.diff(k))
-    bad = np.where(start, k < 0, step != 1)
+    bad = np.where(start, (k < 0) | (k > 1), step != 1)
     return sorted(set(zip(family[bad].tolist(), n[bad].tolist())))
 
 
@@ -330,8 +330,8 @@ def _k_gaps(family, n, k):
 @pytest.mark.parametrize("lambda_max", [30.0, 1e4, 1e6, 1e9])
 def test_each_family_k_is_one_run_from_zero_up(policy, lambda_max):
     # The spectrum writer formats k through one table indexed by k: a
-    # negative k would index it from its end, and a skipped k would make it
-    # longer than the sources.
+    # negative k would index it from its end, and a skipped k, or a run that
+    # starts past 1, would make it longer than the sources.
     query = SpectrumQuery(lambda_max, policy)
     seq324 = JSequence((3, 2, 4), periodic=True)
     cases = [free_spectrum(seq, query) for seq in (SEQ2, SEQ23, seq324)]
@@ -342,9 +342,11 @@ def test_each_family_k_is_one_run_from_zero_up(policy, lambda_max):
     for spectrum in cases:
         a = spectrum.arrays
         assert _k_gaps(a.family, a.n, a.k) == []
-        # the check sees a table that starts below zero, or skips a k
+        assert a.k.max(initial=0) <= len(a.k)
+        # the check sees a table that starts below zero or past 1, or skips a k
         if len(a.k):
             assert _k_gaps(a.family, a.n, a.k - a.k.max() - 1)
+            assert _k_gaps(a.family, a.n, a.k + 2)
         same = (a.family[1:] == a.family[:-1]) & (a.n[1:] == a.n[:-1])
         for i in np.flatnonzero(same[:-1] & same[1:])[:1] + 1:
             assert _k_gaps(np.delete(a.family, i), np.delete(a.n, i), np.delete(a.k, i))
