@@ -9,9 +9,10 @@ that ran out of memory), 3 solver failure.
 `spectrum` prints its JSON and CSV through one column writer.  It yields
 a bounded chunk of lines at a time, made straight from the spectrum's
 columns with no line records and no Python code per line, and formats
-each distinct k, multiplicity and lambda once.  The spectrum is built, and every option
-checked, before the first chunk; each chunk is written as soon as it is
-made, so the text held at once is one chunk, not the document.
+each distinct k, multiplicity and lambda once.  The spectrum is built,
+and every option checked, before the first chunk; each chunk is written
+as soon as it is made, so the text held at once is one chunk, not the
+document.
 """
 
 from __future__ import annotations
@@ -184,9 +185,8 @@ def _write_spectrum(spectrum, layout: _Layout, prefix: str = "", suffix: str = "
     through tables (each family's k values are one run from 0 or 1, so the
     k table is at most one entry longer than the sources), and lambda once
     per run of bit-equal values in a chunk (compared as int64, so +0 and -0
-    differ).
-    All pieces are scattered by that index arithmetic: no Python code runs
-    per line or per source.
+    differ).  All pieces are scattered by that index arithmetic: no Python
+    code runs per line or per source.
     """
     a, order, bounds, lam = spectrum.arrays, spectrum.order, spectrum.bounds, spectrum.lam
     if not len(lam):
