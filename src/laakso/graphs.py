@@ -322,7 +322,6 @@ def build_graph(
     seq: JSequence,
     n: int,
     plates: PlateConfig | None = None,
-    validate: bool = True,
 ) -> QuantumGraph:
     """Build the explicit level-n quantum graph.
 
@@ -337,8 +336,6 @@ def build_graph(
         j = N and n >= 1; interior cells get length
         (2 N x0/(Z+1)) / I_n, exterior cells (1-2 x0)/(1-(Z+1)/N) / I_n,
         and every vertex on a plate column is flagged conducting.
-    validate : bool
-        Check the shape decomposition partitions the edge set.
 
     Returns
     -------
@@ -389,8 +386,7 @@ def build_graph(
                          plates)
     if n >= 1:
         graph.construction = _construct_shapes(graph)
-    if validate:
-        _check_graph(graph)
+    _check_graph(graph)
     return graph
 
 

@@ -1,10 +1,13 @@
 """Sparse discretization and eigensolves of Hamiltonians on quantum graphs.
 
-Each edge carries M interior mesh points with step h_e = length_e/(M+1).
-The kinetic part is assembled from the Dirichlet energy (one shared
-unknown per vertex, so continuity is built in and the Kirchhoff closure
-is the weak form of the vertex condition), then symmetrized with the
-lumped node masses:
+Each edge carries M interior mesh points with step h_e = length_e/(M+1),
+so it is a chain of M + 1 links.  The kinetic part is the Dirichlet
+energy of the links (one shared unknown per vertex, so continuity is
+built in and the Kirchhoff closure is the weak form of the vertex
+condition): a link of step h adds 1/h to the stiffness diagonal and h/2
+to the lumped mass at both its ends, and -1/h between them, one rule
+(`_link_sums`) for `discretize` and `reduce_rows`.  It is symmetrized
+with the lumped node masses:
 
     H = D^(-1/2) L D^(-1/2) + diag(V(x)),   D = node masses.
 
@@ -64,8 +67,8 @@ if TYPE_CHECKING:
 
 @functools.cache
 def _lapack():
-    """(dstemr, dstemr_lwork) from scipy's `_flapack` extension, loaded from
-    its file without running `scipy/linalg/__init__.py`.
+    """`dstemr` from scipy's `_flapack` extension, loaded from its file
+    without running `scipy/linalg/__init__.py`.
 
     The module goes into sys.modules under its own name, so a later
     `import scipy.linalg` wraps this very module.
@@ -86,7 +89,7 @@ def _lapack():
         mod = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(mod)
         sys.modules[spec.name] = mod
-    return mod.dstemr, mod.dstemr_lwork
+    return mod.dstemr
 
 
 def eigsh(*args, **kwargs):
@@ -154,12 +157,13 @@ class Potential:
 
 @dataclass
 class DiscretizedOperator:
-    """Symmetric matrix realization of a Hamiltonian on a quantum graph.
+    """The Hamiltonian `discretize` assembles from the graph's links.
 
-    H acts on the kept nodes, `kept` indexes them among all nodes;
-    eliminated nodes (walls, conducting vertices) are Dirichlet.  H is
-    held as CSR arrays (rows ascending, columns ascending within a row,
-    no stored zero); `matrix`, the scipy.sparse form, is built on demand.
+    Nodes are the vertices, then the interior points of each cell in
+    turn.  H acts on the kept ones, `kept` indexes them; eliminated nodes
+    (walls, conducting vertices) are Dirichlet.  H is held as CSR arrays
+    (its link entries sorted by row, then column, no stored zero);
+    `matrix`, the scipy.sparse form, is built on demand.
     """
 
     data: np.ndarray                   # symmetrized H on kept nodes, CSR
@@ -219,13 +223,33 @@ def _potential_at(potential: Potential, xs: np.ndarray) -> np.ndarray:
     return V
 
 
+def _link_sums(a: np.ndarray, b: np.ndarray, h: np.ndarray, nodes: int):
+    """(stiffness diagonal, lumped mass) of links a[i] -- b[i] of step h[i]:
+    each adds 1/h and h/2 at both ends.  A node sums the links it starts,
+    then those it ends, each in link order, so the float sums never change."""
+    ends = np.concatenate([a, b])
+    w = 1.0 / h
+    return (np.bincount(ends, np.concatenate([w, w]), minlength=nodes),
+            np.bincount(ends, np.concatenate([h / 2, h / 2]), minlength=nodes))
+
+
+def _interior_x(x0: np.ndarray, x1: np.ndarray, mesh: int) -> np.ndarray:
+    """x of the mesh interior points of cells from x0 to x1, a row per cell."""
+    t = (np.arange(mesh) + 1.0) / (mesh + 1)
+    return x0[:, None] + t[None, :] * (x1 - x0)[:, None]
+
+
 # Overflow and division by zero in the assembly end as non-finite entries,
 # which discretize and reduce_rows reject with MeshError; numpy's warnings
 # would only print ahead of that error.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def discretize(graph: QuantumGraph, mesh: int, potential: Potential
                ) -> DiscretizedOperator:
-    """Assemble the symmetric finite-difference Hamiltonian.
+    """Assemble the symmetric finite-difference Hamiltonian from its links.
+
+    Cell c is the chain u, p_1 ... p_M, v of M + 1 links of step h_c
+    (module docstring).  The entries that touch an eliminated node are
+    dropped, the rest are scaled by the masses and sorted into CSR order.
 
     Parameters
     ----------
@@ -240,88 +264,46 @@ def discretize(graph: QuantumGraph, mesh: int, potential: Potential
         Second-order accurate; matrix exactly symmetric by construction;
         conducting vertices and wall nodes (|V| >= potential.cutoff)
         eliminated.  MeshError if an entry is outside double range.
+
+    Memory (tracemalloc, M = 7, every node kept): about 310 bytes per
+    node at the peak, the result's 82 included.
     """
     lengths = _lengths(graph, mesh)
     nv, ne, M = graph.num_vertices, graph.num_cells, mesh
-    h = lengths[graph.length_class] / (M + 1)
-    w = 1.0 / h                        # weight of every link of a cell
-    eu, ev = graph.u, graph.v
     ndof = nv + ne * M
-
-    # Fixed summation order, so the float sums never change: a vertex adds
-    # the cells it starts, then the cells it ends, each in cell order.
-    ends = np.concatenate([eu, ev])
-    diag = np.concatenate([np.bincount(ends, np.concatenate([w, w]), minlength=nv),
-                           np.repeat(w + w, M)])
-    massv = np.concatenate([np.bincount(ends, np.concatenate([h / 2, h / 2]), minlength=nv),
-                            np.repeat(h, M)])
+    chain = np.column_stack([graph.u, nv + np.arange(ne * M).reshape(ne, M), graph.v])
+    a, b = chain[:, :-1].ravel(), chain[:, 1:].ravel()
+    h = np.repeat(lengths[graph.length_class] / (M + 1), M + 1)
+    stiff, massv = _link_sums(a, b, h, ndof)
 
     xv = np.array([float(x) for x in graph.column_x])[graph.vertex_column]
-    t = (np.arange(M) + 1.0) / (M + 1)
-    xs = np.empty(ndof)
-    xs[:nv] = xv
-    xs[nv:] = (xv[eu][:, None] + t[None, :] * (xv[ev] - xv[eu])[:, None]).ravel()
-
+    xs = np.concatenate([xv, _interior_x(xv[graph.u], xv[graph.v], M).ravel()])
     V = _potential_at(potential, xs)
     keep = np.abs(V) < potential.cutoff
     keep[graph.conducting_ids()] = False
     idx = np.flatnonzero(keep)
-
-    # Stiffness entries in CSR order: rows ascending, columns ascending
-    # within a row.  A vertex row holds its diagonal, then the nearest
-    # interior node of each of its cells; interior row p holds
-    # (p - 1, p, p + 1), where a cell's first interior node has the start
-    # vertex in place of p - 1 and its last one reads (end vertex, p - 1, p).
-    first = nv + np.arange(ne, dtype=np.int64) * M
-    cell_ends = np.stack([eu, ev], axis=1).ravel()
-    by_vertex = np.argsort(cell_ends, kind="stable")
-    count = np.concatenate([np.bincount(cell_ends, minlength=nv) + 1, np.full(ne * M, 3)])
-    start = np.concatenate([[0], np.cumsum(count)])
-    at_diag = start[:-1].copy()
-    at_diag[nv:] += 1
-    at_diag[nv + M - 1::M] += 1
-    col = np.empty(start[-1], dtype=np.int64)
-    val = np.empty(start[-1])
-    off = np.ones(start[nv], dtype=bool)
-    off[at_diag[:nv]] = False
-    col[:start[nv]][off] = np.stack([first, first + M - 1], axis=1).ravel()[by_vertex]
-    val[:start[nv]][off] = -np.repeat(w, 2)[by_vertex]
-    p = first[:, None] + np.arange(M)
-    icol = col[start[nv]:].reshape(ne, M, 3)
-    icol[:, :, 0] = p - 1
-    icol[:, :, 1] = p
-    icol[:, :, 2] = p + 1
-    icol[:, 0, 0] = eu
-    icol[:, -1] = np.stack([ev, p[:, -1] - 1, p[:, -1]], axis=1)
-    val[start[nv]:].reshape(ne, 3 * M)[:] = -w[:, None]
-    col[at_diag] = np.arange(ndof)
-    val[at_diag] = diag
-
-    if not keep.all():
-        ok = keep[col] & np.repeat(keep, count)
-        before = np.concatenate([[0], np.cumsum(ok)])
-        count = (before[start[1:]] - before[start[:-1]])[keep]
-        at_diag = before[at_diag[keep]]
-        col, val = (np.cumsum(keep) - 1)[col[ok]], val[ok]
     n = len(idx)
-    indptr = np.concatenate([[0], np.cumsum(count)])
+    row = np.concatenate([np.arange(ndof), a, b])
+    col = np.concatenate([np.arange(ndof), b, a])
+    val = np.concatenate([stiff, -1.0 / h, -1.0 / h])
+    ok = keep[row] & keep[col]
+    new = np.cumsum(keep) - 1
+    row, col, val = new[row[ok]], new[col[ok]], val[ok]
+    order = np.argsort(row * n + col)
+    row, col, val = row[order], col[order], val[order]
     massk = massv[idx]
     s = 1.0 / np.sqrt(massk)
     # group s_r s_c first: it is commutative, so (r, c) and (c, r) round alike
-    hval = np.repeat(s, count)
-    hval *= s[col]
-    hval *= val
-    hval[at_diag] += V[idx]
+    hval = s[row] * s[col] * val
+    hval[row == col] += V[idx]
     if not np.isfinite(hval).all():
         raise MeshError(f"discretize: H on {n} kept nodes (mesh {M}) is outside double range")
     nz = hval != 0            # a diagonal that cancels exactly is not stored
-    if not nz.all():
-        indptr = np.concatenate([[0], np.cumsum(nz)])[indptr]
-        hval, col = hval[nz], col[nz]
+    row, col, hval = row[nz], col[nz], hval[nz]
     return DiscretizedOperator(
         data=hval,
         indices=col,
-        indptr=indptr,
+        indptr=np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n))]),
         mass=massk,
         xs=xs,
         kept=idx,
@@ -396,22 +378,19 @@ def reduce_rows(graph: QuantumGraph, mesh: int, potential: Potential
     n, I_n, M = graph.level, graph.columns, mesh
     # cell k of row 0 has id k; link p joins path nodes p and p + 1
     h = np.repeat(lengths[graph.length_class[:I_n]] / (M + 1), M + 1)
-    w = 1.0 / h
-    zero = np.zeros(1)
-    stiff = np.concatenate([w, zero]) + np.concatenate([zero, w])
-    mass = (np.concatenate([h, zero]) + np.concatenate([zero, h])) / 2
+    links = np.arange(len(h))
+    stiff, mass = _link_sums(links, links + 1, h, len(h) + 1)
 
     xv = np.array([float(x) for x in graph.column_x])
-    t = (np.arange(M) + 1.0) / (M + 1)
     xs = np.empty(len(h) + 1)
     xs[::M + 1] = xv
-    xs[:-1].reshape(I_n, M + 1)[:, 1:] = xv[:-1, None] + t[None, :] * (xv[1:] - xv[:-1])[:, None]
+    xs[:-1].reshape(I_n, M + 1)[:, 1:] = _interior_x(xv[:-1], xv[1:], M)
     V = _potential_at(potential, xs)
     cut = ~(np.abs(V) < potential.cutoff)
     cut[np.asarray(graph.conducting_columns(), dtype=np.int64) * (M + 1)] = True
     s = 1.0 / np.sqrt(mass)
     diag = stiff * (s * s) + np.where(cut, 0.0, V)
-    off = -w * (s[:-1] * s[1:])
+    off = -(1.0 / h) * (s[:-1] * s[1:])
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise MeshError(f"reduce_rows: T on {len(xs)} path nodes (mesh {M}) "
                         "is outside double range")
@@ -459,15 +438,13 @@ def _segment_eigh(d: np.ndarray, e: np.ndarray, lo: int, hi: int, vectors: bool)
     `eigh_tridiagonal(d, e, select="i", select_range=(lo, hi - 1),
     lapack_driver="stemr")` passes it (e padded to length N), so the
     output is bit for bit the same, without that wrapper's validation.
+    Its default workspaces (18N and 10N with vectors, 12N and 8N without)
+    are the sizes LAPACK's workspace query returns, so none is made.
     """
-    dstemr, dstemr_lwork = _lapack()
     e_n = np.zeros(len(d))
     e_n[:-1] = e
     # range 2 selects by 1-based index il..iu; vl and vu are then unused
-    lwork, liwork, info = dstemr_lwork(d, e_n, 2, 0.0, 1.0, lo + 1, hi, compute_v=vectors)
-    if info == 0:
-        m, w, v, info = dstemr(d, e_n, 2, 0.0, 1.0, lo + 1, hi, compute_v=vectors,
-                               lwork=lwork, liwork=liwork)
+    m, w, v, info = _lapack()(d, e_n, 2, 0.0, 1.0, lo + 1, hi, compute_v=vectors)
     if info != 0:
         raise ConvergenceError(f"dstemr failed (info={info}) on a segment of {len(d)} nodes")
     # v is N x N whatever m is; a copy of its m columns lets it go
@@ -477,7 +454,7 @@ def _segment_eigh(d: np.ndarray, e: np.ndarray, lo: int, hi: int, vectors: bool)
 @dataclass
 class EigenResult:
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None    # function values, columns; unit discrete L2
+    eigenvectors: np.ndarray           # function values, columns; unit discrete L2
     residuals: np.ndarray
     info: dict
     characters: np.ndarray | None = None   # row-flip character of each pair (solve_row_flip)
@@ -531,8 +508,7 @@ def _contract(res: np.ndarray, info: dict):
     info["polish_rounds"] = 0
 
 
-def solve_lowest(op: DiscretizedOperator, count: int, mode: str = "auto",
-                 keep_vectors: bool = True) -> EigenResult:
+def solve_lowest(op: DiscretizedOperator, count: int, mode: str = "auto") -> EigenResult:
     """Dense eigensolve of the assembled H, the row-flip reduction's oracle.
 
     It holds about 16 dim^2 bytes (H as a dense array and its
@@ -556,13 +532,11 @@ def solve_lowest(op: DiscretizedOperator, count: int, mode: str = "auto",
     info = {"method": "dense", "mode": mode, "dim": op.dimension}
     _contract(res, info)
 
-    funcs = None
-    if keep_vectors:
-        funcs = vecs / np.sqrt(op.mass)[:, None]
-        for i in range(funcs.shape[1]):
-            jmax = int(np.argmax(np.abs(funcs[:, i])))
-            if funcs[jmax, i] < 0:
-                funcs[:, i] = -funcs[:, i]
+    funcs = vecs / np.sqrt(op.mass)[:, None]
+    for i in range(funcs.shape[1]):
+        jmax = int(np.argmax(np.abs(funcs[:, i])))
+        if funcs[jmax, i] < 0:
+            funcs[:, i] = -funcs[:, i]
     return EigenResult(vals, funcs, res, info)
 
 
@@ -699,8 +673,6 @@ def eigenfunction_trace(op: DiscretizedOperator | RowFlipOperator, result: Eigen
     row-flip pair is lifted onto the graph and signed as `solve_lowest`
     signs its vectors: positive where |value| first peaks in node order.
     """
-    if result.eigenvectors is None:
-        raise ValueError("eigenvectors were not retained")
     if not 0 <= index < result.eigenvectors.shape[1]:
         raise IndexError(f"eigenfunction index {index} out of range")
     if isinstance(op, RowFlipOperator):
@@ -722,7 +694,8 @@ def eigenfunction_trace(op: DiscretizedOperator | RowFlipOperator, result: Eigen
 
 def export_matrix(op: DiscretizedOperator, path: str):
     """Write the assembled matrix in coordinate text format (row col value),
-    rows ascending and columns ascending within a row."""
+    rows ascending and columns ascending within a row.  It holds the
+    entries as Python lists, about 112 bytes per stored entry (tracemalloc)."""
     with open(path, "w") as fh:
         fh.write(f"% symmetric {op.dimension} x {op.dimension}, nnz {len(op.data)}\n")
         for r, c, v in zip(op.rows().tolist(), op.indices.tolist(), op.data.tolist()):
