@@ -248,8 +248,9 @@ def discretize(graph: QuantumGraph, mesh: int, potential: Potential
     """Assemble the symmetric finite-difference Hamiltonian from its links.
 
     Cell c is the chain u, p_1 ... p_M, v of M + 1 links of step h_c
-    (module docstring).  The entries that touch an eliminated node are
-    dropped, the rest are scaled by the masses and sorted into CSR order.
+    (module docstring).  Links that touch an eliminated node are dropped,
+    the rest and the kept diagonal are remapped to the kept nodes, scaled
+    by the masses and sorted into CSR order.
 
     Parameters
     ----------
@@ -283,13 +284,13 @@ def discretize(graph: QuantumGraph, mesh: int, potential: Potential
     keep[graph.conducting_ids()] = False
     idx = np.flatnonzero(keep)
     n = len(idx)
-    row = np.concatenate([np.arange(ndof), a, b])
-    col = np.concatenate([np.arange(ndof), b, a])
-    val = np.concatenate([stiff, -1.0 / h, -1.0 / h])
-    ok = keep[row] & keep[col]
     new = np.cumsum(keep) - 1
-    row, col, val = new[row[ok]], new[col[ok]], val[ok]
-    order = np.argsort(row * n + col)
+    live = keep[a] & keep[b]
+    a, b, w = new[a[live]], new[b[live]], -1.0 / h[live]
+    row = np.concatenate([np.arange(n), a, b])
+    col = np.concatenate([np.arange(n), b, a])
+    val = np.concatenate([stiff[idx], w, w])
+    order = np.argsort(row * n + col, kind="stable")    # timsort: the keys come in runs
     row, col, val = row[order], col[order], val[order]
     massk = massv[idx]
     s = 1.0 / np.sqrt(massk)
