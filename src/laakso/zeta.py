@@ -15,6 +15,12 @@ evaluates.  Poles sit where the two geometric denominators vanish; their
 largest real part is half the spectral dimension d_s = ln(2^T I_T)/ln(I_T)
 (the frequency-variable convention doubles the pole abscissa).
 
+Only the bracket depends on the space: zeta_R(2s) is the same factor for
+every sequence, so it is evaluated once per distinct 2s per process
+(`_zeta_any`, a bounded cache keyed on the exact bits of 2s).  The
+evaluation is a pure function of those bits, so a cached value is the
+very value a fresh evaluation returns, and every output is the same.
+
 `continued_sum` sums any family table given as per-level rows, as exact
 geometric series whose bases are the pole lattices: over the free table
 it is `table_zeta`, the closed form's oracle at every period; over the
@@ -24,6 +30,7 @@ plate table at s = -1/2 it gives the Casimir coefficients.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -109,8 +116,18 @@ def geometric_continuation(r):
     return Fraction(1, 1) / (1 - Fraction(r)) if exact else 1.0 / (1.0 - r)
 
 
-def _zeta_any(s) -> complex:
-    """zeta_R for arbitrary complex s (continuation via mpmath off-domain)."""
+def _zeta_any(s: complex) -> complex:
+    """zeta_R for arbitrary complex s (continuation via mpmath off-domain),
+    evaluated once per distinct s per process (`_zeta_at`)."""
+    return _zeta_at(s, math.copysign(1.0, s.real), math.copysign(1.0, s.imag))
+
+
+@functools.lru_cache(maxsize=128, typed=True)
+def _zeta_at(s: complex, re_sign: float, im_sign: float) -> complex:
+    # Keyed on the exact bits of s: equal floats with equal signs are the
+    # same bits, and the signs keep +0.0 and -0.0 apart.  lru_cache stores
+    # no exception, so PoleError is raised on every call.  mpmath runs at
+    # its default precision, which the package never changes.
     if s == 1:
         raise PoleError("zeta_R has a pole at 1")
     if s == -1 or s == 0:
@@ -138,6 +155,8 @@ def spectral_zeta_periodic(seq: JSequence, s) -> ZetaValue:
     near) the pole lattice, where I_T^(2s) meets I_T 2^T or 2^T, and
     ValueError where a power or the value leaves double range (|Re s|
     near 100 and beyond).  For real s, a round-off imaginary part is dropped.
+    The factor zeta_R(2s), shared by every space, is evaluated once per
+    distinct 2s per process, and a repeat gets the same bits back.
     """
     T, products, js = _periodic_products(seq)
     s = complex(s)

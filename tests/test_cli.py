@@ -7,7 +7,6 @@ output change, run `PYTHONPATH=src python tests/test_cli.py`.
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import math
@@ -17,6 +16,7 @@ import sys
 import time
 import warnings
 
+import bench_data
 import pytest
 
 from laakso import (
@@ -35,6 +35,7 @@ from laakso import (
     square_well_spectrum,
 )
 from laakso import cli
+from laakso.zeta import _zeta_at
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_golden")
 
@@ -265,28 +266,33 @@ def test_spectrum_that_fails_creates_no_file(tmp_path, argv):
     assert not path.exists()
 
 
-BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
-
-
-def _bench_expected() -> dict:
-    with open(os.path.join(BENCH, "expected.json")) as fh:
-        return json.load(fh)
-
-
-def test_bench_spectrum_calls_print_their_recorded_digests(monkeypatch):
+def test_bench_spectrum_calls_print_their_recorded_digests():
     # the benchmark's spectrum calls cross thousands of chunk boundaries;
     # a writer that drifts there fails here before the benchmark runs
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)     # leave bench/ untouched
-    spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                  os.path.join(BENCH, "workloads.py"))
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    expected = _bench_expected()
-    assert workloads.SPECTRUM
-    for argv in workloads.SPECTRUM:
+    expected = bench_data.expected()
+    spectrum = bench_data.workloads().SPECTRUM
+    assert spectrum
+    for argv in spectrum:
         rc, out, err = run(argv)
         assert (rc, err) == (0, ""), argv
         assert hashlib.sha256(out.encode()).hexdigest() == expected[argv]["sha256"], argv
+
+
+def test_bench_analytic_calls_print_their_recorded_digests():
+    # zeta_R(2s) is cached per process, so run every zeta and casimir call
+    # of the benchmark's pool twice, in pool order and then reversed: no
+    # byte may depend on which call filled the cache
+    expected = bench_data.expected()
+    calls = [c for c in bench_data.workloads().analytic_pool()
+             if c.split()[0] in ("zeta", "casimir")]
+    assert len(calls) > 100
+    _zeta_at.cache_clear()
+    for argv in calls + calls[::-1]:
+        rc, out, err = run(argv)
+        assert rc == expected[argv]["exit"], argv
+        shown, silent = (out, err) if rc == 0 else (err, out)
+        assert silent == "", argv
+        assert hashlib.sha256(shown.encode()).hexdigest() == expected[argv]["sha256"], argv
 
 
 def test_render_json_escapes_control_characters():
@@ -514,7 +520,7 @@ def test_continued_zeta_in_a_fresh_process():
     argv = "zeta --j 2 --periodic --s=-1.5,40"
     rc, loaded, digest = _fresh_call(argv)
     assert rc == 0 and "mpmath" in loaded
-    assert digest == _bench_expected()[argv]["sha256"]
+    assert digest == bench_data.expected()[argv]["sha256"]
 
 
 def test_parser_is_built_once():

@@ -2,8 +2,10 @@
 
 import cmath
 import math
+import struct
 from fractions import Fraction
 
+import bench_data
 import pytest
 
 from laakso import (
@@ -21,7 +23,7 @@ from laakso import (
     zeta_poles,
 )
 from laakso.spectra import free_level
-from laakso.zeta import _geometric_terms
+from laakso.zeta import _geometric_terms, _zeta_any, _zeta_at
 
 SEQ2 = JSequence((2,), periodic=True)
 SEQ3 = JSequence((3,), periodic=True)
@@ -314,3 +316,85 @@ def test_requires_periodic():
         spectral_zeta_periodic(JSequence((2, 3)), 2.0)
     with pytest.raises(ValueError):
         spectral_dimension(JSequence((2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# zeta_R(2s), evaluated once per distinct 2s per process
+
+def _bits(z: complex) -> bytes:
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def _pool_arguments() -> list[complex]:
+    """2s for every zeta call of the benchmark's pool, parsed as the CLI does."""
+    out = []
+    for call in bench_data.workloads().analytic_pool():
+        if call.startswith("zeta "):
+            parts = call.split("--s=")[1].split(",")
+            out.append(2 * complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0))
+    return list(dict.fromkeys(out))
+
+
+@pytest.fixture
+def cold_cache():
+    _zeta_at.cache_clear()
+    yield
+    _zeta_at.cache_clear()
+
+
+def test_cached_zeta_is_the_evaluation_bit_for_bit(cold_cache):
+    # a miss and then a hit both return the uncached bits, at every argument
+    # of the benchmark's pool, on both sides of a zero imaginary part and at
+    # the trivial zero 2s = -2
+    points = _pool_arguments()
+    assert len(points) > 40
+    points += [complex(4.0, 0.0), complex(4.0, -0.0), complex(-3.0, 0.0), complex(-3.0, -0.0),
+               2 * complex(-1.0, 0.0), 2 * complex(-1.0, -0.0)]
+    for t in points:
+        if t == 1:
+            continue
+        want = _zeta_at.__wrapped__(t, math.copysign(1.0, t.real), math.copysign(1.0, t.imag))
+        assert _bits(_zeta_any(t)) == _bits(want), t
+        assert _bits(_zeta_any(t)) == _bits(want), t
+    assert _zeta_any(complex(-2.0, -0.0)) == 0
+
+
+def test_signed_zeros_are_separate_entries(cold_cache):
+    _zeta_any(complex(4.0, 0.0))
+    _zeta_any(complex(4.0, -0.0))
+    _zeta_any(complex(4.0, 0.0))
+    info = _zeta_at.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+
+
+def test_pole_is_raised_on_every_call(cold_cache):
+    for _ in range(3):
+        with pytest.raises(PoleError):
+            _zeta_any(complex(1.0, 0.0))
+        with pytest.raises(PoleError):
+            table_zeta(SEQ2, 0.5)
+    assert _zeta_at.cache_info().currsize == 0
+
+
+def test_mpmath_runs_once_per_argument(cold_cache, monkeypatch):
+    # zeta_R(2s) is the factor every space shares: the benchmark's five
+    # sequences at s = -1.5 + 40i continue it through mpmath once
+    import mpmath
+
+    calls = []
+    inner = mpmath.zeta
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "zeta", counted)
+    for values in [(2,), (3,), (4,), (2, 3), (2, 3, 5)]:
+        for _ in range(2):
+            spectral_zeta_periodic(JSequence(values, periodic=True), complex(-1.5, 40))
+    table_zeta(SEQ23, complex(-1.5, 40))
+    assert calls == [(complex(-3.0, 80.0),)]
+
+
+def test_zeta_cache_is_bounded():
+    assert 0 < _zeta_at.cache_info().maxsize < 1000
