@@ -271,11 +271,13 @@ def _sequence(args) -> JSequence:
 def _plate_config(args) -> PlateConfig:
     if args.plates is None:
         raise UsageError("this command needs --plates N,Z,X0")
-    parts = args.plates.split(",")
-    if len(parts) != 3:
-        raise UsageError("--plates takes N,Z,X0")
-    return PlateConfig(int(parts[0]), int(parts[1]), float(parts[2]),
-                       hbar=getattr(args, "hbar", 1.0))
+    try:
+        N, Z, x0 = args.plates.split(",")
+        N, Z, x0 = int(N), int(Z), float(x0)
+    except ValueError:
+        raise UsageError("--plates takes N,Z,X0 (integers N and Z, a number X0), "
+                         f"got {args.plates!r}") from None
+    return PlateConfig(N, Z, x0, hbar=getattr(args, "hbar", 1.0))
 
 
 def _add_common(p):
@@ -477,10 +479,10 @@ def _cmd_solve(args):
 
 def _cmd_zeta(args):
     seq = _sequence(args)
-    parts = args.s.split(",")
-    if len(parts) > 2:
-        raise UsageError(f"--s takes 're' or 're,im', got {args.s!r}")
-    s = complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
+    try:
+        s = complex(*(float(part) for part in args.s.split(",")))
+    except (TypeError, ValueError):     # complex() takes at most two parts
+        raise UsageError(f"--s takes 're' or 're,im', got {args.s!r}") from None
     if not cmath.isfinite(s):
         raise UsageError(f"--s must be finite, got {args.s!r}")
     # Every zeta call loads mpmath, which the continuation at Re 2s <= 1

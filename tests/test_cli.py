@@ -413,12 +413,27 @@ def test_ignored_flags_exit_2(argv):
     ("-inf", "--s must be finite, got '-inf'"),
     ("2,nan", "--s must be finite, got '2,nan'"),
     ("1,2,3", "--s takes 're' or 're,im', got '1,2,3'"),
-    ("x", "could not convert string to float: 'x'"),
+    ("x", "--s takes 're' or 're,im', got 'x'"),
+    ("1,x", "--s takes 're' or 're,im', got '1,x'"),
 ])
 def test_zeta_argument_errors(s, message):
     rc, out, err = run(f"zeta --j 2 --periodic --s={s}")
     assert (rc, out) == (2, "")
     assert json.loads(err) == {"error": message, "exit": 2}
+
+
+@pytest.mark.parametrize("command", [
+    "spectrum --kind plates --lambda-max 100",
+    "census --j 5 --periodic --level 2 --region plates",
+    "solve --j 5 --periodic --level 1 --count 2",
+])
+@pytest.mark.parametrize("plates", ["5,x,0.2", "5,0,abc", "5.0,0,0.2", "5,0", "5,0,0.2,1"])
+def test_plates_argument_errors(command, plates):
+    rc, out, err = run(f"{command} --plates {plates}")
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {
+        "error": f"--plates takes N,Z,X0 (integers N and Z, a number X0), got {plates!r}",
+        "exit": 2}
 
 
 @pytest.mark.parametrize("hbar", ["nan", "inf", "-1", "0"])
