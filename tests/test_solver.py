@@ -1,5 +1,6 @@
 """Discretization and eigensolver behavior on small graphs."""
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -668,6 +669,27 @@ def test_export_matrix_writes_the_coo_text(tmp_path):
     want = f"% symmetric {op.dimension} x {op.dimension}, nnz {coo.nnz}\n" + "".join(
         f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.17g}\n" for i in order)
     assert path.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("size", [1, 7, 10**9])
+def test_export_matrix_slices_write_the_whole_text(tmp_path, monkeypatch, size):
+    # export_matrix converts a fixed-size slice of entries at a time; at any
+    # slice size, also across rows that hold no entry, it writes the text of
+    # one pass over the whole CSR arrays
+    op = discretize(build_graph(SEQ23, 2), 5, Potential("square_well"))
+    keep = op.rows() % 3 != 1                   # rows 1, 4, 7, ... lose every entry
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(op.rows()[keep],
+                                                        minlength=op.dimension))])
+    holed = dataclasses.replace(op, data=op.data[keep], indices=op.indices[keep], indptr=indptr)
+    monkeypatch.setattr("laakso.solver._EXPORT_SLICE", size)
+    path = tmp_path / "matrix.txt"
+    for case in (op, holed):
+        assert len(case.data) % 7                  # the last slice of 7 is partial
+        want = f"% symmetric {case.dimension} x {case.dimension}, nnz {len(case.data)}\n" + "".join(
+            f"{r} {c} {v:.17g}\n"
+            for r, c, v in zip(case.rows().tolist(), case.indices.tolist(), case.data.tolist()))
+        export_matrix(case, str(path))
+        assert path.read_bytes() == want.encode()
 
 
 # ---------------------------------------------------------------------------
