@@ -429,6 +429,40 @@ def test_row_flip_segments_are_the_plate_table(cfg, n):
     assert _segment_table(g, 7, Potential("free")) == _plate_table(cfg, n)
 
 
+def _sine_values(kind: str, m: int, h: float) -> np.ndarray:
+    """The eigenvalues of the free chain of m nodes and step h, Dirichlet
+    past both ends (DD), past one (DN) or past neither (NN, masses h/2 at
+    the ends): the discrete sine closed forms, ascending."""
+    if kind == "NN":
+        return 4 / h**2 * np.sin(np.arange(m) * np.pi / (2 * (m - 1))) ** 2
+    k = np.arange(1, m + 1)
+    angle = k * np.pi / (2 * (m + 1)) if kind == "DD" else (2 * k - 1) * np.pi / (4 * m)
+    return 4 / h**2 * np.sin(angle) ** 2
+
+
+@pytest.mark.parametrize("seq,n", [(SEQ2, n) for n in range(7)] + [(SEQ3, 4), (SEQ23, 5)],
+                         ids=_case_id)
+def test_row_flip_segments_are_discrete_sines(seq, n):
+    # with the free potential the mesh is uniform, so every segment is a
+    # chain of one step whose eigenvalues are the closed form of its ends:
+    # N past a path end, D at a cut node
+    from laakso.solver import _segment_eigh
+
+    g = build_graph(seq, n)
+    rop = reduce_rows(g, 7, Potential("free"))
+    (length,) = g.lengths
+    h = float(length) / 8
+    kinds = Counter()
+    for a, b in zip(rop.starts, rop.stops):
+        d, e = rop.diag[a:b], rop.off[a:b - 1]
+        kind = "".join(sorted(("N" if a == 0 else "D") + ("N" if b == len(rop.xs) else "D")))
+        norm = np.max(np.abs(d) + np.abs(np.append(e, 0.0)) + np.abs(np.append(0.0, e)))
+        got = _segment_eigh(d, e, 0, len(d), False)
+        assert np.abs(got - _sine_values(kind, len(d), h)).max() <= 8 * np.finfo(float).eps * norm
+        kinds[kind] += 1
+    assert kinds["NN"] == 1 and kinds["DN"] >= (n > 0) and kinds["DD"] >= (n > 1)
+
+
 def test_row_flip_free_clusters_match_closed_form():
     r = solve_row_flip(reduce_rows(build_graph(SEQ2, 6), 7, Potential("free")), 60)
     clusters = cluster(r, 1e-2)
