@@ -700,7 +700,7 @@ def export_matrix(op: DiscretizedOperator, path: str):
     """Write the assembled matrix in coordinate text format (row col value),
     rows ascending and columns ascending within a row.  It converts
     `_EXPORT_SLICE` stored entries at a time to Python lists, so its own
-    memory is bounded whatever the size: 0.4 MB at its peak (tracemalloc)
+    memory is bounded whatever the size: 0.5 MB at its peak (tracemalloc)
     for the j = 2, n = 8, M = 7 free matrix, 1.54 M entries and 51 MB of text."""
     nnz = len(op.data)
     with open(path, "w") as fh:
