@@ -485,9 +485,9 @@ def _cmd_zeta(args):
         raise UsageError(f"--s takes 're' or 're,im', got {args.s!r}") from None
     if not cmath.isfinite(s):
         raise UsageError(f"--s must be finite, got {args.s!r}")
-    # Every zeta call loads mpmath, which the continuation at Re 2s <= 1
-    # uses, so that no later call in a process imports inside its own time;
-    # the other commands never load it.
+    # Every zeta call loads mpmath, which zeta_R(2s) uses at Re 2s <= 1 and
+    # at |Im 2s| > 120, so that no later call in a process imports inside
+    # its own time; the other commands never load it.
     import mpmath  # noqa: F401
     if s == 0.5:
         value = complex(zeta_limit_half(seq))

@@ -22,6 +22,9 @@ Every level-n graph decomposes into three shape primitives:
 * a cross: eight cells around a node column inherited from an earlier
   level, forming two X's glued at four corner nodes.
 
+The builder does not record them.  `shape_census` finds them from the
+cell endpoints alone, and the `shapes` view reads the same decomposition.
+
 All coordinates, lengths, and well geometry are exact rationals: the
 eigenvalue multiplicity case analysis branches on exact comparisons, so
 floating point is not allowed here.
@@ -29,6 +32,7 @@ floating point is not allowed here.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Sequence
@@ -43,9 +47,6 @@ from .sequences import JSequence, level_products
 
 WELL_LEFT = Fraction(1, 4)
 WELL_RIGHT = Fraction(3, 4)
-
-_SHAPE_SIZE = {"vee": 2, "loop": 2, "cross": 8}
-
 
 class GraphBuildError(ValueError):
     """The requested graph cannot be built."""
@@ -154,11 +155,12 @@ class QuantumGraph:
     0 for the two ends) and its exact x in `column_x`.  Per vertex: its
     column.  Per cell: endpoint vertex ids `u` < `v`, start column
     `cell`, row bitmask `row`, and `length_class`, an index into the
-    exact `lengths`.  `construction` holds the shapes the graph was
-    built from, as (kind, edge ids per shape) blocks.
+    exact `lengths`.
 
     `vertices`, `edges` and `shapes` are views for inspection: each
-    record is built when it is read.
+    record is built when it is read.  `shapes` runs `shape_census`'s
+    decomposition on every read and lists vees, loops, then crosses,
+    each by (col_a, edge ids); it is empty at level 0.
     """
 
     level: int
@@ -173,7 +175,6 @@ class QuantumGraph:
     row: np.ndarray
     length_class: np.ndarray
     lengths: tuple[Fraction, ...]
-    construction: tuple[tuple[str, np.ndarray], ...]
     plates: PlateConfig | None = None
 
     @property
@@ -198,7 +199,10 @@ class QuantumGraph:
 
     @property
     def shapes(self) -> Sequence[Shape]:
-        return _Records(sum(len(ids) for _, ids in self.construction), self._shape)
+        blocks = [(kind, eids, *_extent(self, eids))
+                  for kind, eids in (_decompose(self).items() if self.level >= 1 else ())]
+        return _Records(sum(len(eids) for _, eids, _, _ in blocks),
+                        functools.partial(self._shape, blocks))
 
     def _vertex(self, i: int) -> Vertex:
         col = int(self.vertex_column[i])
@@ -211,15 +215,12 @@ class QuantumGraph:
                     str(self.row_labels(self.row[i:i + 1])[0]), int(self.cell[i]),
                     self.lengths[self.length_class[i]])
 
-    def _shape(self, i: int) -> Shape:
-        for kind, ids in self.construction:
-            if i < len(ids):
-                eids = ids[i]
-                cells = self.cell[eids]
-                a, b = int(cells.min()), int(cells.max()) + 1
-                return Shape(kind, a, b, tuple(int(e) for e in eids),
-                             a + 1 if kind == "cross" else None)
-            i -= len(ids)
+    def _shape(self, blocks, i: int) -> Shape:
+        for kind, eids, a, b in blocks:
+            if i < len(eids):
+                return Shape(kind, int(a[i]), int(b[i]), tuple(eids[i].tolist()),
+                             int(a[i]) + 1 if kind == "cross" else None)
+            i -= len(eids)
 
     def vertex_rows(self, ids=None) -> np.ndarray:
         """Row bitmasks of the given vertices, or of all of them; the bit a
@@ -382,57 +383,9 @@ def build_graph(
         length_class = ((cell >= plate_left) & (cell < plate_right)).astype(np.int8)
 
     graph = QuantumGraph(n, tuple(seq.prefix(n)), tuple(products), birth, column_x,
-                         vertex_column, u, v, cell, row, length_class, lengths, (),
-                         plates)
-    if n >= 1:
-        graph.construction = _construct_shapes(graph)
+                         vertex_column, u, v, cell, row, length_class, lengths, plates)
     _check_graph(graph)
     return graph
-
-
-def _group(eids: np.ndarray, keys: np.ndarray, kind: str) -> np.ndarray:
-    """Edge ids sharing a key, one shape per row in key order.
-
-    `eids` must be ascending; ids stay ascending within a row.  Raises
-    unless every key holds exactly the shape's cell count.
-    """
-    size = _SHAPE_SIZE[kind]
-    order = np.argsort(keys, kind="stable")
-    k = keys[order]
-    if len(k) % size == 0:
-        k = k.reshape(-1, size)
-        if np.all(k == k[:, :1]) and np.all(k[1:, 0] > k[:-1, 0]):
-            return eids[order].reshape(-1, size)
-    raise GraphBuildError(f"{kind} groups are not all of {size} cells")
-
-
-def _construct_shapes(graph: QuantumGraph) -> tuple[tuple[str, np.ndarray], ...]:
-    n, I_n, birth = graph.level, graph.columns, graph.birth
-    u, v, row, cell = graph.u, graph.v, graph.row, graph.cell
-
-    # Vees: the cells of the first and the last column, paired by apex.
-    first = np.arange(1 << n, dtype=np.int64) * I_n
-    last = first + I_n - 1
-    vees = np.concatenate([_group(first, v[first], "vee"),
-                           _group(last, u[last], "vee")])
-
-    # Loops: parallel cells between adjacent newest-level columns.
-    k = np.arange(I_n)
-    loop_cell = (k >= 1) & (k <= I_n - 2) & (birth[:-1] == n) & (birth[1:] == n)
-    e = np.flatnonzero(loop_cell[cell])
-    loops = _group(e, u[e] * graph.num_vertices + v[e], "loop")
-
-    # Crosses: the eight cells around each interior column of an earlier
-    # level, grouped by row with the glued level's and level n's bits cleared.
-    owner = np.full(I_n, -1)
-    center = np.flatnonzero((birth > 0) & (birth < n))
-    owner[center - 1] = center
-    owner[center] = center
-    e = np.flatnonzero(owner[cell] >= 0)
-    c = owner[cell[e]]
-    key = c * (1 << n) + (row[e] & ~((1 << (n - birth[c])) | 1))
-    crosses = _group(e, key, "cross")
-    return (("vee", vees), ("loop", loops), ("cross", crosses))
 
 
 def _check_graph(graph: QuantumGraph):
@@ -442,11 +395,6 @@ def _check_graph(graph: QuantumGraph):
         raise GraphBuildError(
             f"cell count {graph.num_cells} != {expected} at level {n}"
         )
-    if n >= 1:
-        ids = np.concatenate([eids.ravel() for _, eids in graph.construction])
-        if len(ids) != graph.num_cells or np.any(
-                np.bincount(ids, minlength=graph.num_cells) != 1):
-            raise GraphBuildError("shape decomposition does not partition the cells")
 
 
 def _region_walls(graph: QuantumGraph, region: str) -> tuple[Fraction, Fraction]:
@@ -463,12 +411,8 @@ def _region_walls(graph: QuantumGraph, region: str) -> tuple[Fraction, Fraction]
 def shape_census(graph: QuantumGraph, region: str | None = None) -> ShapeCensus:
     """Count shapes by brute-force decomposition of the explicit graph.
 
-    The decomposition is re-derived from adjacency alone (parallel cells
-    give loops, boundary legs give vees, twin degree-4 nodes with a
-    common 4-corner neighborhood give crosses) rather than read off the
-    construction, so it can serve as an independent check of the
-    closed-form counts.  It reads only the cell endpoints `u`, `v` and
-    the vertex columns.
+    The decomposition is derived from adjacency alone (`_decompose`), so
+    it can serve as an independent check of the closed-form counts.
 
     Parameters
     ----------
@@ -487,15 +431,54 @@ def shape_census(graph: QuantumGraph, region: str | None = None) -> ShapeCensus:
     """
     if graph.level < 1:
         raise ValueError("shape decomposition needs level >= 1")
+    found = {kind: _extent(graph, eids) for kind, eids in _decompose(graph).items()}
+    counts = {kind: len(a) for kind, (a, _) in found.items()}
+    if region is None:
+        return ShapeCensus(graph.level, counts["vee"], counts["loop"], counts["cross"])
 
+    wl, wr = _region_walls(graph, region)
+
+    def at_least(x, q):
+        return x * q.denominator >= q.numerator
+
+    def at_most(x, q):
+        return x * q.denominator <= q.numerator
+
+    split, straddling = {}, {}
+    for kind, (a, b) in found.items():
+        inside = at_least(a, wl) & at_most(b, wr)
+        outside = ~inside & (at_most(b, wl) | at_least(a, wr))
+        straddling[kind] = ~inside & ~outside
+        split[kind] = RegionSplit(int(inside.sum()), int(outside.sum()),
+                                  int(straddling[kind].sum()))
+    c = found["cross"][0] + 1
+    half_inside = int(np.sum(straddling["cross"] & at_least(c, wl) & at_most(c, wr)))
+    return ShapeCensus(graph.level, counts["vee"], counts["loop"], counts["cross"],
+                       region, split, half_inside)
+
+
+def _extent(graph: QuantumGraph, eids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last column touched by each row of edge ids."""
+    ends = graph.vertex_column[np.concatenate([graph.u[eids], graph.v[eids]], axis=1)]
+    return ends.min(axis=1), ends.max(axis=1)
+
+
+def _decompose(graph: QuantumGraph) -> dict[str, np.ndarray]:
+    """The shapes of a level n >= 1 graph, as edge ids per kind (vee, loop,
+    cross), one ascending row per shape.
+
+    Parallel cells give loops, boundary legs give vees, and twin degree-4
+    nodes with a common 4-corner neighborhood give crosses.  It reads only
+    the cell endpoints `u`, `v` and the vertex columns, and raises
+    GraphBuildError unless the shapes partition the cells.  Each kind's
+    rows are in the id order of the apex, the left pair end or the least
+    corner; vertex ids run by column, then by row class, so that is the
+    order of (first column, edge ids).
+    """
     u, v, col = graph.u, graph.v, graph.vertex_column
     nv, ne = len(col), len(u)
     deg = graph.degrees()
     used = np.zeros(ne, dtype=bool)
-
-    def extent(eids):
-        ends = col[np.concatenate([u[eids], v[eids]], axis=1)]
-        return ends.min(axis=1), ends.max(axis=1)
 
     # Vees: legs at degree-1 vertices, paired by apex and boundary side.
     legs = np.flatnonzero((deg[u] == 1) | (deg[v] == 1))
@@ -549,8 +532,6 @@ def shape_census(graph: QuantumGraph, region: str | None = None) -> ShapeCensus:
         k = np.argmax(sizes > 2)
         raise GraphBuildError(f"{sizes[k]} nodes share corners {set(nbrs[first[k]].tolist())}")
     first = first[sizes == 2]       # a lone one is a corner between two crosses
-    centers = four[first]
-    corners = nbrs[first]
     cand = np.sort(np.concatenate([incident[slots[first]],
                                    incident[slots[first + 1]]], axis=1), axis=1)
     if np.any(cand[:, 1:] == cand[:, :-1]):
@@ -578,35 +559,7 @@ def shape_census(graph: QuantumGraph, region: str | None = None) -> ShapeCensus:
             f"decomposition covered {int(used.sum())} of {ne} cells"
         )
 
-    corner_cols = col[corners[committed]]
-    found = {
-        "vee": extent(vees),
-        "loop": extent(loops),
-        "cross": (corner_cols.min(axis=1), corner_cols.max(axis=1)),
-    }
-    counts = {kind: len(a) for kind, (a, _) in found.items()}
-    if region is None:
-        return ShapeCensus(graph.level, counts["vee"], counts["loop"], counts["cross"])
-
-    wl, wr = _region_walls(graph, region)
-
-    def at_least(x, q):
-        return x * q.denominator >= q.numerator
-
-    def at_most(x, q):
-        return x * q.denominator <= q.numerator
-
-    split, straddling = {}, {}
-    for kind, (a, b) in found.items():
-        inside = at_least(a, wl) & at_most(b, wr)
-        outside = ~inside & (at_most(b, wl) | at_least(a, wr))
-        straddling[kind] = ~inside & ~outside
-        split[kind] = RegionSplit(int(inside.sum()), int(outside.sum()),
-                                  int(straddling[kind].sum()))
-    c = col[centers[committed]]
-    half_inside = int(np.sum(straddling["cross"] & at_least(c, wl) & at_most(c, wr)))
-    return ShapeCensus(graph.level, counts["vee"], counts["loop"], counts["cross"],
-                       region, split, half_inside)
+    return {"vee": vees, "loop": loops, "cross": cand[committed]}
 
 
 def column_boundaries(seq: JSequence, n: int) -> list[tuple[str, int, tuple[int, int]]]:

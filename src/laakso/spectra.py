@@ -53,7 +53,7 @@ import numpy as np
 
 from .graphs import _Records, well_geometry
 from .plates import PlateConfig
-from .sequences import JSequence, level_products
+from .sequences import JSequence
 
 MERGED = "merged"
 PER_FAMILY = "per-family"
@@ -479,47 +479,28 @@ def square_well_spectrum(seq: JSequence, query: SpectrumQuery) -> Spectrum:
     return _spectrum(square_well_families(seq, query.lambda_max), query)
 
 
-def interior_shape_counts(seq: JSequence, n: int, region: str = "well"
-                          ) -> tuple[int, int, int]:
+def interior_shape_counts(seq: JSequence, n: int) -> tuple[int, int, int]:
     """Closed-form (full crosses, half crosses, loops) inside the well.
 
-    Selected by exact comparison of w = I_n/4 against the column layout:
-    with the wall clear of the m-th cross there are
-    2^(n-2) (I_{n-1}-1) - (m-1) 2^(n-1) full interior crosses; with the
-    wall cutting the m-th cross there are 2^(n-2)(I_{n-1}-1) - m 2^(n-1)
-    full crosses plus 2^(n-1) half-crosses.  Loops count
-    2^(n-1)(j_n-2)I_{n-1} minus the sets lost to the walls.
+    Floor arithmetic on lo = ceil(w) and hi = floor(3w), the first and
+    last column inside the well (w = I_n/4, from `well_geometry`), with
+    j = j_n.  The loops are 2^(n-1) per k in [lo, hi - 1] with neither k
+    nor k + 1 a multiple of j.  The crosses are 2^(n-2) per multiple of j:
+    full for each in [lo + 1, hi - 1], half for each other one in
+    [lo, hi], where a wall cuts the cross.
     """
-    if region != "well":
-        raise ValueError("interior counts are defined for the square well region")
     if n < 1:
         raise ValueError("interior counts need level >= 1")
-    products = level_products(seq, n)
-    I_prev, j = products[n - 1], seq.j(n)
-    w = well_geometry(seq, n).w
+    j, w = seq.j(n), well_geometry(seq, n).w
+    lo, hi = math.ceil(w), math.floor(3 * w)
 
-    loops = _matches(w, j, [
-        (lambda m: (m - 1) * j < w <= m * j - 1,
-         lambda m: 2 ** (n - 1) * (j - 2) * I_prev
-         - 2**n * (1 + math.ceil(w) - 2 * m)),
-        (lambda m: m * j - 1 < w <= m * j + 1,
-         lambda m: 2 ** (n - 1) * (j - 2) * I_prev - m * 2**n * (j - 2)),
-    ])
-    loops_in = loops[0] if loops else 0
+    def multiples(a, b):
+        return b // j - (a - 1) // j
 
-    full_in = half_in = 0
-    if n >= 2:
-        total = 2 ** (n - 2) * (I_prev - 1)
-        for m in _candidate_m(w, j):
-            if (m - 1) * j < w <= m * j - 1:
-                full_in, half_in = total - (m - 1) * 2 ** (n - 1), 0
-                break
-            if m * j - 1 < w <= m * j:
-                full_in, half_in = total - m * 2 ** (n - 1), 2 ** (n - 1)
-                break
-    if loops_in < 0 or full_in < 0:
-        raise MultiplicityError(f"negative interior count at level {n}")
-    return (full_in, half_in, loops_in)
+    full = multiples(lo + 1, hi - 1)
+    loops = hi - lo - multiples(lo, hi - 1) - multiples(lo + 1, hi)
+    per_cross = 2**n // 4           # 2^(n-2); level 1 has no crosses
+    return (per_cross * full, per_cross * (multiples(lo, hi) - full), 2 ** (n - 1) * loops)
 
 
 # ---------------------------------------------------------------------------

@@ -53,27 +53,29 @@ class ZetaValue:
 
 _BERNOULLI = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
               Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6)]
+_SERIES_MAX_IMAG = 120      # |Im s| past which the series is not used
 
 
 def riemann_zeta(s):
     """zeta_R(s) on the arguments the library needs.
 
     Exact rationals at the continuation points s = -1 (-1/12) and s = 0
-    (-1/2); for Re(s) > 1 the Dirichlet series with an Euler-Maclaurin
-    tail correction.  Other arguments raise.  The tail has a fixed number
-    of terms, so the error grows with |Im s| and is worst near Re(s) = 1.
-    Measured against mpmath.zeta on 1 < Re(s) <= 4, relative to
-    max(1, |zeta_R(s)|): below 2e-14 for |Im s| <= 40, 5e-12 for
-    |Im s| <= 60 (2.2e-12 at 1.2+60i), 1e-8 for |Im s| <= 100
-    (6.3e-12 at 3+100i) and 2e-7 for |Im s| <= 120 (8.7e-10 at 2.4+120i,
-    where the spectral zeta at s = 1.2+60i evaluates it).
+    (-1/2); for Re(s) > 1 and |Im s| <= 120 the Dirichlet series with an
+    Euler-Maclaurin tail correction.  Other arguments raise ValueError.
+    The tail has a fixed number of terms, so the error grows with |Im s|
+    and is worst near Re(s) = 1.  Measured against mpmath.zeta on
+    1 < Re(s) <= 4, relative to max(1, |zeta_R(s)|): below 2e-14 for
+    |Im s| <= 40, 5e-12 for |Im s| <= 60 (2.2e-12 at 1.2+60i), 1e-8 for
+    |Im s| <= 100 (6.3e-12 at 3+100i) and 2e-7 for |Im s| <= 120
+    (8.7e-10 at 2.4+120i, where the spectral zeta at s = 1.2+60i
+    evaluates it).  Past 120 the error grows fast: 1.3e-3 at 2.4+300i.
     """
     if s == -1:
         return Fraction(-1, 12)
     if s == 0:
         return Fraction(-1, 2)
     if isinstance(s, complex):
-        if s.real <= 1:
+        if s.real <= 1 or abs(s.imag) > _SERIES_MAX_IMAG:
             raise ValueError(f"zeta_R at {s} is outside the supported domain")
     elif s <= 1:
         raise ValueError(f"zeta_R at {s} is outside the supported domain")
@@ -117,8 +119,8 @@ def geometric_continuation(r):
 
 
 def _zeta_any(s: complex) -> complex:
-    """zeta_R for arbitrary complex s (continuation via mpmath off-domain),
-    evaluated once per distinct s per process (`_zeta_at`)."""
+    """zeta_R for arbitrary complex s (mpmath outside `riemann_zeta`'s
+    domain), evaluated once per distinct s per process (`_zeta_at`)."""
     return _zeta_at(s, math.copysign(1.0, s.real), math.copysign(1.0, s.imag))
 
 
@@ -132,8 +134,7 @@ def _zeta_at(s: complex, re_sign: float, im_sign: float) -> complex:
         raise PoleError("zeta_R has a pole at 1")
     if s == -1 or s == 0:
         return complex(float(riemann_zeta(s)), 0.0)
-    re = s.real if isinstance(s, complex) else s
-    if re > 1:
+    if s.real > 1 and abs(s.imag) <= _SERIES_MAX_IMAG:
         return complex(riemann_zeta(s))
     import mpmath       # only this branch uses it; see `laakso.cli._cmd_zeta`
     return complex(mpmath.zeta(complex(s)))

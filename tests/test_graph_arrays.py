@@ -8,6 +8,7 @@ the same ids and the array census to the same counts.
 import dataclasses
 
 import pytest
+from small_graphs import levels, small_sequences
 
 from laakso import (
     JSequence,
@@ -19,8 +20,10 @@ from laakso import (
     discretize,
     eigenfunction_trace,
     shape_census,
+    solve,
     solve_lowest,
 )
+from laakso import graphs
 from laakso.graphs import GraphBuildError
 
 SEQ2 = JSequence((2,), periodic=True)
@@ -180,6 +183,18 @@ def test_shape_view_records():
     ]
 
 
+def test_shape_view_order():
+    # vees, loops, then crosses, each by (first column, edge ids), on every
+    # graph of the small sweep and on plate graphs
+    kinds = {"vee": 0, "loop": 1, "cross": 2}
+    graphs = [build_graph(seq, n) for seq in small_sequences() for n in levels(seq, 1)]
+    graphs += [build_graph(JSequence((N,), periodic=True), 2, plates=PlateConfig(N, Z, 0.2))
+               for N, Z in ((4, 1), (5, 0), (7, 2))]
+    for g in graphs:
+        keys = [(kinds[s.kind], s.col_a, s.edge_ids) for s in g.shapes]
+        assert keys == sorted(keys), (g.js, g.level)
+
+
 def test_views_are_read_only_sequences():
     g = build_graph(SEQ23, 3)
     assert len(g.vertices) == g.num_vertices == len(list(g.vertices))
@@ -193,12 +208,20 @@ def test_views_are_read_only_sequences():
 
 
 def test_hot_paths_build_no_records(monkeypatch):
-    def refuse(self, i):
+    def refuse(*args):
         raise AssertionError("a vertex, edge or shape record was built")
+
+    def refuse_shapes(graph):
+        raise AssertionError("the shapes were decomposed")
 
     for name in ("_vertex", "_edge", "_shape"):
         monkeypatch.setattr(QuantumGraph, name, refuse)
-    g = build_graph(JSequence((4,), periodic=True), 2, plates=PlateConfig(4, 1, 0.2))
+    with monkeypatch.context() as m:
+        m.setattr(graphs, "_decompose", refuse_shapes)
+        g = build_graph(JSequence((4,), periodic=True), 2, plates=PlateConfig(4, 1, 0.2))
+        rop, result = solve(g, 4, Potential("free"), 3)
+        trace = eigenfunction_trace(rop, result, 2)
+        assert len(trace) == len(rop.node_x())
     shape_census(g, region="plates")
     op = discretize(g, 4, Potential("square_well"))
     trace = eigenfunction_trace(op, solve_lowest(op, 2), 0)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from shift_invert import shift_invert_eigenvalues
+from small_graphs import levels, small_sequences
 
 import laakso
 from laakso import (
@@ -407,9 +408,16 @@ def _plate_table(cfg, n) -> Counter:
                          lambda f: scale[f.region])
 
 
-@pytest.mark.parametrize("seq,n", [(SEQ2, n) for n in range(11)] + [
+def _new_cases(cases, more, case_id=_case_id):
+    """`cases`, then each of `more` whose test id is not taken yet (pytest
+    would rename both cases of a repeated id)."""
+    seen = {tuple(map(case_id, c)) for c in cases}
+    return cases + [c for c in more if tuple(map(case_id, c)) not in seen]
+
+
+@pytest.mark.parametrize("seq,n", _new_cases([(SEQ2, n) for n in range(11)] + [
     (SEQ3, 4), (SEQ23, 5), (JSequence((3, 2, 4), periodic=True), 4),
-], ids=_case_id)
+], [(seq, n) for seq in small_sequences() for n in levels(seq)]), ids=_case_id)
 def test_row_flip_segments_are_the_free_table(seq, n):
     # the distinct free segments, counted with their weights, are the
     # paper's free families in exact integers: each family is one interval
@@ -417,11 +425,19 @@ def test_row_flip_segments_are_the_free_table(seq, n):
     assert _segment_table(build_graph(seq, n), 7, Potential("free")) == _free_table(seq, n)
 
 
-@pytest.mark.parametrize("cfg,n", [
+def _plate_id(v):
+    return f"{v.N},{v.Z},{v.x0}" if isinstance(v, PlateConfig) else str(v)
+
+
+@pytest.mark.parametrize("cfg,n", _new_cases([
     (PlateConfig(*c), n)
     for c in ((4, 1, 0.2), (5, 0, 0.2), (7, 2, 0.15), (9, 2, 0.3))
     for n in range(1, 5)
-], ids=lambda v: f"{v.N},{v.Z},{v.x0}" if isinstance(v, PlateConfig) else str(v))
+], [
+    (PlateConfig(N, Z, x0), n)
+    for N in range(3, 8) for Z in range(N - 3, -1, -2) for x0 in (0.2, 0.15)
+    for n in levels(JSequence((N,), periodic=True), first=1)
+], _plate_id), ids=_plate_id)
 def test_row_flip_segments_are_the_plate_table(cfg, n):
     # with plates the conducting columns cut every row, and the distinct
     # segments are the paper's plate families, inside and outside

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from shift_invert import shift_invert_eigenvalues
+from small_graphs import levels, small_sequences
 
 from laakso import (
     JSequence,
@@ -177,6 +178,19 @@ def test_interior_counts_match_region_census(values, n):
     assert census.split["cross"].interior == full
     assert census.half_crosses_interior == half
     assert census.split["loop"].interior == loops
+
+
+@pytest.mark.parametrize("seq", small_sequences() + [
+    JSequence((2, 3, 5), periodic=True), JSequence((3, 2, 4), periodic=True),
+], ids=lambda seq: ",".join(map(str, seq.values)))
+def test_interior_counts_match_census_sweep(seq):
+    # the floor rule against the brute-force census on every graph of at
+    # most 20,000 cells
+    for n in levels(seq, first=1):
+        census = shape_census(build_graph(seq, n), region="well")
+        assert interior_shape_counts(seq, n) == (
+            census.split["cross"].interior, census.half_crosses_interior,
+            census.split["loop"].interior), n
 
 
 # ---------------------------------------------------------------------------
@@ -385,18 +399,6 @@ def test_well_rows_match_full_scan(monkeypatch, values, lambda_max):
     rows = spectra.square_well_families(seq, lambda_max)
     monkeypatch.setattr(spectra, "_candidate_m", _full_scan)
     assert rows == spectra.square_well_families(seq, lambda_max)
-
-
-@pytest.mark.parametrize("values", [
-    (2,), (3,), (4,), (5,), (7,), (2, 3), (3, 2), (2, 3, 5), (3, 2, 4),
-])
-def test_interior_counts_match_full_scan(monkeypatch, values):
-    # levels 1..12, as deep as the full scan stays cheap (I_n <= 10^6)
-    seq = JSequence(values, periodic=True)
-    levels = [n for n in range(1, 13) if math.prod(seq.j(i) for i in range(1, n + 1)) <= 10**6]
-    got = [interior_shape_counts(seq, n) for n in levels]
-    monkeypatch.setattr(spectra, "_candidate_m", _full_scan)
-    assert got == [interior_shape_counts(seq, n) for n in levels]
 
 
 def test_well_table_at_1e15_is_fast():

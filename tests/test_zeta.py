@@ -81,6 +81,23 @@ def test_riemann_rejects_off_domain():
         riemann_zeta(-2)
     with pytest.raises(ValueError):
         riemann_zeta(1.0)
+    with pytest.raises(ValueError):
+        riemann_zeta(2.4 + 121j)
+
+
+@pytest.mark.parametrize("s", [2.4 + 121j, 2.4 + 1000j, 1.5 - 300j])
+def test_zeta_past_the_series_domain_is_mpmath(s, cold_cache):
+    # the fixed-length series is 3e3 off at 2.4+1000i
+    import mpmath
+    want = complex(mpmath.zeta(s))
+    assert abs(_zeta_any(s) - want) <= 1e-12 * abs(want)
+
+
+def test_series_zeta_is_bounded_by_its_real_part(cold_cache):
+    # |zeta_L(sigma + it)| <= zeta_L(sigma) where the series converges
+    bound = spectral_zeta_periodic(SEQ23, 1.2).value.real
+    for t in (60, 121, 500):
+        assert abs(spectral_zeta_periodic(SEQ23, complex(1.2, t)).value) <= bound
 
 
 def test_hurwitz_half_values():
