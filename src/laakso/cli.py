@@ -13,17 +13,30 @@ each distinct k, multiplicity and lambda once.  The spectrum is built,
 and every option checked, before the first chunk; each chunk is written
 as soon as it is made, so the text held at once is one chunk, not the
 document.
+
+A command line is parsed on one of two routes, both read from one table
+of each subcommand's flags, `_SUBCOMMANDS`.  `_parse` takes a
+well-formed one: the subcommand, then only its exact long flags, each as
+`--flag value` (a value not starting with '-') or `--flag=value`, every
+value converting with its flag's type and lying in its choices, and
+every required flag given.  It makes the namespace argparse would make,
+in about 2 microseconds where argparse takes 30.  Every other command
+line (an abbreviation, `-o`, `-h`, `--`, an unknown flag, a missing,
+empty or bad value) goes unchanged to the argparse parser `build_parser`
+makes from the same table.  So every usage error (exit 2) and every help
+page is argparse's own text, not a copy that could drift from it.
+argparse is imported, and its parser built, only when a call needs it.
 """
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import contextlib
 import functools
 import math
 import sys
-from typing import NamedTuple
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -63,6 +76,9 @@ from . import (
 from .graphs import GraphBuildError
 from .plates import PlateConfigError
 from .solver import MeshError
+
+if TYPE_CHECKING:
+    import argparse
 
 
 class UsageError(ValueError):
@@ -280,78 +296,151 @@ def _plate_config(args) -> PlateConfig:
     return PlateConfig(N, Z, x0, hbar=getattr(args, "hbar", 1.0))
 
 
-def _add_common(p):
-    p.add_argument("--output", "-o", default="-", help="output path ('-' = stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+class _Flag(NamedTuple):
+    """One long flag of a subcommand, as both parsers read it."""
+    flag: str
+    type: Callable[[str], Any] | None = None    # None keeps the string
+    choices: tuple | None = None
+    required: bool = False
+    default: Any = None
+    store_true: bool = False
+    help: str | None = None
+    alias: str | None = None                    # a short form, for argparse only
+
+    @property
+    def dest(self) -> str:
+        """The namespace attribute, named as argparse names it."""
+        return self.flag[2:].replace("-", "_")
 
 
-def _add_sequence(p):
-    p.add_argument("--j", required=True, help="comma list of subdivision counts")
-    p.add_argument("--periodic", action="store_true",
-                   help="repeat the list forever instead of treating it as a prefix")
+class _Subcommand(NamedTuple):
+    """A subcommand's help line, flags and help-page description."""
+    help: str
+    flags: tuple[_Flag, ...]
+    description: str | None = None
+
+
+_J = _Flag("--j", required=True, help="comma list of subdivision counts")
+_PERIODIC = _Flag("--periodic", store_true=True,
+                  help="repeat the list forever instead of treating it as a prefix")
+_COMMON = (_Flag("--output", default="-", help="output path ('-' = stdout)", alias="-o"),
+           _Flag("--format", choices=("json", "csv"), default="json"))
+
+# Every subcommand's flags, in the order its help page lists them.
+_SUBCOMMANDS = {
+    "describe": _Subcommand("dimensions and basic data of a space", (
+        _J, _PERIODIC,
+        _Flag("--level", type=int,
+              help="level for finite-level estimates (explicit sequences)"),
+        *_COMMON)),
+    "census": _Subcommand("shape counts, closed form vs brute force", (
+        _J, _PERIODIC,
+        _Flag("--level", type=int, required=True),
+        _Flag("--region", choices=("well", "plates")),
+        _Flag("--plates", help="N,Z,X0 (region=plates)"),
+        *_COMMON)),
+    "spectrum": _Subcommand("closed-form eigenvalue lines", (
+        _Flag("--kind", choices=("free", "square-well", "plates"), required=True),
+        _Flag("--j", help="comma list of subdivision counts"),
+        _Flag("--periodic", store_true=True),
+        _Flag("--lambda-max", type=float, required=True),
+        _Flag("--policy", choices=(MERGED, PER_FAMILY), default=MERGED),
+        _Flag("--plates", help="N,Z,X0 (kind=plates)"),
+        *_COMMON)),
+    "solve": _Subcommand("numeric eigensolve on a quantum graph", (
+        _J, _PERIODIC,
+        _Flag("--level", type=int, required=True),
+        _Flag("--potential", choices=("free", "square_well", "coulomb", "parabolic"),
+              default="free"),
+        _Flag("--mesh", type=int, help="interior points per edge (default: 8 per cell rule)"),
+        _Flag("--count", type=int, default=10),
+        _Flag("--cluster-tol", type=float, default=1e-2),
+        _Flag("--plates", help="N,Z,X0 for a plate graph"),
+        _Flag("--trace", type=int, help="emit the eigenfunction trace of this index instead"),
+        *_COMMON),
+        description="Lowest eigenvalues of the finite-difference Hamiltonian on the "
+                    "level-n graph (those nearest zero for coulomb).  The row flips "
+                    "split the Hamiltonian into 1-D tridiagonal segment problems, "
+                    "each solved once and counted with its multiplicity; the "
+                    "Hamiltonian is never assembled."),
+    "zeta": _Subcommand("spectral zeta function of a periodic space", (
+        _J, _PERIODIC,
+        _Flag("--s", required=True, help="argument, 're' or 're,im'"),
+        *_COMMON)),
+    "casimir": _Subcommand("regularized plate energy and force", (
+        _Flag("--N", type=int, required=True),
+        _Flag("--Z", type=int, required=True),
+        _Flag("--X0", type=float, required=True),
+        _Flag("--hbar", type=float, default=1.0),
+        *_COMMON)),
+}
+
+# For `_parse`: each subcommand's flags by long name, and its defaults by
+# dest, which leave out only the required flags.
+_LONG_FLAGS = {name: ({f.flag: f for f in cmd.flags},
+                      {f.dest: False if f.store_true else f.default
+                       for f in cmd.flags if not f.required})
+               for name, cmd in _SUBCOMMANDS.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="laakso",
         description="Spectra, zeta functions, and Casimir energies on Laakso spaces",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("describe", help="dimensions and basic data of a space")
-    _add_sequence(p)
-    p.add_argument("--level", type=int, default=None,
-                   help="level for finite-level estimates (explicit sequences)")
-    _add_common(p)
-
-    p = sub.add_parser("census", help="shape counts, closed form vs brute force")
-    _add_sequence(p)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--region", choices=("well", "plates"), default=None)
-    p.add_argument("--plates", default=None, help="N,Z,X0 (region=plates)")
-    _add_common(p)
-
-    p = sub.add_parser("spectrum", help="closed-form eigenvalue lines")
-    p.add_argument("--kind", choices=("free", "square-well", "plates"), required=True)
-    p.add_argument("--j", default=None, help="comma list of subdivision counts")
-    p.add_argument("--periodic", action="store_true")
-    p.add_argument("--lambda-max", type=float, required=True)
-    p.add_argument("--policy", choices=(MERGED, PER_FAMILY), default=MERGED)
-    p.add_argument("--plates", default=None, help="N,Z,X0 (kind=plates)")
-    _add_common(p)
-
-    p = sub.add_parser(
-        "solve", help="numeric eigensolve on a quantum graph",
-        description="Lowest eigenvalues of the finite-difference Hamiltonian on the "
-                    "level-n graph (those nearest zero for coulomb).  The row flips "
-                    "split the Hamiltonian into 1-D tridiagonal segment problems, "
-                    "each solved once and counted with its multiplicity; the "
-                    "Hamiltonian is never assembled.")
-    _add_sequence(p)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--potential", default="free",
-                   choices=("free", "square_well", "coulomb", "parabolic"))
-    p.add_argument("--mesh", type=int, default=None,
-                   help="interior points per edge (default: 8 per cell rule)")
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--cluster-tol", type=float, default=1e-2)
-    p.add_argument("--plates", default=None, help="N,Z,X0 for a plate graph")
-    p.add_argument("--trace", type=int, default=None,
-                   help="emit the eigenfunction trace of this index instead")
-    _add_common(p)
-
-    p = sub.add_parser("zeta", help="spectral zeta function of a periodic space")
-    _add_sequence(p)
-    p.add_argument("--s", required=True, help="argument, 're' or 're,im'")
-    _add_common(p)
-
-    p = sub.add_parser("casimir", help="regularized plate energy and force")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--Z", type=int, required=True)
-    p.add_argument("--X0", type=float, required=True)
-    p.add_argument("--hbar", type=float, default=1.0)
-    _add_common(p)
+    for name, cmd in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help, description=cmd.description)
+        for f in cmd.flags:
+            names = (f.flag, f.alias) if f.alias else (f.flag,)
+            if f.store_true:
+                p.add_argument(*names, action="store_true", help=f.help)
+            else:
+                p.add_argument(*names, type=f.type, choices=f.choices, required=f.required,
+                               default=f.default, help=f.help)
     return ap
+
+
+def _parse(argv) -> SimpleNamespace | None:
+    """The namespace argparse makes of a well-formed `argv` (see the module
+    docstring), or None for any other.  A store_true flag takes no value,
+    no value may be empty, and a flag given twice keeps its last value, as
+    in argparse."""
+    if not argv or argv[0] not in _LONG_FLAGS:
+        return None
+    flags, defaults = _LONG_FLAGS[argv[0]]
+    given = {}
+    rest = iter(argv[1:])
+    for arg in rest:
+        name, eq, value = arg.partition("=")
+        flag = flags.get(name)
+        if flag is None:
+            return None
+        if flag.store_true:
+            if eq:
+                return None
+            given[flag.dest] = True
+            continue
+        if not eq:
+            value = next(rest, "-")     # a missing value is refused as '-' is
+            if value.startswith("-"):
+                return None
+        if not value:
+            return None
+        if flag.type is not None:
+            try:
+                value = flag.type(value)
+            except (TypeError, ValueError):
+                return None
+        if flag.choices is not None and value not in flag.choices:
+            return None
+        given[flag.dest] = value
+    args = defaults | given
+    if len(args) < len(flags):      # a required flag is missing
+        return None
+    return SimpleNamespace(command=argv[0], **args)
 
 
 # The parser `main` uses, built on the first call.  It is bound to the
@@ -383,7 +472,23 @@ def _cmd_describe(args):
             "d": [geom.d.numerator, geom.d.denominator],
             "wall_on_node": geom.wall_on_node,
         }
+    # I_n, or d's denominator (at most 4 I_n), is the widest integer printed
+    _check_printable(max(out["level_products"][-1], geom.d.denominator if n >= 1 else 1),
+                     f"--level {n}")
     return out
+
+
+def _check_printable(x: int, what: str):
+    """Refuse, before anything is rendered, an integer x >= 1 with more
+    decimal digits than Python converts to a string."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()   # 0: no limit
+    # below 2^(3 limit) < 10^limit, x has at most `limit` digits
+    if not limit or x.bit_length() <= 3 * limit or x < 10 ** limit:
+        return
+    digits = int(math.log10(x)) + 1     # may be one off near a power of 10
+    digits += (x >= 10 ** digits) - (x < 10 ** (digits - 1))
+    raise UsageError(f"{what} prints an integer of {digits} digits, over Python's "
+                     f"limit of {limit} digits for converting an integer to a string")
 
 
 def _cmd_census(args):
@@ -541,7 +646,9 @@ def _out_of_memory(args, exc: MemoryError) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse(argv) or _parser().parse_args(argv)
     try:
         _check_format(args)
         out = _COMMANDS[args.command](args)

@@ -386,11 +386,28 @@ def test_spectrum_csv_round_trip():
     "solve --j 2 --periodic --level 1 --count 6 --cluster-tol -0.1",
     "solve --j 2 --periodic --level 1 --count 6 --cluster-tol nan --trace 0",
     "solve --j 2 --periodic --level 1 --count 6 --cluster-tol -1 --trace 0",
+    "describe --j 2 --periodic --level 14285",      # I_n has 4301 digits
 ])
 def test_invalid_configuration_exits_2(argv):
     rc, out, err = run(argv)
     assert rc == 2 and out == ""
     assert json.loads(err)["exit"] == 2
+
+
+def test_describe_level_past_the_int_string_limit_exits_2():
+    # I_n = 2^14285 has 4301 digits, one over Python's default limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert run("describe --j 2 --periodic --level 14284")[0] == 0
+        rc, out, err = run("describe --j 2 --periodic --level 14285")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "--level 14285 prints an integer of 4301 digits, over Python's limit "
+                 "of 4300 digits for converting an integer to a string",
+        "exit": 2}
 
 
 @pytest.mark.parametrize("argv", [
