@@ -20,12 +20,13 @@ well-formed one: the subcommand, then only its exact long flags, each as
 `--flag value` (a value not starting with '-') or `--flag=value`, every
 value converting with its flag's type and lying in its choices, and
 every required flag given.  It makes the namespace argparse would make,
-in about 2 microseconds where argparse takes 30.  Every other command
-line (an abbreviation, `-o`, `-h`, `--`, an unknown flag, a missing,
-empty or bad value) goes unchanged to the argparse parser `build_parser`
-makes from the same table.  So every usage error (exit 2) and every help
-page is argparse's own text, not a copy that could drift from it.
-argparse is imported, and its parser built, only when a call needs it.
+at a small fraction of argparse's cost, which was most of a small call
+such as `zeta` or `casimir`.  Every other command line (an
+abbreviation, `-o`, `-h`, `--`, an unknown flag, a missing, empty or bad
+value) goes unchanged to the argparse parser `build_parser` makes from
+the same table.  So every usage error (exit 2) and every help page is
+argparse's own text, not a copy that could drift from it.  argparse is
+imported, and its parser built, only when a call needs it.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ def _bench_calls() -> list[list[str]]:
 def _without(argv: list[str], flag: str) -> list[str]:
     """`argv` with `flag` and the value after it left out."""
     i = argv.index(flag)
-    return argv[:i] + argv[i + 1 + (not cli._LONG_FLAGS[argv[0]][0][flag].store_true):]
+    return argv[:i] + argv[i + 2:]
 
 
 def _malformed(command: str) -> list[list[str]]:
