@@ -456,6 +456,11 @@ _parser = functools.cache(build_parser)
 def _cmd_describe(args):
     seq = _sequence(args)
     n = args.level if args.level is not None else (seq.period or len(seq.values))
+    geom = well_geometry(seq, n) if n >= 1 else None
+    # I_n = 4 w, or d's denominator (at most 4 I_n), is the widest integer
+    # printed; it is refused before the products I_0..I_n are listed
+    _check_printable(max(int(4 * geom.w), geom.d.denominator) if n >= 1 else 1,
+                     f"--level {n}")
     out = {
         "sequence": seq.describe(),
         "level_products": level_products(seq, n),
@@ -466,16 +471,12 @@ def _cmd_describe(args):
         out["spectral_dimension"] = spectral_dimension(seq)
         out["poles_m0"] = [[p.real, p.imag] for p in zeta_poles(seq, (0,))]
     if n >= 1:
-        geom = well_geometry(seq, n)
         out["well_geometry"] = {
             "level": n,
             "w": [geom.w.numerator, geom.w.denominator],
             "d": [geom.d.numerator, geom.d.denominator],
             "wall_on_node": geom.wall_on_node,
         }
-    # I_n, or d's denominator (at most 4 I_n), is the widest integer printed
-    _check_printable(max(out["level_products"][-1], geom.d.denominator if n >= 1 else 1),
-                     f"--level {n}")
     return out
 
 

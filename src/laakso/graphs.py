@@ -593,7 +593,7 @@ def well_geometry(seq: JSequence, n: int) -> WellGeometry:
     """
     if n < 1:
         raise ValueError("well geometry needs level >= 1")
-    I_n = level_products(seq, n)[n]
+    I_n = math.prod(seq.prefix(n))
     w = Fraction(I_n, 4)
     d = Fraction(math.ceil(w) - w, I_n)
     return WellGeometry(n, w, d, d == 0)

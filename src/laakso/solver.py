@@ -12,10 +12,9 @@ with the lumped node masses:
     H = D^(-1/2) L D^(-1/2) + diag(V(x)),   D = node masses.
 
 Potentials act pointwise through the x-coordinate of each node.  An
-infinite wall is a Dirichlet constraint: nodes where |V| reaches the
-potential's cutoff are eliminated together with the conducting
-vertices, so the wavefunction is zero there and H carries only the
-finite part of V.
+infinite wall is a Dirichlet constraint: nodes where V is infinite are
+eliminated together with the conducting vertices, so the wavefunction
+is zero there and H carries only the finite part of V.
 
 Row flips.  Swapping the two level-m copies (flipping bit n - m of every
 row mask) is a graph automorphism that fixes x, and everything H is built
@@ -113,16 +112,16 @@ class Potential:
     """Potential V(x) on the horizontal coordinate.
 
     kind is one of 'free', 'square_well', 'coulomb', 'parabolic',
-    'custom'.  Values at or beyond +-cutoff are infinite walls, which
-    `discretize` eliminates as Dirichlet nodes; this holds for 'custom'
-    too.  The square well is +cutoff outside [1/4, 3/4] and zero on the
-    closed well, so a node exactly on the wall sees V = 0.  The Coulomb
-    potential -1/(x-1/2)^2 + 1/4 is -cutoff at x = 1/2 exactly; the
-    parabolic potential 1/(x(1-x)) is +cutoff at x = 0, 1.
+    'custom'.  Infinite values are walls, which `discretize` and
+    `reduce_rows` eliminate as Dirichlet nodes; a 'custom' func returns
+    np.inf (or -np.inf) where it wants one.  The square well is +inf
+    outside [1/4, 3/4] and zero on the closed well, so a node exactly on
+    the wall sees V = 0.  The Coulomb potential -1/(x-1/2)^2 + 1/4 is
+    -inf at x = 1/2 exactly; the parabolic potential 1/(x(1-x)) is +inf
+    at x = 0, 1.
     """
 
     kind: str
-    cutoff: float = 1e15
     func: object = None
 
     def __post_init__(self):
@@ -130,28 +129,18 @@ class Potential:
             raise ValueError(f"unknown potential kind {self.kind!r}")
         if self.kind == "custom" and not callable(self.func):
             raise ValueError("custom potential needs a callable func")
-        if not self.cutoff > 0:        # NaN too: |V| < nan would wall every node
-            raise ValueError("cutoff must be positive")
 
     def values(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.kind == "free":
             return np.zeros_like(x)
         if self.kind == "square_well":
-            return np.where((x >= 0.25) & (x <= 0.75), 0.0, self.cutoff)
-        if self.kind == "coulomb":
-            out = np.empty_like(x)
-            at_center = x == 0.5
-            with np.errstate(divide="ignore"):
-                out[~at_center] = -1.0 / (x[~at_center] - 0.5) ** 2 + 0.25
-            out[at_center] = -self.cutoff
-            return out
-        if self.kind == "parabolic":
-            out = np.empty_like(x)
-            at_end = (x == 0.0) | (x == 1.0)
-            out[~at_end] = 1.0 / (x[~at_end] * (1.0 - x[~at_end]))
-            out[at_end] = self.cutoff
-            return out
+            return np.where((x >= 0.25) & (x <= 0.75), 0.0, np.inf)
+        with np.errstate(divide="ignore"):
+            if self.kind == "coulomb":
+                return -1.0 / (x - 0.5) ** 2 + 0.25
+            if self.kind == "parabolic":
+                return 1.0 / (x * (1.0 - x))
         return np.asarray(self.func(x), dtype=float)
 
 
@@ -263,8 +252,8 @@ def discretize(graph: QuantumGraph, mesh: int, potential: Potential
     -------
     DiscretizedOperator
         Second-order accurate; matrix exactly symmetric by construction;
-        conducting vertices and wall nodes (|V| >= potential.cutoff)
-        eliminated.  MeshError if an entry is outside double range.
+        conducting vertices and wall nodes (V infinite) eliminated.
+        MeshError if an entry is outside double range.
 
     Memory (tracemalloc, M = 7, every node kept): about 310 bytes per
     node at the peak, the result's 82 included.
@@ -280,7 +269,7 @@ def discretize(graph: QuantumGraph, mesh: int, potential: Potential
     xv = np.array([float(x) for x in graph.column_x])[graph.vertex_column]
     xs = np.concatenate([xv, _interior_x(xv[graph.u], xv[graph.v], M).ravel()])
     V = _potential_at(potential, xs)
-    keep = np.abs(V) < potential.cutoff
+    keep = np.isfinite(V)
     keep[graph.conducting_ids()] = False
     idx = np.flatnonzero(keep)
     n = len(idx)
@@ -387,7 +376,7 @@ def reduce_rows(graph: QuantumGraph, mesh: int, potential: Potential
     xs[::M + 1] = xv
     xs[:-1].reshape(I_n, M + 1)[:, 1:] = _interior_x(xv[:-1], xv[1:], M)
     V = _potential_at(potential, xs)
-    cut = ~(np.abs(V) < potential.cutoff)
+    cut = ~np.isfinite(V)
     cut[np.asarray(graph.conducting_columns(), dtype=np.int64) * (M + 1)] = True
     s = 1.0 / np.sqrt(mass)
     diag = stiff * (s * s) + np.where(cut, 0.0, V)

@@ -34,7 +34,7 @@ from laakso import (
     solve_lowest,
     square_well_spectrum,
 )
-from laakso import cli
+from laakso import cli, graphs
 from laakso.zeta import _zeta_at
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_golden")
@@ -408,6 +408,27 @@ def test_describe_level_past_the_int_string_limit_exits_2():
         "error": "--level 14285 prints an integer of 4301 digits, over Python's limit "
                  "of 4300 digits for converting an integer to a string",
         "exit": 2}
+
+
+def test_describe_refuses_the_level_before_listing_the_products(monkeypatch):
+    # the products I_0..I_n take memory quadratic in n: level 10^5 peaked
+    # at 1.31 GB when they were listed before the level was refused
+    def refuse(*args):
+        raise AssertionError("level_products called")
+    monkeypatch.setattr(cli, "level_products", refuse)
+    monkeypatch.setattr(graphs, "level_products", refuse)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        results = [run(f"describe --j 2 --periodic --level {n}") for n in (14285, 100000)]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [json.loads(err) for rc, out, err in results] == [
+        {"error": f"--level {n} prints an integer of {digits} digits, over Python's "
+                  "limit of 4300 digits for converting an integer to a string",
+         "exit": 2}
+        for n, digits in ((14285, 4301), (100000, 30103))]
+    assert [(rc, out) for rc, out, err in results] == [(2, "")] * 2
 
 
 @pytest.mark.parametrize("argv", [

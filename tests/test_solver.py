@@ -47,12 +47,12 @@ def test_potential_values():
     import numpy as np
     x = np.array([0.0, 0.2499, 0.25, 0.5, 0.75, 0.7501, 1.0])
     well = Potential("square_well").values(x)
-    assert list(well) == [1e15, 1e15, 0.0, 0.0, 0.0, 1e15, 1e15]
+    assert list(well) == [np.inf, np.inf, 0.0, 0.0, 0.0, np.inf, np.inf]
     coul = Potential("coulomb").values(np.array([0.5, 0.6]))
-    assert coul[0] == -1e15
+    assert coul[0] == -np.inf
     assert coul[1] == pytest.approx(-1 / 0.01 + 0.25)
     par = Potential("parabolic").values(np.array([0.0, 0.5, 1.0]))
-    assert par[0] == par[2] == 1e15
+    assert par[0] == par[2] == np.inf
     assert par[1] == pytest.approx(4.0)
     assert Potential("free").values(x).max() == 0.0
     custom = Potential("custom", func=lambda x: 2 * x)
@@ -64,11 +64,6 @@ def test_potential_validation():
         Potential("box")
     with pytest.raises(ValueError):
         Potential("custom")
-    with pytest.raises(ValueError):
-        Potential("free", cutoff=-1.0)
-    with pytest.raises(ValueError):
-        Potential("free", cutoff=math.nan)    # |V| < nan would wall every node
-    assert Potential("free", cutoff=math.inf).cutoff == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -149,16 +144,16 @@ def test_walls_are_eliminated(seq, n, M, kind, plates):
     op = discretize(g, M, pot)
     assert len(op.xs) == len(g.vertices) + len(g.edges) * M
     V = pot.values(op.xs)
-    walls = int(np.sum(np.abs(V) >= pot.cutoff))
+    walls = int(np.sum(~np.isfinite(V)))
     assert walls > 0
     conducting = set(g.conducting_ids())
-    free = sum(1 for i, v in enumerate(V) if abs(v) < pot.cutoff and i not in conducting)
+    free = sum(1 for i, v in enumerate(V) if np.isfinite(v) and i not in conducting)
     assert op.dimension == free
-    assert np.all(np.abs(op.matrix.diagonal()) < pot.cutoff)
+    assert np.isfinite(op.matrix.diagonal()).all()
 
 
 def test_nan_potential_is_not_a_wall():
-    # |nan| < cutoff is False, so without a check NaN nodes would be
+    # NaN is not finite, so without a check NaN nodes would be
     # eliminated silently
     pot = Potential("custom", func=lambda x: np.where(x > 0.5, np.nan, 0.0))
     with pytest.raises(MeshError):
@@ -225,18 +220,6 @@ def test_mesh_convergence_second_order():
     for i in range(5):
         p = math.log(errs[25][i] / errs[100][i]) / math.log(h[25] / h[100])
         assert p >= 1.8, f"eigenvalue {i}: observed order {p:.2f}"
-
-
-def test_cutoff_saturation():
-    # raising the well cutoff 1e12 -> 1e15 moves the lowest eigenvalues
-    # by far less than 0.1%
-    g = build_graph(SEQ23, 3)
-    vals = {}
-    for cutoff in (1e12, 1e15):
-        op = discretize(g, 6, Potential("square_well", cutoff=cutoff))
-        vals[cutoff] = solve_lowest(op, 10).eigenvalues
-    rel = np.abs(vals[1e15] - vals[1e12]) / np.abs(vals[1e15])
-    assert rel.max() < 1e-3
 
 
 def test_residual_contract():
@@ -350,7 +333,7 @@ def test_row_flip_weights_closed_form():
         g = build_graph(seq, n, plates=plates)
         M = 7
         rop = reduce_rows(g, M, pot)
-        base = np.abs(pot.values(rop.xs)) >= pot.cutoff
+        base = ~np.isfinite(pot.values(rop.xs))
         base[np.asarray(g.conducting_columns(), dtype=int) * (M + 1)] = True
         birth = np.zeros(len(rop.xs), dtype=int)
         birth[::M + 1] = g.birth
