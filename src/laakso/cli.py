@@ -14,6 +14,22 @@ and every option checked, before the first chunk; each chunk is written
 as soon as it is made, so the text held at once is one chunk, not the
 document.
 
+Each chunk's lambdas are printed, as `"%.17g" %` prints them, by one
+array kernel, `_format_17g`.  A value 1 <= v < 2^53 (every lambda but 0)
+is exactly m / 2^s with an integer m < 2^53.  Its decimal exponent
+E = floor(log10 v) comes from a search of the exact float powers 10^0 ..
+10^16, and its 17 significant digits are m 5^(16-E) / 2^(s-16+E) rounded
+half to even, in integer arithmetic on the exact product (under 2^91,
+held in two uint64 limbs).  That is the correctly rounded decimal, which
+is what Python's formatter prints, so the text is the same byte for byte
+(a carry to 10^17 moves E up one).  The digits come from a table of
+4-digit groups, with the point after digit E and the fraction's trailing
+zeros cut, and the point too when nothing follows it, as %g does.  Every
+other value (0, -0, negatives, NaN, infinities, v < 1, v >= 2^53) goes to
+Python's formatter.  Every uint64 operation takes uint64 operands: numpy
+1.x promotes int64 with uint64 to float64, which would lose bits.  The
+tables are built on first use.
+
 A command line is parsed on one of two routes, both read from one table
 of each subcommand's flags, `_SUBCOMMANDS`.  `_parse` takes a
 well-formed one: the subcommand, then only its exact long flags, each as
@@ -94,32 +110,82 @@ _ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"',
                           **{chr(c): f"\\u{c:04x}" for c in range(0x20)}})
 
 
-def render_json(obj, indent: int = 0) -> str:
-    """Minimal JSON emitter: sorted keys, floats at 17 significant digits."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  "{k}": {render_json(obj[k], indent + 1)}' for k in sorted(obj)
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(f"{pad}  {render_json(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, int):
+def _json_str(s: str) -> str:
+    return f'"{s.translate(_ESCAPES)}"'
+
+
+# The text of a scalar, by its exact type
+_SCALAR_JSON = {
+    float: "%.17g".__mod__,
+    int: int.__repr__,
+    str: _json_str,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _scalar_json(obj) -> str | None:
+    """The text of a scalar, or None for a dict, list or tuple."""
+    text = _SCALAR_JSON.get(type(obj))
+    if text is not None:
+        return text(obj)
+    # a subclass, such as np.float64: checked in the recursive emitter's order
+    if isinstance(obj, (dict, list, tuple)):
+        return None
+    if isinstance(obj, int):        # bool cannot be subclassed
         return str(obj)
     if isinstance(obj, float):
         return format(obj, ".17g")
     if isinstance(obj, str):
-        return f'"{obj.translate(_ESCAPES)}"'
+        return _json_str(obj)
     raise TypeError(f"cannot serialize {type(obj)}")
+
+
+def _emit(obj, nl: str, parts: list):
+    """Append the text of the dict, list or tuple `obj` to `parts`; `nl`
+    is a newline and the indent of the line `obj` starts on."""
+    if not obj:
+        parts.append("{}" if isinstance(obj, dict) else "[]")
+        return
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        sep = "{" + inner
+        for key in sorted(obj):
+            value = obj[key]
+            text = _SCALAR_JSON.get(type(value))
+            text = text(value) if text else _scalar_json(value)
+            if text is None:
+                parts.append(f'{sep}"{key}": ')
+                _emit(value, inner, parts)
+            else:
+                parts.append(f'{sep}"{key}": {text}')
+            sep = "," + inner
+        parts.append(nl + "}")
+        return
+    sep = "[" + inner
+    for value in obj:
+        text = _SCALAR_JSON.get(type(value))
+        text = text(value) if text else _scalar_json(value)
+        if text is None:
+            parts.append(sep)
+            _emit(value, inner, parts)
+        else:
+            parts.append(sep + text)
+        sep = "," + inner
+    parts.append(nl + "]")
+
+
+def render_json(obj, indent: int = 0) -> str:
+    """Minimal JSON emitter: sorted keys, floats at 17 significant digits.
+
+    One pass appends every piece of text to one list, joined once.
+    """
+    text = _scalar_json(obj)
+    if text is not None:
+        return text
+    parts = []
+    _emit(obj, "\n" + "  " * indent, parts)
+    return "".join(parts)
 
 
 def _write(chunks, path: str | None):
@@ -141,6 +207,81 @@ def _write(chunks, path: str | None):
 # The spectrum writer formats this many lines at a time, so the pieces it
 # holds at once are a bounded slice of the document.
 _CHUNK_LINES = 4096
+
+_U64 = np.uint64
+
+
+@functools.cache
+def _17g_tables():
+    """The exact float powers 10^0..10^16, 5^0..5^16 and 10^0..10^17 as
+    uint64, and every 4-digit group as text: rows 0..9999 as printed,
+    rows 10000..19999 with their trailing zeros cut (so 0 is empty)."""
+    groups = [f"{g:04d}" for g in range(10**4)]
+    return (np.array([float(10**e) for e in range(17)]),
+            np.array([5**e for e in range(17)], dtype=_U64),
+            np.array([10**e for e in range(18)], dtype=_U64),
+            np.array(groups + [g.rstrip("0") for g in groups], dtype="U4"))
+
+
+def _format_17g(x: np.ndarray) -> list[str]:
+    """`["%.17g" % v for v in x.tolist()]` for a float64 array x.
+
+    Values 1 <= v < 2^53 are printed exactly with whole-array integer
+    arithmetic (see the module docstring); every other value goes to
+    Python's formatter.
+    """
+    powers, five, tens, groups = _17g_tables()
+    one, low32 = _U64(1), _U64(2**32 - 1)
+    fast = (x >= 1.0) & (x < 2.0**53)
+    v = x[fast]
+    bits = v.view(_U64)
+    m = (bits & _U64(2**52 - 1)) | _U64(2**52)    # v = m / 2^s, s = 1075 - exponent
+    e = np.searchsorted(powers, v, side="right") - 1     # floor(log10 v): 0..15
+    # The 17 digits: d = v 10^(16-e) = m 5^(16-e) / 2^t rounded half to
+    # even, t = s - 16 + e, with the product (under 2^91) held as H 2^32 + L.
+    t = e + 1059 - (bits >> _U64(52)).astype(np.int64)       # -1..36
+    f = five[16 - e]
+    m0 = m & low32
+    low = m0 * (f & low32)
+    H = (m >> _U64(32)) * f + m0 * (f >> _U64(32)) + (low >> _U64(32))
+    L = low & low32
+    right, high = np.maximum(t, 0).astype(_U64), np.maximum(t - 32, 0).astype(_U64)
+    q = ((H >> high) << (high + _U64(32) - right)) | (L >> right)      # floor
+    twice_r = ((((H & ((one << high) - one)) << _U64(32)) | L)
+               & ((one << right) - one)) << one
+    unit = one << right
+    up = (twice_r > unit) | ((twice_r == unit) & (q & one == one))
+    d = (q + up.astype(_U64)) << np.maximum(-t, 0).astype(_U64)    # t = -1: exact
+    carry = d == _U64(10**17)
+    d[carry] = _U64(10**16)
+    e += carry
+    # w: d's digits with a digit 1 inserted after the e + 1 integer digits;
+    # it becomes the point, or nothing when the fraction is 0
+    p = tens[16 - e]
+    whole = d // p
+    w = d + whole * (_U64(9) * p) + p
+    g = [w // _U64(10**12) % _U64(10**4), w // _U64(10**8) % _U64(10**4),
+         w // _U64(10**4) % _U64(10**4), w % _U64(10**4)]
+    buf = np.empty((len(d), 20), dtype=np.uint32)     # the text is columns 2..19
+    quads = buf.view("U4")
+    cut = _U64(10**4)          # w's trailing zeros are cut, up to its digit 1
+    for i in (3, 2, 1, 0):
+        quads[:, i + 1] = groups[g[i] + cut]
+        cut = np.where(g[i] == _U64(0), cut, _U64(0))
+    lead = w // _U64(10**16)
+    buf[:, 2] = lead // _U64(10) + _U64(ord("0"))
+    buf[:, 3] = lead % _U64(10) + _U64(ord("0"))
+    buf[np.arange(len(d)), e + 3] = np.where(d == whole * p, 0, ord("."))
+    text = buf[:, 2:].view("U18")[:, 0].tolist()      # without trailing NULs
+    slow = np.flatnonzero(~fast)
+    if not len(slow):
+        return text
+    out, done = [], 0       # merge in the other values, in order
+    for k, (i, v) in enumerate(zip(slow.tolist(), x[slow].tolist())):
+        out += text[done:i - k]
+        out.append("%.17g" % v)
+        done = i - k
+    return out + text[done:]
 
 
 class _Layout(NamedTuple):
@@ -202,7 +343,7 @@ def _write_spectrum(spectrum, layout: _Layout, prefix: str = "", suffix: str = "
     through tables (each family's k values are one run from 0 or 1, so the
     k table is at most one entry longer than the sources), and lambda once
     per run of bit-equal values in a chunk (compared as int64, so +0 and -0
-    differ).  All pieces are scattered by that index arithmetic: no Python
+    differ), by the array kernel `_format_17g` (see the module docstring).  All pieces are scattered by that index arithmetic: no Python
     code runs per line or per source.
     """
     a, order, bounds, lam = spectrum.arrays, spectrum.order, spectrum.bounds, spectrum.lam
@@ -229,7 +370,7 @@ def _write_spectrum(spectrum, layout: _Layout, prefix: str = "", suffix: str = "
         entries = order[bounds[i0]:bounds[i1]]
         code = a.family[entries] * levels + a.n[entries]
         run = np.append(True, bits[i0 + 1:i1] != bits[i0:i1 - 1])
-        lam_text = np.array(list(map("%.17g".__mod__, lam[i0:i1][run].tolist())), dtype=object)
+        lam_text = np.array(_format_17g(lam[i0:i1][run]), dtype=object)
         pieces = np.empty(starts[-1], dtype=object)
         pieces[line] = lam_text[np.cumsum(run) - 1]
         pieces[line + 1] = mult_text[mult_index[i0:i1]]

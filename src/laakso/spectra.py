@@ -32,7 +32,8 @@ continuation (`laakso.zeta.continued_sum`) and `census_closed_form` all
 read.  The square-well table is not geometric in the level: one loop.
 
 `enumerate_families` lists the lines of a table up to a ceiling as numpy
-arrays; `free_spectrum`, `square_well_spectrum` and `plates_spectrum`
+arrays, after refusing (ValueError) a table whose arrays would not fit in
+memory; `free_spectrum`, `square_well_spectrum` and `plates_spectrum`
 sort and group them into a `Spectrum`, which keeps the arrays and reads
 as a sequence of `SpectralLine`s, each built only when it is read.
 
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -190,40 +192,72 @@ class LineArrays(NamedTuple):
     dens: list[int]
 
 
+# Peak bytes a `spectrum` call holds per (family, k) entry, from the line
+# arrays to the writer's chunks: 147 per family and 101 merged
+# (tracemalloc, free j = 2 at lambda_max 1e11, 1e12 and 1e13)
+_BYTES_PER_ENTRY = 150
+
+
+def _memory_budget() -> float:
+    """Bytes a request may plan to hold: the machine's physical memory,
+    or the RLIMIT_AS soft limit when one is set and lower."""
+    try:
+        budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):     # no sysconf: no budget
+        budget = math.inf
+    try:
+        import resource
+    except ImportError:
+        return budget
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    return budget if soft == resource.RLIM_INFINITY else min(budget, soft)
+
+
 def enumerate_families(families: list[Family], lambda_max: float,
                        scales: dict[str, float] = UNIT_SCALE) -> LineArrays:
     """Every line with printed eigenvalue <= lambda_max, as arrays.
 
     Zero-multiplicity families are skipped; a family with a negative
     multiplicity raises MultiplicityError if it has a line in range.
+    Every family's k range is found and checked before any array is made,
+    and a table whose entries would not fit in `_memory_budget()` at
+    _BYTES_PER_ENTRY each raises ValueError.
     """
     names = sorted({f.name for f in families})
     regions = sorted({f.region for f in families})
     dens = {r: 1 for r in regions}
     for f in families:       # the denominator of q does not depend on k
         dens[f.region] = math.lcm(dens[f.region], f.q(0)[1])
-    rows, ks, nums, lams = [], [], [], []
+    ranges = []
     for f in families:
         if f.multiplicity == 0:
             continue
-        scale = scales[f.region]
-        k_max = _k_max(f, lambda_max, scale)
+        k_max = _k_max(f, lambda_max, scales[f.region])
         if k_max < f.k_min:
             continue
         if f.multiplicity < 0:
             raise MultiplicityError(f"negative multiplicity {f.multiplicity} in "
                                     f"family {f.name} at n={f.n}, k={f.k_min}")
         num_max, den = f.q(k_max)
-        factor = dens[f.region] // den
-        if num_max * factor >= 2**63:
+        if num_max * (dens[f.region] // den) >= 2**63:
             raise ValueError(f"lambda_max = {lambda_max:g} is too large for exact "
                              f"keys in family {f.name} at n={f.n}")
+        ranges.append((f, k_max))
+    entries = sum(k_max - f.k_min + 1 for f, k_max in ranges)
+    budget = _memory_budget()
+    if entries * _BYTES_PER_ENTRY > budget:
+        raise ValueError(f"family enumeration: lambda_max = {lambda_max:g} gives "
+                         f"{entries} (family, k) entries, which need about "
+                         f"{entries * _BYTES_PER_ENTRY / 1e9:.1f} GB, more than the "
+                         f"{budget / 1e9:.1f} GB this process may use")
+    rows, ks, nums, lams = [], [], [], []
+    for f, k_max in ranges:
         k = np.arange(f.k_min, k_max + 1, dtype=np.int64)
-        num = f.q(k)[0]
+        num, den = f.q(k)
         rows.append((f.multiplicity, names.index(f.name), f.n, regions.index(f.region)))
         ks.append(k)
-        nums.append(num * factor)
-        lams.append(_printed(num, den, scale))
+        nums.append(num * (dens[f.region] // den))
+        lams.append(_printed(num, den, scales[f.region]))
     per_row = np.array(rows, dtype=np.int64).reshape(-1, 4)
     mult, family, n, region = np.repeat(per_row, [len(k) for k in ks], axis=0).T
     none = np.empty(0, dtype=np.int64)      # keeps dtypes when no family has a line

@@ -17,6 +17,8 @@ import time
 import warnings
 
 import bench_data
+import json_reference
+import numpy as np
 import pytest
 
 from laakso import (
@@ -298,6 +300,143 @@ def test_bench_analytic_calls_print_their_recorded_digests():
 def test_render_json_escapes_control_characters():
     text = "".join(map(chr, range(0x20))) + '"\\ end'
     assert json.loads(cli.render_json({"s": text})) == {"s": text}
+
+
+def test_render_json_is_the_reference_on_every_bench_document(monkeypatch):
+    docs = []
+    render_json = cli.render_json
+
+    def recording(obj, indent=0):
+        docs.append((obj, indent))
+        return render_json(obj, indent)
+
+    monkeypatch.setattr(cli, "render_json", recording)
+    for argv in bench_data.expected():
+        run(argv)
+    assert len(docs) > 200
+    for obj, indent in docs:
+        assert render_json(obj, indent) == json_reference.render_json(obj, indent), obj
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], (), {"a": {}, "b": [], "c": ()}, [[], {}, [[]], {"x": {}}],
+    (1, 2.5, ("t", (None,))), {"t": True, "f": False, "one": 1, "zero": 0, "l": [True, 1]},
+    None, True, 0, -7, 2**70, 2.5, -0.0, math.nan, [math.inf, -math.inf], 5e-324,
+    "".join(map(chr, range(0x20))) + '"\\ é', {"key\x01": "v\x1f"},
+    np.float64(0.1), [np.float64(1e300), np.float64(-0.0)], {"v": np.float64(2.0)},
+    {"s": [1.0, -2.5], "value": [0.0, 1e-300], "mode": "series"},
+])
+def test_render_json_is_the_reference(obj):
+    for indent in (0, 2):
+        assert cli.render_json(obj, indent) == json_reference.render_json(obj, indent)
+
+
+@pytest.mark.parametrize("obj", [object(), [np.int64(3)], {"a": {1, 2}}, np.int64(2)])
+def test_render_json_refuses_what_the_reference_refuses(obj):
+    with pytest.raises(TypeError) as new:
+        cli.render_json(obj)
+    with pytest.raises(TypeError) as old:
+        json_reference.render_json(obj)
+    assert str(new.value) == str(old.value)
+
+
+def _assert_17g(x, format_17g=cli._format_17g):
+    """`_format_17g` prints the float64 values x as '%.17g' does."""
+    x = np.asarray(x, dtype=np.float64)
+    got, want = format_17g(x), ["%.17g" % v for v in x.tolist()]
+    assert len(got) == len(want)
+    bad = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
+    assert not bad, bad[:5]
+
+
+def test_format_17g_prints_every_lambda_as_python_does(monkeypatch):
+    # every golden and bench spectrum, through the writer's own calls
+    format_17g, printed = cli._format_17g, []
+
+    def checked(x):
+        _assert_17g(x)
+        printed.append(len(x))
+        return format_17g(x)
+
+    monkeypatch.setattr(cli, "_format_17g", checked)
+    goldens = [argv for argv in GOLDEN.values() if argv.startswith("spectrum")]
+    for argv in goldens + bench_data.workloads().SPECTRUM:
+        rc, _, err = run(argv)
+        assert (rc, err) == (0, ""), argv
+    assert sum(printed) > 70_000      # distinct lambdas per chunk
+
+
+def test_format_17g_on_seeded_values():
+    rng = np.random.default_rng(20240)
+    _assert_17g(np.exp(rng.uniform(0.0, math.log(2.0**53), 10**6)))
+
+
+def test_format_17g_on_exact_ties():
+    # v = K / 2^(17 - E) with K odd and 10^E <= v < 10^(E + 1) has
+    # v 10^(16 - E) = K 5^(16 - E) / 2: its 18th significant digit is an
+    # exact 5, so rounding to 17 digits is a tie, broken to even
+    rng = np.random.default_rng(24)
+    for e in range(16):
+        scale = 2.0 ** (17 - e)
+        lo, hi = int(10.0**e * scale), min(int(10.0 ** (e + 1) * scale), 2**53)
+        K = rng.integers(lo // 2, hi // 2, 20_000) * 2 + 1
+        x = K / scale
+        assert ((x * scale) % 2 == 1).all() and (x >= 10.0**e).all()
+        _assert_17g(x)
+
+
+def test_format_17g_next_to_powers_of_ten():
+    steps = np.arange(1, 1001)
+    for edge in [10.0**e for e in range(1, 17)] + [2.0**53]:
+        bits = np.float64(edge).view(np.int64)
+        _assert_17g(np.concatenate([(bits - steps).view(np.float64),    # 1000 below
+                                    (bits + steps - 1).view(np.float64)]))
+
+
+def test_format_17g_outside_its_range():
+    _assert_17g(np.empty(0))
+    others = [0.0, -0.0, -1.5, 0.5, 5e-324, 2.0**53, 1e17, math.nan, math.inf, -math.inf]
+    _assert_17g(others)
+    # in every position among values the kernel prints
+    _assert_17g([1.5, *others, 3.0, 0.0, 7.25, 0.0])
+    _assert_17g([v for other in others for v in (other, 123.456)])
+
+
+def test_spectrum_over_the_memory_budget_exits_2(monkeypatch):
+    import laakso.spectra
+
+    argv = "spectrum --kind free --j 2 --periodic --lambda-max 1e6"
+    lines = free_spectrum(JSequence((2,), periodic=True), SpectrumQuery(1e6, "per-family"))
+    need = len(lines) * laakso.spectra._BYTES_PER_ENTRY
+    monkeypatch.setattr(laakso.spectra, "_memory_budget", lambda: need)
+    assert run(argv)[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an array was made before the budget was checked")
+
+    monkeypatch.setattr(laakso.spectra, "_memory_budget", lambda: need - 1)
+    monkeypatch.setattr(np, "arange", refuse)
+    rc, out, err = run(argv)
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"exit": 2, "error": (
+        f"family enumeration: lambda_max = 1e+06 gives {len(lines)} (family, k) entries, "
+        f"which need about {need / 1e9:.1f} GB, more than the {(need - 1) / 1e9:.1f} GB "
+        "this process may use")}
+
+
+def test_memory_budget_is_lowered_by_the_address_space_limit(monkeypatch):
+    import resource
+
+    import laakso.spectra
+
+    monkeypatch.setattr(resource, "getrlimit",
+                        lambda what: (resource.RLIM_INFINITY, resource.RLIM_INFINITY))
+    physical = laakso.spectra._memory_budget()
+    assert physical > 2**20
+    monkeypatch.setattr(resource, "getrlimit", lambda what: (2**20, resource.RLIM_INFINITY))
+    assert laakso.spectra._memory_budget() == 2**20
+    monkeypatch.setattr(resource, "getrlimit", lambda what: (2 * physical, resource.RLIM_INFINITY))
+    assert laakso.spectra._memory_budget() == physical
 
 
 def test_error_json_with_a_control_character_parses():
