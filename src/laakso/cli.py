@@ -216,11 +216,18 @@ def _17g_tables():
     """The exact float powers 10^0..10^16, 5^0..5^16 and 10^0..10^17 as
     uint64, and every 4-digit group as text: rows 0..9999 as printed,
     rows 10000..19999 with their trailing zeros cut (so 0 is empty)."""
-    groups = [f"{g:04d}" for g in range(10**4)]
+    digits = np.indices((10,) * 4, dtype=np.uint32).reshape(4, -1)    # of 0..9999
+    text = np.empty((2, 10**4, 4), dtype=np.uint32)
+    text[0] = (digits + np.uint32(ord("0"))).T
+    text[1] = text[0]
+    trailing = True
+    for i in (3, 2, 1, 0):
+        trailing = trailing & (digits[i] == 0)
+        text[1, trailing, i] = 0
     return (np.array([float(10**e) for e in range(17)]),
             np.array([5**e for e in range(17)], dtype=_U64),
             np.array([10**e for e in range(18)], dtype=_U64),
-            np.array(groups + [g.rstrip("0") for g in groups], dtype="U4"))
+            text.reshape(-1, 4).view("U4")[:, 0])
 
 
 def _format_17g(x: np.ndarray) -> list[str]:
@@ -343,7 +350,11 @@ def _write_spectrum(spectrum, layout: _Layout, prefix: str = "", suffix: str = "
     through tables (each family's k values are one run from 0 or 1, so the
     k table is at most one entry longer than the sources), and lambda once
     per run of bit-equal values in a chunk (compared as int64, so +0 and -0
-    differ), by the array kernel `_format_17g` (see the module docstring).  All pieces are scattered by that index arithmetic: no Python
+    differ), by the array kernel `_format_17g`.  For 1 <= lambda < 2^53,
+    every lambda but 0, it finds the correctly rounded 17 digits in exact
+    integer arithmetic, which are the digits Python's formatter prints;
+    every other value goes to Python's formatter (see the module
+    docstring).  All pieces are scattered by that index arithmetic: no Python
     code runs per line or per source.
     """
     a, order, bounds, lam = spectrum.arrays, spectrum.order, spectrum.bounds, spectrum.lam
