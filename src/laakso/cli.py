@@ -152,8 +152,7 @@ def _emit(obj, nl: str, parts: list):
         sep = "{" + inner
         for key in sorted(obj):
             value = obj[key]
-            text = _SCALAR_JSON.get(type(value))
-            text = text(value) if text else _scalar_json(value)
+            text = _scalar_json(value)
             if text is None:
                 parts.append(f'{sep}"{key}": ')
                 _emit(value, inner, parts)
@@ -164,8 +163,7 @@ def _emit(obj, nl: str, parts: list):
         return
     sep = "[" + inner
     for value in obj:
-        text = _SCALAR_JSON.get(type(value))
-        text = text(value) if text else _scalar_json(value)
+        text = _scalar_json(value)
         if text is None:
             parts.append(sep)
             _emit(value, inner, parts)
