@@ -282,9 +282,9 @@ def _format_17g(x: np.ndarray) -> list[str]:
     if not len(slow):
         return text
     out, done = [], 0       # merge in the other values, in order
-    for k, (i, v) in enumerate(zip(slow.tolist(), x[slow].tolist())):
+    for k, (i, other) in enumerate(zip(slow.tolist(), x[slow].tolist())):
         out += text[done:i - k]
-        out.append("%.17g" % v)
+        out.append("%.17g" % other)
         done = i - k
     return out + text[done:]
 
