@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,8 +49,27 @@ from .sequences import JSequence, level_products
 WELL_LEFT = Fraction(1, 4)
 WELL_RIGHT = Fraction(3, 4)
 
+# Peak bytes per cell (tracemalloc, j = 2, n = 8-11): 192 through `shape_census`,
+# 560 through `solve`, most of it the N x N array LAPACK's dstemr fills
+_BYTES_PER_CELL = 320
+
 class GraphBuildError(ValueError):
     """The requested graph cannot be built."""
+
+
+def _memory_budget() -> float:
+    """Bytes a request may plan to hold: the machine's physical memory,
+    or the RLIMIT_AS soft limit when one is set and lower."""
+    try:
+        budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):     # no sysconf: no budget
+        budget = math.inf
+    try:
+        import resource
+    except ImportError:
+        return budget
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    return budget if soft == resource.RLIM_INFINITY else min(budget, soft)
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,10 +172,10 @@ class QuantumGraph:
     """The level-n graph as arrays.
 
     Per column: `birth` (the level at which the column first appears,
-    0 for the two ends) and its exact x in `column_x`.  Per vertex: its
-    column.  Per cell: endpoint vertex ids `u` < `v`, start column
-    `cell`, row bitmask `row`, and `length_class`, an index into the
-    exact `lengths`.
+    0 for the two ends) and its exact x in `column_x`, made from row 0's
+    cell lengths on first read.  Per vertex: its column.  Per cell:
+    endpoint vertex ids `u` < `v`, start column `cell`, row bitmask `row`,
+    and `length_class`, an index into the exact `lengths`.
 
     `vertices`, `edges` and `shapes` are views for inspection: each
     record is built when it is read.  `shapes` runs `shape_census`'s
@@ -167,7 +187,6 @@ class QuantumGraph:
     js: tuple[int, ...]
     products: tuple[int, ...]           # I_0..I_n
     birth: np.ndarray
-    column_x: tuple[Fraction, ...]
     vertex_column: np.ndarray
     u: np.ndarray
     v: np.ndarray
@@ -176,6 +195,11 @@ class QuantumGraph:
     length_class: np.ndarray
     lengths: tuple[Fraction, ...]
     plates: PlateConfig | None = None
+
+    @functools.cached_property
+    def column_x(self) -> tuple[Fraction, ...]:
+        steps = map(self.lengths.__getitem__, self.length_class[:self.columns].tolist())
+        return tuple(accumulate(steps, initial=Fraction(0)))
 
     @property
     def columns(self) -> int:
@@ -343,29 +367,37 @@ def build_graph(
     QuantumGraph
         Columns carry exact rational x-coordinates; without plates
         every cell has length 1/I_n.
+
+    A graph whose 2^n I_n cells need more than `_memory_budget()` at
+    _BYTES_PER_CELL each, or whose vertex count squared (a packed pair
+    key) passes int64, raises GraphBuildError before any array is made.
     """
     if n < 0:
         raise GraphBuildError(f"level must be >= 0, got {n}")
+    if n >= 32:         # I_n >= 2^n: over 2^64 cells, and 2^62 vertices
+        raise GraphBuildError(f"the level-{n} graph has more than 2^{2 * n} cells")
     products = level_products(seq, n)
     I_n = products[n]
+    cells, vertices = I_n << n, (2 << n) + ((I_n - 1) << n >> 1)
+    need, budget = cells * _BYTES_PER_CELL, _memory_budget()
+    if need > budget:
+        raise GraphBuildError(f"the level-{n} graph has {cells} cells and {vertices} "
+                              f"vertices, which need about {need / 1e9:.1f} GB, more "
+                              f"than the {budget / 1e9:.1f} GB this process may use")
+    if vertices**2 >= 2**63:
+        raise GraphBuildError(f"the level-{n} graph has {vertices} vertices, too many "
+                              "for pair keys in int64")
 
     if plates is None:
-        lengths = (Fraction(1, I_n),)
-        column_x = tuple(Fraction(k, I_n) for k in range(I_n + 1))
+        lengths, plate_left, plate_right = (Fraction(1, I_n),), 0, 0
     else:
         if n < 1:
             raise GraphBuildError("plate columns only exist at level >= 1")
         if any(j != plates.N for j in seq.prefix(n)):
             raise PlateConfigError(
-                f"plate machinery requires the constant sequence j = {plates.N}"
-            )
+                f"plate machinery requires the constant sequence j = {plates.N}")
         plate_left, plate_right = _plate_columns(plates, I_n)
-        int_len = plates.interior_scale() / I_n
-        ext_len = plates.exterior_scale() / I_n
-        lengths = (ext_len, int_len)
-        column_x = tuple(accumulate(
-            (int_len if plate_left <= k < plate_right else ext_len for k in range(I_n)),
-            initial=Fraction(0)))
+        lengths = (plates.exterior_scale() / I_n, plates.interior_scale() / I_n)
 
     birth = _birth_levels(products, n)
     start = _column_start(birth, n)
@@ -377,24 +409,9 @@ def build_graph(
     cell = np.tile(np.arange(I_n, dtype=np.int64), 1 << n)
     u = start[cell] + _class_of(row, n - birth[cell])
     v = start[cell + 1] + _class_of(row, n - birth[cell + 1])
-    if plates is None:
-        length_class = np.zeros(len(cell), dtype=np.int8)
-    else:
-        length_class = ((cell >= plate_left) & (cell < plate_right)).astype(np.int8)
-
-    graph = QuantumGraph(n, tuple(seq.prefix(n)), tuple(products), birth, column_x,
-                         vertex_column, u, v, cell, row, length_class, lengths, plates)
-    _check_graph(graph)
-    return graph
-
-
-def _check_graph(graph: QuantumGraph):
-    n, I_n = graph.level, graph.columns
-    expected = 2**n * I_n if n >= 1 else 1
-    if graph.num_cells != expected:
-        raise GraphBuildError(
-            f"cell count {graph.num_cells} != {expected} at level {n}"
-        )
+    length_class = ((cell >= plate_left) & (cell < plate_right)).astype(np.int8)
+    return QuantumGraph(n, tuple(seq.prefix(n)), tuple(products), birth,
+                        vertex_column, u, v, cell, row, length_class, lengths, plates)
 
 
 def _region_walls(graph: QuantumGraph, region: str) -> tuple[Fraction, Fraction]:
@@ -474,6 +491,11 @@ def _decompose(graph: QuantumGraph) -> dict[str, np.ndarray]:
     rows are in the id order of the apex, the left pair end or the least
     corner; vertex ids run by column, then by row class, so that is the
     order of (first column, edge ids).
+
+    Stable sorts (timsort, fast on these long ascending runs) group the
+    vertex-pair keys, the remaining cell ends and, by lexsort, the corner
+    pairs.  No key wraps: each packs two vertex ids below nv^2, and
+    `build_graph` refuses a graph with nv^2 >= 2^63.
     """
     u, v, col = graph.u, graph.v, graph.vertex_column
     nv, ne = len(col), len(u)
@@ -495,69 +517,63 @@ def _decompose(graph: QuantumGraph) -> dict[str, np.ndarray]:
     used[legs] = True
 
     # Loops: exactly two parallel cells between the same vertex pair.
-    keys, inverse, counts = np.unique(np.minimum(u, v) * nv + np.maximum(u, v),
-                                      return_inverse=True, return_counts=True)
-    clash = (counts > 2) | ((counts == 2) & (np.bincount(inverse[used], minlength=len(keys)) > 0))
+    key = np.minimum(u, v) * nv + np.maximum(u, v)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    dup = np.flatnonzero(key[1:] == key[:-1])
+    loops = np.stack([order[dup], order[dup + 1]], axis=1)
+    clash = used[loops[:, 0]] | used[loops[:, 1]]
+    clash[1:] |= dup[1:] == dup[:-1] + 1        # a third parallel cell
     if clash.any():
-        pair = divmod(int(keys[np.argmax(clash)]), nv)
+        pair = divmod(int(key[dup[np.argmax(clash)]]), nv)
         raise GraphBuildError(f"unexpected multi-edge between {pair}")
-    multi = np.flatnonzero(counts[inverse] == 2)
-    loops = multi[np.argsort(inverse[multi], kind="stable")].reshape(-1, 2)
-    used[multi] = True
+    used[loops] = True
 
     # Crosses: twin vertices sharing the same four remaining neighbors.
+    # Cell rest[p >> 1] has the ends ends[p] and ends[p ^ 1].
+    rest = np.flatnonzero(~used)
+    ends = np.stack([u[rest], v[rest]], axis=1).ravel()
+    rdeg = np.bincount(ends, minlength=nv)
+    slots = np.argsort(ends, kind="stable")[
+        (np.cumsum(rdeg) - rdeg)[rdeg == 4] + np.arange(4)[:, None]]
+    c = list(ends[slots ^ 1])
+    for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):      # a sorting network
+        c[i], c[j] = np.minimum(c[i], c[j]), np.maximum(c[i], c[j])
+    node = np.flatnonzero((c[0] < c[1]) & (c[1] < c[2]) & (c[2] < c[3]))
+    low, high = c[0][node] * nv + c[1][node], c[2][node] * nv + c[3][node]
+    order = np.lexsort((high, low))
+    node, low, high = node[order], low[order], high[order]
+    first = np.flatnonzero(np.diff(low, prepend=-1) | np.diff(high, prepend=-1))
+    sizes = np.diff(first, append=len(node))
+    if np.any(sizes > 2):
+        k = np.argmax(sizes > 2)
+        raise GraphBuildError(f"{sizes[k]} nodes share corners "
+                              f"{set(int(x[node[first[k]]]) for x in c)}")
+    first = first[sizes == 2]       # a lone one is a corner between two crosses
+    twins = np.concatenate([slots[:, node[first]], slots[:, node[first + 1]]])
+    cand = np.sort(rest[np.ascontiguousarray(twins.T) >> 1], axis=1)   # rows read as uint64
+    if np.any(cand[:, 1:] == cand[:, :-1]):
+        raise GraphBuildError("cross candidate with wrong cell count")
+
     # Both orientations of a K_{2,4} can look like twins when adjacent
     # cross centers carry the same glued level, so candidates are tiled
     # by exact cover: rounds commit every candidate that is the only live
     # owner of an uncovered cell and drop the live candidates it overlaps.
-    rest = np.flatnonzero(~used)
-    end = np.concatenate([u[rest], v[rest]])
-    order = np.argsort(end, kind="stable")
-    end = end[order]
-    other = np.concatenate([v[rest], u[rest]])[order]
-    incident = np.concatenate([rest, rest])[order]
-    rdeg = np.bincount(end, minlength=nv)
-    four = np.flatnonzero(rdeg == 4)
-    slots = (np.cumsum(rdeg) - rdeg)[four][:, None] + np.arange(4)
-    nbrs = np.sort(other[slots], axis=1)
-    distinct = np.all(nbrs[:, 1:] != nbrs[:, :-1], axis=1)
-    four, nbrs, slots = four[distinct], nbrs[distinct], slots[distinct]
-    order = np.lexsort(nbrs.T[::-1])
-    four, nbrs, slots = four[order], nbrs[order], slots[order]
-    new = np.ones(len(four), dtype=bool)
-    new[1:] = np.any(nbrs[1:] != nbrs[:-1], axis=1)
-    first = np.flatnonzero(new)
-    sizes = np.diff(np.append(first, len(four)))
-    if np.any(sizes > 2):
-        k = np.argmax(sizes > 2)
-        raise GraphBuildError(f"{sizes[k]} nodes share corners {set(nbrs[first[k]].tolist())}")
-    first = first[sizes == 2]       # a lone one is a corner between two crosses
-    cand = np.sort(np.concatenate([incident[slots[first]],
-                                   incident[slots[first + 1]]], axis=1), axis=1)
-    if np.any(cand[:, 1:] == cand[:, :-1]):
-        raise GraphBuildError("cross candidate with wrong cell count")
-
-    cells, local = np.unique(cand, return_inverse=True)
-    local = local.reshape(cand.shape)
-    taken = np.zeros(len(cells), dtype=bool)
-    alive = np.ones(len(cand), dtype=bool)
-    committed = np.zeros(len(cand), dtype=bool)
-    while True:
-        owners = np.bincount(local[alive].ravel(), minlength=len(cells))
-        forced = alive & np.any(owners[local] == 1, axis=1)
+    # A row of 8 bools is read as one uint64, as np.any(axis=1) is slow.
+    live, committed = np.arange(len(cand)), np.zeros(len(cand), dtype=bool)
+    while len(live):
+        rows = cand[live]
+        forced = (np.bincount(rows.ravel(), minlength=ne)[rows] == 1).view(np.uint64)[:, 0] > 0
         if not forced.any():
             break
-        cover = local[forced].ravel()
-        if np.bincount(cover).max() > 1:
+        covered = np.count_nonzero(used)
+        used[rows[forced]] = True
+        if np.count_nonzero(used) - covered < 8 * np.count_nonzero(forced):
             raise GraphBuildError("conflicting cross tiling")
-        taken[cover] = True
-        committed |= forced
-        alive &= ~np.any(taken[local], axis=1)
-    used[cells[taken]] = True
+        committed[live[forced]] = True
+        live = live[used[rows].view(np.uint64)[:, 0] == 0]
     if not used.all():
-        raise GraphBuildError(
-            f"decomposition covered {int(used.sum())} of {ne} cells"
-        )
+        raise GraphBuildError(f"decomposition covered {int(used.sum())} of {ne} cells")
 
     return {"vee": vees, "loop": loops, "cross": cand[committed]}
 

@@ -47,14 +47,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import _Records, well_geometry
+from .graphs import _memory_budget, _Records, well_geometry
 from .plates import PlateConfig
 from .sequences import JSequence
 
@@ -196,21 +195,6 @@ class LineArrays(NamedTuple):
 # arrays to the writer's chunks: 147 per family and 101 merged
 # (tracemalloc, free j = 2 at lambda_max 1e11, 1e12 and 1e13)
 _BYTES_PER_ENTRY = 150
-
-
-def _memory_budget() -> float:
-    """Bytes a request may plan to hold: the machine's physical memory,
-    or the RLIMIT_AS soft limit when one is set and lower."""
-    try:
-        budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):     # no sysconf: no budget
-        budget = math.inf
-    try:
-        import resource
-    except ImportError:
-        return budget
-    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
-    return budget if soft == resource.RLIM_INFINITY else min(budget, soft)
 
 
 def enumerate_families(families: list[Family], lambda_max: float,

@@ -424,6 +424,25 @@ def test_spectrum_over_the_memory_budget_exits_2(monkeypatch):
         "this process may use")}
 
 
+def test_census_over_the_memory_budget_exits_2(monkeypatch):
+    argv = "census --j 2 --periodic --level 8"
+    need = 2**8 * 2**8 * graphs._BYTES_PER_CELL
+    monkeypatch.setattr(graphs, "_memory_budget", lambda: need)
+    assert run(argv)[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an array was made before the budget was checked")
+
+    monkeypatch.setattr(graphs, "_memory_budget", lambda: need - 1)
+    for name in ("arange", "repeat", "tile", "full"):
+        monkeypatch.setattr(np, name, refuse)
+    rc, out, err = run(argv)
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"exit": 2, "error": (
+        f"the level-8 graph has 65536 cells and 33152 vertices, which need about "
+        f"{need / 1e9:.1f} GB, more than the {(need - 1) / 1e9:.1f} GB this process may use")}
+
+
 def test_memory_budget_is_lowered_by_the_address_space_limit(monkeypatch):
     import resource
 

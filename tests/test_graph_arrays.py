@@ -6,8 +6,11 @@ the same ids and the array census to the same counts.
 """
 
 import dataclasses
+import math
 
+import numpy as np
 import pytest
+from decompose_reference import decompose
 from small_graphs import levels, small_sequences
 
 from laakso import (
@@ -77,6 +80,56 @@ def test_census_rejects_a_rewired_cell():
     assert g.vertex_column[v[5]] == g.vertex_column[g.v[5]]
     with pytest.raises(GraphBuildError):
         shape_census(dataclasses.replace(g, v=v))
+
+
+# (values, n, rewiring as (end, cell, new vertex), message stem): one graph
+# for each refusal of the decomposition that a rewiring can reach.  A
+# parallel pair that uses a leg, or a cross candidate with a repeated cell,
+# cannot be built: both ends of a parallel pair have degree >= 2, and twins
+# joined by a cell would each need a self-loop, which repeats a neighbour.
+REWIRED = [
+    ((2,), 2, [("v", 0, 5)], r"vertex 4 has 1 boundary legs"),
+    ((2, 3), 4, [("u", 145, 16), ("v", 145, 24)],
+     r"unexpected multi-edge between \(16, 24\)"),
+    # vertex 14 takes the corners of the twins 12 and 13
+    ((2, 3), 3, [("u", 49, 8), ("v", 50, 16), ("u", 73, 9), ("v", 74, 17)],
+     r"3 nodes share corners \{8, 9, 16, 17\}"),
+    ((2, 3), 3, [("u", 1, 9)], r"conflicting cross tiling"),
+    ((2,), 2, [("u", 1, 5)], r"decomposition covered 10 of 16 cells"),
+]
+
+
+@pytest.mark.parametrize("values,n,moves,stem", REWIRED)
+def test_census_rejects_a_rewired_graph(values, n, moves, stem):
+    g = build_graph(JSequence(values, periodic=True), n)
+    ends = {"u": g.u.copy(), "v": g.v.copy()}
+    for end, cell, vertex in moves:
+        assert g.vertex_column[vertex] == g.vertex_column[ends[end][cell]]
+        ends[end][cell] = vertex
+    g = dataclasses.replace(g, **ends)
+    with pytest.raises(GraphBuildError, match=stem) as refused:
+        shape_census(g)
+    with pytest.raises(GraphBuildError) as reference:
+        decompose(g)
+    assert str(refused.value) == str(reference.value)
+
+
+def test_oversized_graphs_are_refused_before_any_array(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an array was made before the size was checked")
+
+    for name in ("arange", "repeat", "tile", "full"):
+        monkeypatch.setattr(np, name, refuse)
+    with pytest.raises(GraphBuildError, match=r"^the level-40 graph has more than 2\^80 cells$"):
+        build_graph(SEQ2, 40)
+    # with no memory limit, the level-17 vertex ids would wrap a packed pair key
+    monkeypatch.setattr(graphs, "_memory_budget", lambda: math.inf)
+    with pytest.raises(GraphBuildError, match="has 8590131200 vertices, too many for pair keys"):
+        build_graph(SEQ2, 17)
+    monkeypatch.setattr(graphs, "_memory_budget", lambda: 2**30)
+    with pytest.raises(GraphBuildError, match="the level-13 graph has 67108864 cells and "
+                                              "33566720 vertices, which need about 21.5 GB"):
+        build_graph(SEQ2, 13)
 
 
 def test_census_level_10_matches_closed_form():
@@ -195,6 +248,21 @@ def test_shape_view_order():
         assert keys == sorted(keys), (g.js, g.level)
 
 
+def test_decompose_equals_the_reference():
+    # array for array, row order included
+    sweep = [build_graph(seq, n) for seq in small_sequences() for n in levels(seq, 1)]
+    sweep += [build_graph(JSequence((N,), periodic=True), 2, plates=PlateConfig(N, Z, 0.2))
+                for N, Z in ((4, 1), (5, 0), (7, 2))]
+    sweep += [build_graph(SEQ2, 8), build_graph(SEQ23, 7),
+                build_graph(JSequence((7,), periodic=True), 4, plates=PlateConfig(7, 2, 0.15))]
+    for g in sweep:
+        got, want = graphs._decompose(g), decompose(g)
+        assert list(got) == list(want), (g.js, g.level)
+        for kind in want:
+            assert got[kind].dtype == want[kind].dtype, (g.js, g.level, kind)
+            assert np.array_equal(got[kind], want[kind]), (g.js, g.level, kind)
+
+
 def test_views_are_read_only_sequences():
     g = build_graph(SEQ23, 3)
     assert len(g.vertices) == g.num_vertices == len(list(g.vertices))
@@ -214,6 +282,9 @@ def test_hot_paths_build_no_records(monkeypatch):
     def refuse_shapes(graph):
         raise AssertionError("the shapes were decomposed")
 
+    def refuse_positions(graph):
+        raise AssertionError("the column positions were made")
+
     for name in ("_vertex", "_edge", "_shape"):
         monkeypatch.setattr(QuantumGraph, name, refuse)
     with monkeypatch.context() as m:
@@ -223,6 +294,10 @@ def test_hot_paths_build_no_records(monkeypatch):
         trace = eigenfunction_trace(rop, result, 2)
         assert len(trace) == len(rop.node_x())
     shape_census(g, region="plates")
+    with monkeypatch.context() as m:
+        m.setattr(QuantumGraph, "column_x", property(refuse_positions))
+        plates = build_graph(JSequence((7,), periodic=True), 3, plates=PlateConfig(7, 2, 0.15))
+        shape_census(plates, region="plates")
     op = discretize(g, 4, Potential("square_well"))
     trace = eigenfunction_trace(op, solve_lowest(op, 2), 0)
     assert len(trace) == len(op.xs)
