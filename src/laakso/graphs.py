@@ -49,8 +49,7 @@ from .sequences import JSequence, level_products
 WELL_LEFT = Fraction(1, 4)
 WELL_RIGHT = Fraction(3, 4)
 
-# Peak bytes per cell (tracemalloc, j = 2, n = 8-11): 192 through `shape_census`,
-# 560 through `solve`, most of it the N x N array LAPACK's dstemr fills
+# Peak bytes per cell, tracemalloc, j = 2, n = 8-11: census 192, solve 560 (dstemr's N x N)
 _BYTES_PER_CELL = 320
 
 class GraphBuildError(ValueError):
@@ -198,8 +197,10 @@ class QuantumGraph:
 
     @functools.cached_property
     def column_x(self) -> tuple[Fraction, ...]:
-        steps = map(self.lengths.__getitem__, self.length_class[:self.columns].tolist())
-        return tuple(accumulate(steps, initial=Fraction(0)))
+        den = math.lcm(*(x.denominator for x in self.lengths))
+        steps = [x.numerator * (den // x.denominator) for x in self.lengths]
+        nums = accumulate((steps[k] for k in self.length_class[:self.columns].tolist()), initial=0)
+        return tuple(Fraction(m, den) for m in nums)
 
     @property
     def columns(self) -> int:
@@ -378,15 +379,14 @@ def build_graph(
         raise GraphBuildError(f"the level-{n} graph has more than 2^{2 * n} cells")
     products = level_products(seq, n)
     I_n = products[n]
-    cells, vertices = I_n << n, (2 << n) + ((I_n - 1) << n >> 1)
+    cells, nv = I_n << n, (2 << n) + ((I_n - 1) << n >> 1)
     need, budget = cells * _BYTES_PER_CELL, _memory_budget()
     if need > budget:
-        raise GraphBuildError(f"the level-{n} graph has {cells} cells and {vertices} "
+        raise GraphBuildError(f"the level-{n} graph has {cells} cells and {nv} "
                               f"vertices, which need about {need / 1e9:.1f} GB, more "
                               f"than the {budget / 1e9:.1f} GB this process may use")
-    if vertices**2 >= 2**63:
-        raise GraphBuildError(f"the level-{n} graph has {vertices} vertices, too many "
-                              "for pair keys in int64")
+    if nv**2 >= 2**63:
+        raise GraphBuildError(f"the level-{n} graph has {nv} vertices, too many for int64 keys")
 
     if plates is None:
         lengths, plate_left, plate_right = (Fraction(1, I_n),), 0, 0
@@ -395,7 +395,8 @@ def build_graph(
             raise GraphBuildError("plate columns only exist at level >= 1")
         if any(j != plates.N for j in seq.prefix(n)):
             raise PlateConfigError(
-                f"plate machinery requires the constant sequence j = {plates.N}")
+                f"plate machinery requires the constant sequence j = {plates.N}"
+            )
         plate_left, plate_right = _plate_columns(plates, I_n)
         lengths = (plates.exterior_scale() / I_n, plates.interior_scale() / I_n)
 
@@ -448,11 +449,12 @@ def shape_census(graph: QuantumGraph, region: str | None = None) -> ShapeCensus:
     """
     if graph.level < 1:
         raise ValueError("shape decomposition needs level >= 1")
-    found = {kind: _extent(graph, eids) for kind, eids in _decompose(graph).items()}
-    counts = {kind: len(a) for kind, (a, _) in found.items()}
+    shapes = _decompose(graph)
+    counts = [len(shapes[kind]) for kind in ("vee", "loop", "cross")]
     if region is None:
-        return ShapeCensus(graph.level, counts["vee"], counts["loop"], counts["cross"])
+        return ShapeCensus(graph.level, *counts)
 
+    found = {kind: _extent(graph, eids) for kind, eids in shapes.items()}
     wl, wr = _region_walls(graph, region)
 
     def at_least(x, q):
@@ -470,8 +472,7 @@ def shape_census(graph: QuantumGraph, region: str | None = None) -> ShapeCensus:
                                   int(straddling[kind].sum()))
     c = found["cross"][0] + 1
     half_inside = int(np.sum(straddling["cross"] & at_least(c, wl) & at_most(c, wr)))
-    return ShapeCensus(graph.level, counts["vee"], counts["loop"], counts["cross"],
-                       region, split, half_inside)
+    return ShapeCensus(graph.level, *counts, region, split, half_inside)
 
 
 def _extent(graph: QuantumGraph, eids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -539,11 +540,10 @@ def _decompose(graph: QuantumGraph) -> dict[str, np.ndarray]:
     c = list(ends[slots ^ 1])
     for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):      # a sorting network
         c[i], c[j] = np.minimum(c[i], c[j]), np.maximum(c[i], c[j])
+    low, high = c[0] * nv + c[1], c[2] * nv + c[3]
     node = np.flatnonzero((c[0] < c[1]) & (c[1] < c[2]) & (c[2] < c[3]))
-    low, high = c[0][node] * nv + c[1][node], c[2][node] * nv + c[3][node]
-    order = np.lexsort((high, low))
-    node, low, high = node[order], low[order], high[order]
-    first = np.flatnonzero(np.diff(low, prepend=-1) | np.diff(high, prepend=-1))
+    node = node[np.lexsort((high[node], low[node]))]
+    first = np.flatnonzero(np.diff(low[node], prepend=-1) | np.diff(high[node], prepend=-1))
     sizes = np.diff(first, append=len(node))
     if np.any(sizes > 2):
         k = np.argmax(sizes > 2)

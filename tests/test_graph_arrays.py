@@ -124,7 +124,7 @@ def test_oversized_graphs_are_refused_before_any_array(monkeypatch):
         build_graph(SEQ2, 40)
     # with no memory limit, the level-17 vertex ids would wrap a packed pair key
     monkeypatch.setattr(graphs, "_memory_budget", lambda: math.inf)
-    with pytest.raises(GraphBuildError, match="has 8590131200 vertices, too many for pair keys"):
+    with pytest.raises(GraphBuildError, match="has 8590131200 vertices, too many for int64 keys"):
         build_graph(SEQ2, 17)
     monkeypatch.setattr(graphs, "_memory_budget", lambda: 2**30)
     with pytest.raises(GraphBuildError, match="the level-13 graph has 67108864 cells and "
