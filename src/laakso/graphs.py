@@ -49,7 +49,7 @@ from .sequences import JSequence, level_products
 WELL_LEFT = Fraction(1, 4)
 WELL_RIGHT = Fraction(3, 4)
 
-# Peak bytes per cell, tracemalloc, j = 2, n = 8-11: census 192, solve 560 (dstemr's N x N)
+# Peak bytes per cell, tracemalloc, j = 2, n = 8-11: census 175, solve 560 (dstemr's N x N)
 _BYTES_PER_CELL = 320
 
 class GraphBuildError(ValueError):

@@ -252,9 +252,9 @@ def test_decompose_equals_the_reference():
     # array for array, row order included
     sweep = [build_graph(seq, n) for seq in small_sequences() for n in levels(seq, 1)]
     sweep += [build_graph(JSequence((N,), periodic=True), 2, plates=PlateConfig(N, Z, 0.2))
-                for N, Z in ((4, 1), (5, 0), (7, 2))]
+              for N, Z in ((4, 1), (5, 0), (7, 2))]
     sweep += [build_graph(SEQ2, 8), build_graph(SEQ23, 7),
-                build_graph(JSequence((7,), periodic=True), 4, plates=PlateConfig(7, 2, 0.15))]
+              build_graph(JSequence((7,), periodic=True), 4, plates=PlateConfig(7, 2, 0.15))]
     for g in sweep:
         got, want = graphs._decompose(g), decompose(g)
         assert list(got) == list(want), (g.js, g.level)
