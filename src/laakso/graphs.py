@@ -46,9 +46,6 @@ import numpy as np
 from .plates import PlateConfig, PlateConfigError
 from .sequences import JSequence, level_products
 
-WELL_LEFT = Fraction(1, 4)
-WELL_RIGHT = Fraction(3, 4)
-
 # Peak bytes per cell, tracemalloc, j = 2, n = 8-11: census 175, solve 560 (dstemr's N x N)
 _BYTES_PER_CELL = 320
 
@@ -171,10 +168,11 @@ class QuantumGraph:
     """The level-n graph as arrays.
 
     Per column: `birth` (the level at which the column first appears,
-    0 for the two ends) and its exact x in `column_x`, made from row 0's
-    cell lengths on first read.  Per vertex: its column.  Per cell:
-    endpoint vertex ids `u` < `v`, start column `cell`, row bitmask `row`,
-    and `length_class`, an index into the exact `lengths`.
+    0 for the two ends) and its exact x in `column_x`, made from the cell
+    lengths on first read.  Per cell column k: `length_class`, an index
+    into the exact `lengths`.  Per vertex: its column.  Per cell: only
+    the endpoint vertex ids `u` < `v`; cell id row * I_n + k is the
+    record of its row bitmask and its start column k.
 
     `vertices`, `edges` and `shapes` are views for inspection: each
     record is built when it is read.  `shapes` runs `shape_census`'s
@@ -189,8 +187,6 @@ class QuantumGraph:
     vertex_column: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    cell: np.ndarray
-    row: np.ndarray
     length_class: np.ndarray
     lengths: tuple[Fraction, ...]
     plates: PlateConfig | None = None
@@ -199,7 +195,7 @@ class QuantumGraph:
     def column_x(self) -> tuple[Fraction, ...]:
         den = math.lcm(*(x.denominator for x in self.lengths))
         steps = [x.numerator * (den // x.denominator) for x in self.lengths]
-        nums = accumulate((steps[k] for k in self.length_class[:self.columns].tolist()), initial=0)
+        nums = accumulate((steps[k] for k in self.length_class.tolist()), initial=0)
         return tuple(Fraction(m, den) for m in nums)
 
     @property
@@ -236,9 +232,9 @@ class QuantumGraph:
                       col in _plate_columns(self.plates, self.columns))
 
     def _edge(self, i: int) -> Edge:
-        return Edge(i, int(self.u[i]), int(self.v[i]),
-                    str(self.row_labels(self.row[i:i + 1])[0]), int(self.cell[i]),
-                    self.lengths[self.length_class[i]])
+        row, k = divmod(i, self.columns)
+        return Edge(i, int(self.u[i]), int(self.v[i]), str(self.row_labels([row])[0]), k,
+                    self.lengths[self.length_class[k]])
 
     def _shape(self, blocks, i: int) -> Shape:
         for kind, eids, a, b in blocks:
@@ -285,16 +281,14 @@ class QuantumGraph:
 
     def horizontal_image(self) -> np.ndarray:
         """Edge permutation induced by x -> 1 - x; raises if not a symmetry."""
-        I_n = self.columns
-        perm = self.row * I_n + (I_n - 1 - self.cell)
         same = np.array([self.lengths.index(x) for x in self.lengths])
-        if np.any(same[self.length_class[perm]] != same[self.length_class]):
+        if np.any(same[self.length_class[::-1]] != same[self.length_class]):
             raise GraphBuildError("graph is not horizontally symmetric")
-        return perm
+        return np.arange(self.num_cells).reshape(-1, self.columns)[:, ::-1].ravel()
 
     def vertical_image(self) -> np.ndarray:
         """Edge permutation induced by swapping the two copies at every level."""
-        return (self.row ^ ((1 << self.level) - 1)) * self.columns + self.cell
+        return np.arange(self.num_cells).reshape(-1, self.columns)[::-1].ravel()
 
 
 def _bit_strings(masks: np.ndarray, n: int, star: np.ndarray | None = None) -> np.ndarray:
@@ -404,25 +398,26 @@ def build_graph(
     start = _column_start(birth, n)
     vertex_column = np.repeat(np.arange(I_n + 1), np.diff(start))
 
-    # Cells in (row, column) order; an end vertex's id is its column's
-    # first id plus the row class.
-    row = np.repeat(np.arange(1 << n, dtype=np.int64), I_n)
-    cell = np.tile(np.arange(I_n, dtype=np.int64), 1 << n)
-    u = start[cell] + _class_of(row, n - birth[cell])
-    v = start[cell + 1] + _class_of(row, n - birth[cell + 1])
+    # Cells in (row, column) order, so id = row * I_n + k; an end vertex's
+    # id is its column's first id plus the row class.
+    row = np.arange(1 << n, dtype=np.int64)[:, None]
+    u = (start[:I_n] + _class_of(row, n - birth[:-1])).ravel()
+    v = (start[1:-1] + _class_of(row, n - birth[1:])).ravel()
+    cell = np.arange(I_n)
     length_class = ((cell >= plate_left) & (cell < plate_right)).astype(np.int8)
     return QuantumGraph(n, tuple(seq.prefix(n)), tuple(products), birth,
-                        vertex_column, u, v, cell, row, length_class, lengths, plates)
+                        vertex_column, u, v, length_class, lengths, plates)
 
 
-def _region_walls(graph: QuantumGraph, region: str) -> tuple[Fraction, Fraction]:
+def _region_walls(graph: QuantumGraph, region: str) -> tuple[int, int]:
+    """The region's walls in quarter columns: x = 1/4 and 3/4 for the well."""
     I_n = graph.columns
     if region == "well":
-        return (I_n * WELL_LEFT, I_n * WELL_RIGHT)
+        return I_n, 3 * I_n
     if region == "plates":
         if graph.plates is None:
             raise ValueError("graph was built without plates")
-        return tuple(map(Fraction, _plate_columns(graph.plates, I_n)))
+        return tuple(4 * k for k in _plate_columns(graph.plates, I_n))
     raise ValueError(f"unknown region {region!r}")
 
 
@@ -454,31 +449,25 @@ def shape_census(graph: QuantumGraph, region: str | None = None) -> ShapeCensus:
     if region is None:
         return ShapeCensus(graph.level, *counts)
 
-    found = {kind: _extent(graph, eids) for kind, eids in shapes.items()}
+    found = {kind: [4 * x for x in _extent(graph, eids)] for kind, eids in shapes.items()}
     wl, wr = _region_walls(graph, region)
-
-    def at_least(x, q):
-        return x * q.denominator >= q.numerator
-
-    def at_most(x, q):
-        return x * q.denominator <= q.numerator
-
     split, straddling = {}, {}
     for kind, (a, b) in found.items():
-        inside = at_least(a, wl) & at_most(b, wr)
-        outside = ~inside & (at_most(b, wl) | at_least(a, wr))
+        inside = (a >= wl) & (b <= wr)
+        outside = ~inside & ((b <= wl) | (a >= wr))
         straddling[kind] = ~inside & ~outside
         split[kind] = RegionSplit(int(inside.sum()), int(outside.sum()),
                                   int(straddling[kind].sum()))
-    c = found["cross"][0] + 1
-    half_inside = int(np.sum(straddling["cross"] & at_least(c, wl) & at_most(c, wr)))
+    c = found["cross"][0] + 4           # each cross's center column
+    half_inside = int(np.sum(straddling["cross"] & (c >= wl) & (c <= wr)))
     return ShapeCensus(graph.level, *counts, region, split, half_inside)
 
 
 def _extent(graph: QuantumGraph, eids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and last column touched by each row of edge ids."""
-    ends = graph.vertex_column[np.concatenate([graph.u[eids], graph.v[eids]], axis=1)]
-    return ends.min(axis=1), ends.max(axis=1)
+    """First and last column touched by each row of cell ids: cell
+    row * I_n + k spans columns [k, k + 1]."""
+    k = eids % graph.columns
+    return k.min(axis=1), k.max(axis=1) + 1
 
 
 def _decompose(graph: QuantumGraph) -> dict[str, np.ndarray]:

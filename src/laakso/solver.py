@@ -263,7 +263,7 @@ def discretize(graph: QuantumGraph, mesh: int, potential: Potential
     ndof = nv + ne * M
     chain = np.column_stack([graph.u, nv + np.arange(ne * M).reshape(ne, M), graph.v])
     a, b = chain[:, :-1].ravel(), chain[:, 1:].ravel()
-    h = np.repeat(lengths[graph.length_class] / (M + 1), M + 1)
+    h = np.repeat(np.tile(lengths[graph.length_class] / (M + 1), 1 << graph.level), M + 1)
     stiff, massv = _link_sums(a, b, h, ndof)
 
     xv = np.array([float(x) for x in graph.column_x])[graph.vertex_column]
@@ -361,13 +361,13 @@ def reduce_rows(graph: QuantumGraph, mesh: int, potential: Potential
     into its row-flip segments, without assembling it.
 
     Reads only the graph's columns: birth levels, x, the length class of
-    each column's cell and the conducting columns.  MeshError if an entry
+    each cell column and the conducting columns.  MeshError if an entry
     of T is outside double range.
     """
     lengths = _lengths(graph, mesh)
     n, I_n, M = graph.level, graph.columns, mesh
-    # cell k of row 0 has id k; link p joins path nodes p and p + 1
-    h = np.repeat(lengths[graph.length_class[:I_n]] / (M + 1), M + 1)
+    # link p joins path nodes p and p + 1
+    h = np.repeat(lengths[graph.length_class] / (M + 1), M + 1)
     links = np.arange(len(h))
     stiff, mass = _link_sums(links, links + 1, h, len(h) + 1)
 
@@ -677,7 +677,8 @@ def eigenfunction_trace(op: DiscretizedOperator | RowFlipOperator, result: Eigen
         u[op.kept] = result.eigenvectors[:, index]
     g = op.graph
     # node order: vertices, then the interior points of each cell in turn
-    rows = np.concatenate([g.vertex_labels(), g.row_labels(np.repeat(g.row, op.mesh))])
+    rows = np.concatenate([g.vertex_labels(),
+                           g.row_labels(np.repeat(np.arange(1 << g.level), g.columns * op.mesh))])
     order = np.lexsort((rows, xs))
     return list(zip(xs[order].tolist(), rows[order].tolist(), u[order].tolist()))
 
