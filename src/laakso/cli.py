@@ -65,7 +65,6 @@ from . import (
     PlateConfig,
     Potential,
     PoleError,
-    SequenceTooShort,
     SpectrumQuery,
     build_graph,
     casimir_force,
@@ -90,9 +89,6 @@ from . import (
     zeta_limit_half,
     zeta_poles,
 )
-from .graphs import GraphBuildError
-from .plates import PlateConfigError
-from .solver import MeshError
 
 if TYPE_CHECKING:
     import argparse
@@ -804,8 +800,7 @@ def main(argv=None) -> int:
     try:
         _check_format(args)
         out = _COMMANDS[args.command](args)
-    except (UsageError, ValueError, PlateConfigError, GraphBuildError,
-            SequenceTooShort, MeshError, PoleError) as exc:
+    except (ValueError, PoleError) as exc:
         return _error(str(exc), 2)
     except ConvergenceError as exc:
         return _error(str(exc), 3)

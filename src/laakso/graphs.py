@@ -46,7 +46,8 @@ import numpy as np
 from .plates import PlateConfig, PlateConfigError
 from .sequences import JSequence, level_products
 
-# Peak bytes per cell, tracemalloc, j = 2, n = 8-11: census 175, solve 560 (dstemr's N x N)
+# Peak bytes per cell, tracemalloc, j = 2, n = 8-10: census 158, solve 543-554,
+# most of it dstemr's N x N, which the solve checks on its own (solver.py)
 _BYTES_PER_CELL = 320
 
 class GraphBuildError(ValueError):
@@ -458,7 +459,7 @@ def shape_census(graph: QuantumGraph, region: str | None = None) -> ShapeCensus:
         straddling[kind] = ~inside & ~outside
         split[kind] = RegionSplit(int(inside.sum()), int(outside.sum()),
                                   int(straddling[kind].sum()))
-    c = found["cross"][0] + 4           # each cross's center column
+    c = found["cross"][0] + 4           # each cross's center, in quarter columns
     half_inside = int(np.sum(straddling["cross"] & (c >= wl) & (c <= wr)))
     return ShapeCensus(graph.level, *counts, region, split, half_inside)
 

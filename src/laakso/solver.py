@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graphs import QuantumGraph
+from .graphs import QuantumGraph, _memory_budget
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -100,7 +100,22 @@ def eigsh(*args, **kwargs):
 
 
 class MeshError(ValueError):
-    """Discretization parameters are unusable."""
+    """Discretization parameters are unusable, or too large for memory."""
+
+
+# Peak bytes reduce_rows holds per path node, tracemalloc, mesh 1e4-1e6 at
+# n = 1-6, every potential: 88.  dstemr's eigenvectors of an N-node
+# segment take 8 N^2 bytes more.
+_BYTES_PER_PATH_NODE = 100
+
+
+def _check_budget(need: float, what: str):
+    """MeshError if `need` bytes are more than this process may use; `what`
+    names the stage and the sizes that need them."""
+    budget = _memory_budget()
+    if need > budget:
+        raise MeshError(f"{what} about {need / 1e9:.1f} GB, more than the "
+                        f"{budget / 1e9:.1f} GB this process may use")
 
 
 class ConvergenceError(RuntimeError):
@@ -361,11 +376,16 @@ def reduce_rows(graph: QuantumGraph, mesh: int, potential: Potential
     into its row-flip segments, without assembling it.
 
     Reads only the graph's columns: birth levels, x, the length class of
-    each cell column and the conducting columns.  MeshError if an entry
-    of T is outside double range.
+    each cell column and the conducting columns.  MeshError if the path
+    nodes need more than `_memory_budget()` at _BYTES_PER_PATH_NODE each,
+    checked before any array is made, or if an entry of T is outside
+    double range.
     """
     lengths = _lengths(graph, mesh)
     n, I_n, M = graph.level, graph.columns, mesh
+    nodes = (M + 1) * I_n + 1
+    _check_budget(nodes * _BYTES_PER_PATH_NODE,
+                  f"reduce_rows: mesh {M} gives {nodes} path nodes at level {n}, which need")
     # link p joins path nodes p and p + 1
     h = np.repeat(lengths[graph.length_class] / (M + 1), M + 1)
     links = np.arange(len(h))
@@ -387,15 +407,19 @@ def reduce_rows(graph: QuantumGraph, mesh: int, potential: Potential
 
     # A column born at level m >= 1 is Dirichlet for the characters holding
     # row bit n - m.  Pad each character's cut nodes with the two path ends
-    # and take the non-empty gaps between neighbours.
+    # and take the non-empty gaps between neighbours.  Only the two ends of
+    # a run of cut nodes can bound a gap, so the table keeps those, and a
+    # gap may not start on a cut node.
     node_bit = np.zeros(len(xs), dtype=np.int64)
     node_bit[::M + 1] = np.where(graph.birth > 0, 1 << (n - graph.birth), 0)
-    at = np.flatnonzero(cut | (node_bit > 0))
+    run_end = cut & ~(np.append(cut[1:], False) & np.insert(cut[:-1], 0, False))
+    at = np.flatnonzero(run_end | (node_bit > 0))
     hit = cut[at] | ((np.arange(1 << n)[:, None] & node_bit[at]) != 0)
     char, k = np.nonzero(np.pad(hit, ((0, 0), (1, 1)), constant_values=True))
     pos = np.concatenate([[-1], at, [len(xs)]])
     a, b = pos[k[:-1]] + 1, pos[k[1:]]
     ok = (char[:-1] == char[1:]) & (b > a)
+    ok[ok] = ~cut[a[ok]]
     span = len(xs) + 1
     keys, seg, weights = np.unique(a[ok] * span + b[ok], return_inverse=True,
                                    return_counts=True)
@@ -550,10 +574,15 @@ def solve_row_flip(op: RowFlipOperator, count: int, mode: str = "auto") -> Eigen
     pair's character, and `eigenfunction_trace` lifts the pair onto the
     graph.  The residual ||T f - lambda f|| / ||f|| of each segment pair
     equals that of the lifted pair under H.  Raises ConvergenceError if
-    any residual exceeds 1e-8.
+    any residual exceeds 1e-8, and MeshError, before any LAPACK call, if
+    the N x N eigenvector array of the longest segment needs more than
+    `_memory_budget()`.
     """
     mode = _window(op, count, mode)
     starts, stops, weights = op.starts, op.stops, op.weights
+    N = int((stops - starts).max())
+    _check_budget(8 * N * N, f"eigensolve: the longest row-flip segment has {N} path "
+                             f"nodes, whose {N} x {N} eigenvector array needs")
     # An eigenvalue of a segment with w copies is picked only if fewer
     # than count / w of the segment's eigenvalues come before it; one more
     # for nearest_zero, where lambda and -lambda tie.

@@ -45,6 +45,7 @@ over one common denominator per region.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -282,18 +283,21 @@ class Spectrum(_Records):
         self.arrays, self.order, self.bounds = lines, order, bounds
         self.lam = lines.lam[order[bounds[:-1]]]
         self.multiplicity = np.add.reduceat(lines.mult[order], bounds[:-1])
-        super().__init__(len(self.lam), self._line)
+        # the line builder holds the arrays, not the Spectrum: no cycle
+        super().__init__(len(self.lam), functools.partial(
+            _line, lines, order, bounds, self.lam, self.multiplicity))
 
-    def _line(self, i: int) -> SpectralLine:
-        a = self.arrays
-        entries = self.order[self.bounds[i]:self.bounds[i + 1]].tolist()
-        region, num = int(a.region[entries[0]]), int(a.num[entries[0]])
-        den = a.dens[region]
-        gcd = math.gcd(num, den)
-        sources = tuple(LineSource(a.names[a.family[e]], int(a.n[e]), int(a.k[e]))
-                        for e in entries)
-        return SpectralLine(float(self.lam[i]), int(self.multiplicity[i]), sources,
-                            a.regions[region], num // gcd, den // gcd)
+
+def _line(a: LineArrays, order, bounds, lam, multiplicity, i: int) -> SpectralLine:
+    """Line i of a `Spectrum` made of these arrays."""
+    entries = order[bounds[i]:bounds[i + 1]].tolist()
+    region, num = int(a.region[entries[0]]), int(a.num[entries[0]])
+    den = a.dens[region]
+    gcd = math.gcd(num, den)
+    sources = tuple(LineSource(a.names[a.family[e]], int(a.n[e]), int(a.k[e]))
+                    for e in entries)
+    return SpectralLine(float(lam[i]), int(multiplicity[i]), sources,
+                        a.regions[region], num // gcd, den // gcd)
 
 
 def _spectrum(families: list[Family], query: SpectrumQuery,

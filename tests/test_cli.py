@@ -297,6 +297,21 @@ def test_bench_analytic_calls_print_their_recorded_digests():
         assert hashlib.sha256(shown.encode()).hexdigest() == expected[argv]["sha256"], argv
 
 
+def test_bench_census_and_describe_calls_print_their_recorded_digests():
+    # the census calls read the graph arrays, so a layout change that moves
+    # one count or extent fails here before the benchmark runs
+    expected = bench_data.expected()
+    calls = [c for c in bench_data.workloads().all_calls()
+             if c.split()[0] in ("census", "describe")]
+    assert len(calls) >= 15
+    for argv in calls:
+        rc, out, err = run(argv)
+        assert rc == expected[argv]["exit"], argv
+        shown, silent = (out, err) if rc == 0 else (err, out)
+        assert silent == "", argv
+        assert hashlib.sha256(shown.encode()).hexdigest() == expected[argv]["sha256"], argv
+
+
 def test_render_json_escapes_control_characters():
     text = "".join(map(chr, range(0x20))) + '"\\ end'
     assert json.loads(cli.render_json({"s": text})) == {"s": text}
@@ -441,6 +456,45 @@ def test_census_over_the_memory_budget_exits_2(monkeypatch):
     assert json.loads(err) == {"exit": 2, "error": (
         f"the level-8 graph has 65536 cells and 33152 vertices, which need about "
         f"{need / 1e9:.1f} GB, more than the {(need - 1) / 1e9:.1f} GB this process may use")}
+
+
+def test_solve_over_the_memory_budget_exits_2(monkeypatch):
+    from laakso import solver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an array was made before the budget was checked")
+
+    # the longest segment of the free level-4 path is all of its 129 nodes
+    argv = "solve --j 2 --periodic --level 4 --count 4"
+    need = 8 * 129**2
+    monkeypatch.setattr(solver, "_memory_budget", lambda: need)
+    assert run(argv)[0] == 0
+    monkeypatch.setattr(solver, "_memory_budget", lambda: need - 1)
+    monkeypatch.setattr(solver, "_lapack", refuse)
+    rc, out, err = run(argv)
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"exit": 2, "error": (
+        "eigensolve: the longest row-flip segment has 129 path nodes, whose 129 x 129 "
+        "eigenvector array needs about 0.0 GB, more than the 0.0 GB this process may use")}
+
+    # mesh 10^8 at level 1: 2 (10^8 + 1) + 1 path nodes, refused once the
+    # small graph is built and before reduce_rows makes an array
+    build = cli.build_graph
+
+    def built(*args, **kwargs):
+        graph = build(*args, **kwargs)
+        for name in ("arange", "repeat", "tile", "full", "zeros", "empty"):
+            monkeypatch.setattr(np, name, refuse)
+        return graph
+
+    monkeypatch.setattr(cli, "build_graph", built)
+    monkeypatch.setattr(solver, "_memory_budget", lambda: 2**32)
+    rc, out, err = run("solve --j 2 --periodic --level 1 --mesh 100000000 --count 1")
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"exit": 2, "error": (
+        f"reduce_rows: mesh 100000000 gives 200000003 path nodes at level 1, which need "
+        f"about {200000003 * solver._BYTES_PER_PATH_NODE / 1e9:.1f} GB, more than the "
+        "4.3 GB this process may use")}
 
 
 def test_memory_budget_is_lowered_by_the_address_space_limit(monkeypatch):

@@ -5,9 +5,11 @@ families by hand and are confirmed against the quantum-graph eigensolver
 (small levels here; the deeper oracle runs live in the acceptance suite).
 """
 
+import gc
 import hashlib
 import math
 import time
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +52,19 @@ def as_pairs(lines):
 
 # ---------------------------------------------------------------------------
 # free Laplacian
+
+def test_a_spectrum_is_freed_with_its_last_reference():
+    # no reference cycle: the line arrays go without the cyclic collector
+    gc.disable()
+    try:
+        s = free_spectrum(SEQ2, SpectrumQuery(1e4))
+        assert s[3].multiplicity == 3
+        order, lam = weakref.ref(s.order), weakref.ref(s.arrays.lam)
+        del s
+        assert order() is None and lam() is None
+    finally:
+        gc.enable()
+
 
 def test_free_low_lines_j2():
     lines = free_spectrum(SEQ2, SpectrumQuery(10.0))
