@@ -480,7 +480,8 @@ def test_row_flip_trace_is_an_eigenvector_of_H():
     op = discretize(g, 7, Potential("square_well"))
     rop = reduce_rows(g, 7, Potential("square_well"))
     r = solve_row_flip(rop, 12)
-    rows = np.concatenate([g.vertex_labels(), g.row_labels(np.repeat(np.arange(1 << g.level), g.columns * 7))])
+    rows = np.concatenate([g.vertex_labels(),
+                           g.row_labels(np.repeat(np.arange(1 << g.level), g.columns * 7))])
     order = np.lexsort((rows, op.xs))
     psis = []
     for i in range(12):
