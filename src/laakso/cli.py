@@ -705,9 +705,7 @@ def _cmd_solve(args):
     if args.trace is not None and not 0 <= args.trace < args.count:
         raise UsageError(f"--trace {args.trace} is not the index of one of the "
                          f"--count {args.count} eigenpairs")
-    if not (math.isfinite(args.cluster_tol) and args.cluster_tol >= 0):
-        raise UsageError("cluster tolerance must be finite and >= 0, "
-                         f"got {args.cluster_tol!r}")
+    cluster((), args.cluster_tol)       # a bad tolerance fails before the solve
     seq = _sequence(args)
     plates = _plate_config(args) if args.plates else None
     graph = build_graph(seq, args.level, plates=plates)

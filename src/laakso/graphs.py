@@ -69,6 +69,15 @@ def _memory_budget() -> float:
     return budget if soft == resource.RLIM_INFINITY else min(budget, soft)
 
 
+def _check_budget(need: float, what: str, error: type[Exception] = ValueError):
+    """Raise `error` if `need` bytes are more than `_memory_budget()`;
+    `what` names the stage and the sizes that need them."""
+    budget = _memory_budget()
+    if need > budget:
+        raise error(f"{what} about {need / 1e9:.1f} GB, more than the "
+                    f"{budget / 1e9:.1f} GB this process may use")
+
+
 @dataclass(frozen=True, slots=True)
 class Vertex:
     id: int
@@ -365,8 +374,9 @@ def build_graph(
         every cell has length 1/I_n.
 
     A graph whose 2^n I_n cells need more than `_memory_budget()` at
-    _BYTES_PER_CELL each, or whose vertex count squared (a packed pair
-    key) passes int64, raises GraphBuildError before any array is made.
+    _BYTES_PER_CELL each (`_check_budget`), or whose vertex count squared
+    (a packed pair key) passes int64, raises GraphBuildError before any
+    array is made.
     """
     if n < 0:
         raise GraphBuildError(f"level must be >= 0, got {n}")
@@ -375,11 +385,8 @@ def build_graph(
     products = level_products(seq, n)
     I_n = products[n]
     cells, nv = I_n << n, (2 << n) + ((I_n - 1) << n >> 1)
-    need, budget = cells * _BYTES_PER_CELL, _memory_budget()
-    if need > budget:
-        raise GraphBuildError(f"the level-{n} graph has {cells} cells and {nv} "
-                              f"vertices, which need about {need / 1e9:.1f} GB, more "
-                              f"than the {budget / 1e9:.1f} GB this process may use")
+    _check_budget(cells * _BYTES_PER_CELL, f"the level-{n} graph has {cells} cells and "
+                  f"{nv} vertices, which need", GraphBuildError)
     if nv**2 >= 2**63:
         raise GraphBuildError(f"the level-{n} graph has {nv} vertices, too many for int64 keys")
 

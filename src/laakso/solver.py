@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graphs import QuantumGraph, _memory_budget
+from .graphs import QuantumGraph, _check_budget
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -107,15 +107,9 @@ class MeshError(ValueError):
 # n = 1-6, every potential: 88.  dstemr's eigenvectors of an N-node
 # segment take 8 N^2 bytes more.
 _BYTES_PER_PATH_NODE = 100
-
-
-def _check_budget(need: float, what: str):
-    """MeshError if `need` bytes are more than this process may use; `what`
-    names the stage and the sizes that need them."""
-    budget = _memory_budget()
-    if need > budget:
-        raise MeshError(f"{what} about {need / 1e9:.1f} GB, more than the "
-                        f"{budget / 1e9:.1f} GB this process may use")
+# and per (character, cut) entry of its segment table, j = 2, mesh 7,
+# n = 8-11: 42 free and Coulomb, 38 square well
+_BYTES_PER_TABLE_ENTRY = 48
 
 
 class ConvergenceError(RuntimeError):
@@ -376,16 +370,18 @@ def reduce_rows(graph: QuantumGraph, mesh: int, potential: Potential
     into its row-flip segments, without assembling it.
 
     Reads only the graph's columns: birth levels, x, the length class of
-    each cell column and the conducting columns.  MeshError if the path
-    nodes need more than `_memory_budget()` at _BYTES_PER_PATH_NODE each,
-    checked before any array is made, or if an entry of T is outside
-    double range.
+    each cell column and the conducting columns.  MeshError if an entry
+    of T is outside double range, or if what it holds needs more than
+    `_memory_budget()` (`_check_budget`): the path nodes at
+    _BYTES_PER_PATH_NODE each, checked before any array is made, and with
+    them the table of 2^n characters by the cut columns and cut run ends
+    at _BYTES_PER_TABLE_ENTRY each, checked before the table is made.
     """
     lengths = _lengths(graph, mesh)
     n, I_n, M = graph.level, graph.columns, mesh
     nodes = (M + 1) * I_n + 1
-    _check_budget(nodes * _BYTES_PER_PATH_NODE,
-                  f"reduce_rows: mesh {M} gives {nodes} path nodes at level {n}, which need")
+    _check_budget(nodes * _BYTES_PER_PATH_NODE, f"reduce_rows: mesh {M} gives {nodes} "
+                  f"path nodes at level {n}, which need", MeshError)
     # link p joins path nodes p and p + 1
     h = np.repeat(lengths[graph.length_class] / (M + 1), M + 1)
     links = np.arange(len(h))
@@ -414,6 +410,9 @@ def reduce_rows(graph: QuantumGraph, mesh: int, potential: Potential
     node_bit[::M + 1] = np.where(graph.birth > 0, 1 << (n - graph.birth), 0)
     run_end = cut & ~(np.append(cut[1:], False) & np.insert(cut[:-1], 0, False))
     at = np.flatnonzero(run_end | (node_bit > 0))
+    _check_budget(nodes * _BYTES_PER_PATH_NODE + (len(at) << n) * _BYTES_PER_TABLE_ENTRY,
+                  f"reduce_rows: the table of {1 << n} characters by {len(at)} cut nodes, "
+                  f"with {nodes} path nodes at mesh {M}, needs", MeshError)
     hit = cut[at] | ((np.arange(1 << n)[:, None] & node_bit[at]) != 0)
     char, k = np.nonzero(np.pad(hit, ((0, 0), (1, 1)), constant_values=True))
     pos = np.concatenate([[-1], at, [len(xs)]])
@@ -576,13 +575,13 @@ def solve_row_flip(op: RowFlipOperator, count: int, mode: str = "auto") -> Eigen
     equals that of the lifted pair under H.  Raises ConvergenceError if
     any residual exceeds 1e-8, and MeshError, before any LAPACK call, if
     the N x N eigenvector array of the longest segment needs more than
-    `_memory_budget()`.
+    `_memory_budget()` (`_check_budget`).
     """
     mode = _window(op, count, mode)
     starts, stops, weights = op.starts, op.stops, op.weights
     N = int((stops - starts).max())
     _check_budget(8 * N * N, f"eigensolve: the longest row-flip segment has {N} path "
-                             f"nodes, whose {N} x {N} eigenvector array needs")
+                             f"nodes, whose {N} x {N} eigenvector array needs", MeshError)
     # An eigenvalue of a segment with w copies is picked only if fewer
     # than count / w of the segment's eigenvalues come before it; one more
     # for nearest_zero, where lambda and -lambda tie.

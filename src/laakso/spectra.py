@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import _memory_budget, _Records, well_geometry
+from .graphs import _check_budget, _Records, well_geometry
 from .plates import PlateConfig
 from .sequences import JSequence
 
@@ -206,7 +206,7 @@ def enumerate_families(families: list[Family], lambda_max: float,
     multiplicity raises MultiplicityError if it has a line in range.
     Every family's k range is found and checked before any array is made,
     and a table whose entries would not fit in `_memory_budget()` at
-    _BYTES_PER_ENTRY each raises ValueError.
+    _BYTES_PER_ENTRY each raises ValueError (`_check_budget`).
     """
     names = sorted({f.name for f in families})
     regions = sorted({f.region for f in families})
@@ -229,12 +229,8 @@ def enumerate_families(families: list[Family], lambda_max: float,
                              f"keys in family {f.name} at n={f.n}")
         ranges.append((f, k_max))
     entries = sum(k_max - f.k_min + 1 for f, k_max in ranges)
-    budget = _memory_budget()
-    if entries * _BYTES_PER_ENTRY > budget:
-        raise ValueError(f"family enumeration: lambda_max = {lambda_max:g} gives "
-                         f"{entries} (family, k) entries, which need about "
-                         f"{entries * _BYTES_PER_ENTRY / 1e9:.1f} GB, more than the "
-                         f"{budget / 1e9:.1f} GB this process may use")
+    _check_budget(entries * _BYTES_PER_ENTRY, f"family enumeration: lambda_max = "
+                  f"{lambda_max:g} gives {entries} (family, k) entries, which need")
     rows, ks, nums, lams = [], [], [], []
     for f, k_max in ranges:
         k = np.arange(f.k_min, k_max + 1, dtype=np.int64)
@@ -305,16 +301,11 @@ def _spectrum(families: list[Family], query: SpectrumQuery,
     return Spectrum(enumerate_families(families, query.lambda_max, scales), query.policy)
 
 
-def merge_lines(lines: list[SpectralLine], policy: str = MERGED) -> list[SpectralLine]:
+def merge_lines(lines: list[SpectralLine]) -> list[SpectralLine]:
     """Merge lines with identical exact keys; multiplicities add.
 
-    The per-family policy is the identity.  Merging is idempotent and
-    decided purely on the exact rational key.
+    Merging is idempotent and decided purely on the exact rational key.
     """
-    if policy == PER_FAMILY:
-        return list(lines)
-    if policy != MERGED:
-        raise ValueError(f"unknown merge policy {policy!r}")
     groups: dict[tuple[str, Fraction], list[SpectralLine]] = {}
     for line in lines:
         groups.setdefault(line.key, []).append(line)
@@ -330,12 +321,12 @@ def merge_lines(lines: list[SpectralLine], policy: str = MERGED) -> list[Spectra
 # ---------------------------------------------------------------------------
 # free Laplacian
 
-def free_level(seq: JSequence, n: int, I_prev: int) -> list[Family]:
-    """The free Laplacian's rows at level n, given I_prev = I_{n-1}; the
-    k = 0 line of level 0 is the zero eigenvalue (constant mode)."""
+def free_level(seq: JSequence, n: int) -> list[Family]:
+    """The free Laplacian's rows at level n; the k = 0 line of level 0 is
+    the zero eigenvalue (constant mode)."""
     if n == 0:
         return [Family("level0", 0, "unit", Fraction(1), False, 0, 1)]
-    j_n = seq.j(n)
+    I_prev, j_n = math.prod(seq.prefix(n - 1)), seq.j(n)
     rate = Fraction((I_prev * j_n) ** 2)
     rows = [Family("vee", n, "unit", rate, True, 0, 2**n),
             Family("loop", n, "unit", rate, False, 1, 2 ** (n - 1) * (j_n - 2) * I_prev)]
@@ -364,15 +355,15 @@ def free_families(seq: JSequence, lambda_max: float) -> list[Family]:
     consulted as deep as needed), and I_n >= 2^n stops the levels early.
     """
     def level(n):
-        I_prev = math.prod(seq.prefix(n - 1))
-        return free_level(seq, n, I_prev) if n == 0 or PI2 * I_prev**2 <= lambda_max else []
+        keep = n == 0 or PI2 * math.prod(seq.prefix(n - 1))**2 <= lambda_max
+        return free_level(seq, n) if keep else []
     return _collect(level, 1, lambda_max)
 
 
 def census_closed_form(seq: JSequence, n: int) -> tuple[int, int, int]:
     """Closed-form shape counts (vees, loops, crosses) of the level-n graph:
     the multiplicities of the free table's vee, loop and cross_wide rows."""
-    rows = free_level(seq, n, math.prod(seq.prefix(n - 1))) if n >= 1 else []
+    rows = free_level(seq, n) if n >= 1 else []
     mult = {f.name: f.multiplicity for f in rows}
     return (mult.get("vee", 0), mult.get("loop", 0), mult.get("cross_wide", 0))
 

@@ -74,10 +74,7 @@ def riemann_zeta(s):
         return Fraction(-1, 12)
     if s == 0:
         return Fraction(-1, 2)
-    if isinstance(s, complex):
-        if s.real <= 1 or abs(s.imag) > _SERIES_MAX_IMAG:
-            raise ValueError(f"zeta_R at {s} is outside the supported domain")
-    elif s <= 1:
+    if not (s.real > 1 and abs(s.imag) <= _SERIES_MAX_IMAG):   # NaN is outside too
         raise ValueError(f"zeta_R at {s} is outside the supported domain")
     N = 40
     total = sum(k ** (-s) for k in range(1, N))
@@ -132,12 +129,11 @@ def _zeta_at(s: complex, re_sign: float, im_sign: float) -> complex:
     # its default precision, which the package never changes.
     if s == 1:
         raise PoleError("zeta_R has a pole at 1")
-    if s == -1 or s == 0:
-        return complex(float(riemann_zeta(s)), 0.0)
-    if s.real > 1 and abs(s.imag) <= _SERIES_MAX_IMAG:
+    try:
         return complex(riemann_zeta(s))
-    import mpmath       # only this branch uses it; see `laakso.cli._cmd_zeta`
-    return complex(mpmath.zeta(complex(s)))
+    except ValueError:      # outside its domain
+        import mpmath       # only this branch uses it; see `laakso.cli._cmd_zeta`
+        return complex(mpmath.zeta(complex(s)))
 
 
 def _periodic_products(seq: JSequence) -> tuple[int, list[int], list[int]]:
@@ -262,9 +258,8 @@ def table_zeta(seq: JSequence, s) -> complex:
     T, products, _ = _periodic_products(seq)
     t = 2 * complex(s)
     z = _zeta_any(t)
-    totals = continued_sum(lambda n: free_level(seq, n, math.prod(seq.prefix(n - 1))),
-                           2, T, products[T], lambda x: complex(x) ** (-t / 2),
-                           (z, (2**t - 1) * z))
+    totals = continued_sum(lambda n: free_level(seq, n), 2, T, products[T],
+                           lambda x: complex(x) ** (-t / 2), (z, (2**t - 1) * z))
     return totals["unit"] / complex(math.pi) ** t
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -27,8 +28,9 @@ from laakso import (
     eigenfunction_trace,
     export_matrix,
     free_spectrum,
-    level_products,
+    plates_spectrum,
     reduce_rows,
+    solve,
     solve_lowest,
     solve_row_flip,
 )
@@ -222,6 +224,37 @@ def test_mesh_convergence_second_order():
         assert p >= 1.8, f"eigenvalue {i}: observed order {p:.2f}"
 
 
+SEQ5, SEQ7 = JSequence((5,), periodic=True), JSequence((7,), periodic=True)
+
+
+@pytest.mark.parametrize("seq,n,plates,pot", [
+    (SEQ2, 2, None, "free"),
+    (SEQ23, 2, None, "free"),
+    (SEQ2, 3, None, "parabolic"),
+    (SEQ5, 1, PlateConfig(5, 0, 0.2), "free"),
+    (SEQ7, 1, PlateConfig(7, 2, 0.15), "free"),
+])
+def test_row_flip_converges_at_second_order(seq, n, plates, pot):
+    # the lowest 8 eigenvalues at M + 1 = 4, 8, ..., 64: each difference
+    # shrinks by about 4 (3.70-4.00), and the Richardson value from the
+    # last two meets the closed form within 1e-6, where M + 1 = 64 alone
+    # is 5e-5 to 8e-4 off
+    graph = build_graph(seq, n, plates=plates)
+    vals = np.array([solve(graph, m - 1, Potential(pot), 8)[1].eigenvalues
+                     for m in (4, 8, 16, 32, 64)])
+    vals = vals[:, np.abs(vals[-1]) > 1e-6]           # the zero mode does not move
+    steps = np.diff(vals, axis=0)
+    ratios = steps[:-1] / steps[1:]
+    assert ((3 <= ratios) & (ratios <= 5)).all(), ratios
+    if pot == "free":
+        query = SpectrumQuery(1e4)
+        spectrum = plates_spectrum(plates, query) if plates else free_spectrum(seq, query)
+        exact = np.repeat(spectrum.lam, spectrum.multiplicity)
+        exact = exact[exact > 0][:vals.shape[1]]
+        richardson = vals[-1] + (vals[-1] - vals[-2]) / 3
+        np.testing.assert_allclose(richardson, exact, rtol=1e-5)
+
+
 def test_residual_contract():
     op = discretize(build_graph(SEQ23, 2), 8, Potential("square_well"))
     r = solve_lowest(op, 8)
@@ -379,8 +412,7 @@ def _family_table(rows, scale=lambda f: 1) -> Counter:
 
 def _free_table(seq, n) -> Counter:
     """The free rows of levels 0..n as a `_family_table`."""
-    return _family_table(f for m in range(n + 1)
-                         for f in free_level(seq, m, level_products(seq, max(m - 1, 0))[-1]))
+    return _family_table(f for m in range(n + 1) for f in free_level(seq, m))
 
 
 def _plate_table(cfg, n) -> Counter:
@@ -836,6 +868,51 @@ def test_entries_outside_double_range_raise_mesh_error():
     with pytest.raises(MeshError, match=r"^discretize: H on 76 kept nodes \(mesh 7\) is "
                                         "outside double range$"):
         discretize(g, 7, Potential("free"))
+
+
+def _reduce_rows_estimate(monkeypatch, graph, pot):
+    """The bytes reduce_rows(graph, 7, pot) last asks the budget for, and
+    its tracemalloc peak."""
+    from laakso import solver
+
+    asked = []
+    check = solver._check_budget
+    monkeypatch.setattr(solver, "_check_budget",
+                        lambda need, *args: asked.append(need) or check(need, *args))
+    tracemalloc.start()
+    try:
+        reduce_rows(graph, 7, Potential(pot))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return asked[-1], peak
+
+
+@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("pot", ["free", "square_well", "coulomb"])
+def test_reduce_rows_estimate_is_within_twice_its_peak(monkeypatch, n, pot):
+    need, peak = _reduce_rows_estimate(monkeypatch, build_graph(SEQ2, n), pot)
+    assert peak / 2 <= need <= 2 * peak
+
+
+def test_reduce_rows_refuses_its_table_before_making_it(monkeypatch):
+    from laakso import graphs, solver
+
+    graph = build_graph(SEQ2, 8)
+    nodes = 8 * graph.columns + 1
+    need, _ = _reduce_rows_estimate(monkeypatch, graph, "free")
+    assert need > 10 * nodes * solver._BYTES_PER_PATH_NODE     # the table is most of it
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the table was made before the budget was checked")
+
+    monkeypatch.setattr(graphs, "_memory_budget", lambda: need - 1)
+    monkeypatch.setattr(np, "pad", refuse)
+    with pytest.raises(MeshError, match=(
+            r"^reduce_rows: the table of 256 characters by 255 cut nodes, with 2049 path "
+            r"nodes at mesh 7, needs about 0\.0 GB, more than the 0\.0 GB this process "
+            "may use$")):
+        reduce_rows(graph, 7, Potential("free"))
 
 
 def test_relative_norms_rescale_only_columns_that_overflow():
