@@ -237,8 +237,8 @@ SEQ5, SEQ7 = JSequence((5,), periodic=True), JSequence((7,), periodic=True)
 def test_row_flip_converges_at_second_order(seq, n, plates, pot):
     # the lowest 8 eigenvalues at M + 1 = 4, 8, ..., 64: each difference
     # shrinks by about 4 (3.70-4.00), and the Richardson value from the
-    # last two meets the closed form within 1e-6, where M + 1 = 64 alone
-    # is 5e-5 to 8e-4 off
+    # last two meets the closed form within 1.03e-6, where M + 1 = 64
+    # alone is 5e-5 to 8e-4 off
     graph = build_graph(seq, n, plates=plates)
     vals = np.array([solve(graph, m - 1, Potential(pot), 8)[1].eigenvalues
                      for m in (4, 8, 16, 32, 64)])
