@@ -66,8 +66,8 @@ if TYPE_CHECKING:
 
 @functools.cache
 def _lapack():
-    """`dstemr` from scipy's `_flapack` extension, loaded from its file
-    without running `scipy/linalg/__init__.py`.
+    """scipy's `_flapack` extension (LAPACK's `dstemr` and `dstebz`),
+    loaded from its file without running `scipy/linalg/__init__.py`.
 
     The module goes into sys.modules under its own name, so a later
     `import scipy.linalg` wraps this very module.
@@ -88,7 +88,7 @@ def _lapack():
         mod = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(mod)
         sys.modules[spec.name] = mod
-    return mod.dstemr
+    return mod
 
 
 def eigsh(*args, **kwargs):
@@ -426,42 +426,165 @@ def reduce_rows(graph: QuantumGraph, mesh: int, potential: Potential
                            keys // span, keys % span, weights, char[:-1][ok], seg)
 
 
-def _count_negative(diag, off, starts, stops) -> np.ndarray:
-    """Negative eigenvalues of each segment's T (Sylvester's law of inertia:
-    the negative pivots of its LDL^T), with all segments run in lockstep."""
-    coupling = np.concatenate([[0.0], off**2])      # off[p - 1]^2, into row p
-    pivmin = np.finfo(float).tiny * max(1.0, coupling.max())
-    count = np.zeros(len(starts), dtype=np.int64)
-    q = np.ones(len(starts))
-    for i in range(int((stops - starts).max())):
-        p = starts + i
-        live = p < stops
-        p = np.where(live, p, starts)
-        q = diag[p] - (coupling[p] / q if i else 0.0)
-        q = np.where(~live, 1.0, np.where(np.abs(q) < pivmin, -pivmin, q))
-        count += q < 0
-    return count
-
-
-def _segment_eigh(d: np.ndarray, e: np.ndarray, lo: int, hi: int, vectors: bool):
+def _segment_eigh(d: np.ndarray, e: np.ndarray, lo: int, hi: int):
     """Eigenvalues lo..hi-1 (by index) of the tridiagonal T with diagonal d
-    and off-diagonal e, and with `vectors` their eigenvectors (columns).
+    and off-diagonal e, and their eigenvectors (columns).
 
     LAPACK's MRRR driver dstemr, called with the arguments scipy's
     `eigh_tridiagonal(d, e, select="i", select_range=(lo, hi - 1),
     lapack_driver="stemr")` passes it (e padded to length N), so the
     output is bit for bit the same, without that wrapper's validation.
-    Its default workspaces (18N and 10N with vectors, 12N and 8N without)
-    are the sizes LAPACK's workspace query returns, so none is made.
+    Its default workspaces (18N and 10N) are the sizes LAPACK's workspace
+    query returns, so none is made.
     """
     e_n = np.zeros(len(d))
     e_n[:-1] = e
     # range 2 selects by 1-based index il..iu; vl and vu are then unused
-    m, w, v, info = _lapack()(d, e_n, 2, 0.0, 1.0, lo + 1, hi, compute_v=vectors)
+    m, w, v, info = _lapack().dstemr(d, e_n, 2, 0.0, 1.0, lo + 1, hi, compute_v=True)
     if info != 0:
         raise ConvergenceError(f"dstemr failed (info={info}) on a segment of {len(d)} nodes")
     # v is N x N whatever m is; a copy of its m columns lets it go
-    return (w[:m], v[:, :m].copy(order="K")) if vectors else w[:m]
+    return w[:m], v[:, :m].copy(order="K")
+
+
+def _aranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges starts[i] .. starts[i] + lengths[i] - 1, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if len(ends) else 0)
+
+
+# Eigenvalues of distinct segments closer than 1024 eps ||T||_1 tie, with
+# ||T||_1 the largest 1-norm among the segments that hold them.
+_TIE = 1024 * np.finfo(float).eps
+_HUGE = np.finfo(float).max
+# A count round takes up to 15 points at once, while they span at most
+# this many rows: dstebz's own cost then stays near the round's overhead.
+_ROUND_ROWS = 1024
+
+
+def _tie_band(diag, off, starts, stops, weight, count: int, nearest: bool):
+    """Where the `count`-th eigenvalue copy falls, from Sturm counts alone.
+
+    T t is the tridiagonal on path nodes starts[t]:stops[t] (diagonal
+    diag, off-diagonal off), with weight[t] copies; no two are equal.
+    Each T is scaled by 2^-k, k the exponent of its largest |entry|, which
+    leaves its counts unchanged; sigma is in units of 2^K, K the largest
+    k.  The count C(sigma) = sum of weight * #{lambda <= sigma} ('lowest',
+    or #{|lambda| <= sigma} for 'nearest_zero') is cut at points of the
+    bracket (lo, hi], C(lo) < count <= C(hi), until the bracket is
+    narrower than the tie width tau of the T's it holds, or until, widened
+    by tau, it holds eigenvalues of one T only (on one side of zero),
+    whose index order is then their order.  Each round counts only the
+    T's with eigenvalues in the bracket.
+
+    Returns (first, stop, band_t, band_index, band_rank, rounds): the
+    eigenvalues first[t] .. stop[t] - 1 of T t lie below the widened
+    bracket, and eigenvalue band_index of T band_t inside it, ranked 0 (a
+    tie) or by its order within the one T; rounds counts the dstebz calls.
+    """
+    sizes = stops - starts
+    t_row = np.repeat(np.arange(len(sizes)), sizes)
+    rows = _aranges(starts, sizes)
+    tops = np.cumsum(sizes) - sizes         # each T's first row
+    D = diag[rows]
+    E = np.append(off, 0.0)[rows]
+    E[tops + sizes - 1] = 0.0               # no coupling from one T to the next
+    k = np.frexp(np.maximum.reduceat(np.maximum(np.abs(D), np.abs(E)), tops))[1]
+    D, E = np.ldexp(D, -k[t_row]), np.ldexp(E, -k[t_row])
+    norm = np.maximum.reduceat(np.abs(D) + np.abs(E) + np.abs(np.append(0.0, E[:-1])), tops)
+    tie = _TIE * np.ldexp(norm, k - k.max())
+    # sigma in a T's own scale; past 2^1000 no count can change
+    stretch = np.ldexp(1.0, np.minimum(k.max() - k, 1000))[t_row]
+    dstebz = _lapack().dstebz
+    rounds = 0
+
+    def counter(ts, points):
+        """#{lambda <= sigma} of each T in ts, a row per sigma (at most
+        `points` of them): dstebz with a tolerance so large that it never
+        bisects, so that its m is a pure Sturm count, on one shifted copy of
+        the T's per sigma."""
+        slot = np.full(len(sizes), -1)
+        slot[ts] = np.arange(len(ts))
+        mine = np.flatnonzero(slot[t_row] >= 0)
+        d, e, st = D[mine], np.tile(E[mine], points), stretch[mine]
+        owner = (np.arange(points)[:, None] * len(ts) + slot[t_row[mine]]).ravel()
+
+        def below(sigmas):
+            nonlocal rounds
+            x = d - sigmas[:, None] * st
+            m, _, block, split, info = dstebz(x.ravel(), e[:x.size - 1], 1, -_HUGE, 0.0,
+                                              0, 0, 1e300, b"B")
+            rounds += 1
+            if info != 0:
+                raise ConvergenceError(f"dstebz failed (info={info}) counting {x.size} rows")
+            hits = owner[split[block[:m] - 1] - 1]
+            return np.bincount(hits, minlength=x.size and len(sigmas) * len(ts)
+                               ).reshape(len(sigmas), -1)
+        return below
+
+    def widened(lo, hi):
+        """(first, stop, sides) for the bracket (lo, hi]: each side is (first
+        index, how many, index of rank 0, rank step) per T."""
+        below = counter(everything, 4)
+        if not nearest:
+            N = below(np.array([lo, hi]))
+            return 0 * N[0], N[0], [(N[0], N[1] - N[0], N[0], 1)]
+        if lo <= 0:
+            N = below(np.array([-hi, hi]))
+            return N[0], N[0], [(N[0], N[1] - N[0], N[0], 1)]
+        N = below(np.array([-hi, -lo, lo, hi]))
+        return N[1], N[2], [(N[0], N[1] - N[0], N[1] - 1, -1), (N[2], N[3] - N[2], N[2], 1)]
+
+    everything = np.arange(len(sizes))
+    lo, hi = (0.0, 4.0) if nearest else (-4.0, 4.0)
+    act, at_lo, at_hi = everything, 0 * sizes, sizes        # the counts of act's T's
+    base, one_t, changed = 0, True, True                     # base = C(lo)
+    while True:
+        if changed:
+            tau = tie[act].max()
+            points = 2 ** int(np.clip(np.log2(_ROUND_ROWS / sizes[act].sum()), 1, 4))
+            steps = np.arange(1, points) / points
+            below, w = counter(act, 2 * points if nearest else points), weight[act]
+        # geometric points while the bracket spans orders of magnitude
+        if lo >= 0 and hi > 8 * max(lo, tau):
+            a = max(lo, tau, hi * 2.0**-64)
+            sigmas = a * (hi / a) ** steps
+        elif hi <= 0 and -lo > 8 * max(-hi, tau):
+            a = max(-hi, tau, -lo * 2.0**-64)
+            sigmas = -a * (-lo / a) ** steps[::-1]
+        else:
+            sigmas = lo + (hi - lo) * steps
+        if hi - lo < tau or not lo < sigmas[0] <= sigmas[-1] < hi:
+            first, stop, sides = widened(lo - tau, hi + tau)
+            ranked = False
+            break
+        if one_t and len(act) == 1:
+            first, stop, sides = widened(lo - tau, hi + tau)
+            if sum(np.count_nonzero(n) for _, n, _, _ in sides) == 1:   # one T, one side
+                ranked = True
+                break
+            one_t = False
+        c = below(np.concatenate([sigmas, -sigmas]) if nearest else sigmas)
+        if nearest:
+            c = c[:len(sigmas)] - c[len(sigmas):]
+        C = base + (c - at_lo) @ w
+        j = int((C >= count).argmax()) if C[-1] >= count else len(C)
+        if j < len(C):
+            hi, at_hi = float(sigmas[j]), c[j]
+        if j > 0:
+            lo, at_lo, base = float(sigmas[j - 1]), c[j - 1], C[j - 1]
+        live = at_hi > at_lo
+        changed = not live.all()
+        if changed:
+            act, at_lo, at_hi = act[live], at_lo[live], at_hi[live]
+    band_t, band_index, band_rank = [], [], []
+    for start, n, rank0, step in sides:
+        band_t.append(np.repeat(everything, n))
+        band_index.append(_aranges(start, n))
+        band_rank.append((band_index[-1] - np.repeat(rank0, n)) * step if ranked
+                         else 0 * band_index[-1])
+    return (first, stop, np.concatenate(band_t), np.concatenate(band_index),
+            np.concatenate(band_rank), rounds)
 
 
 @dataclass
@@ -556,17 +679,21 @@ def solve_lowest(op: DiscretizedOperator, count: int, mode: str = "auto") -> Eig
 def solve_row_flip(op: RowFlipOperator, count: int, mode: str = "auto") -> EigenResult:
     """The eigenvalues `solve_lowest` returns, from the row-flip segments.
 
-    Modes are those of `solve_lowest`.  Each segment is solved by index
-    with LAPACK's MRRR driver (dstemr, `_segment_eigh`): 'lowest' takes
-    the bottom of every segment, so it finds the true bottom of the
-    spectrum for any potential, and 'nearest_zero' takes a window around
-    each segment's count of negative eigenvalues.  Segments with the same
-    T and window share one LAPACK call, in the values pass and in the
-    vectors pass; info["segment_solves"] counts the calls made, next to
+    Modes are those of `solve_lowest`.  A segment eigenvalue counts
+    weights[i] times, and which ones are taken is decided from Sturm
+    counts alone (`_tie_band`), on each distinct T once: every eigenvalue
+    below the tie band of the `count`-th copy, then copies from the band
+    in (segment, eigenvalue index) order until there are `count`
+    (eigenvalues of one T that the band holds go in index order first).
+    So a degenerate cut is a stated rule, not the rounding of computed
+    values; info["count_rounds"] counts the dstebz calls.  Then only the
+    picked eigenpairs are solved, by index with LAPACK's MRRR driver
+    (dstemr, `_segment_eigh`); segments with the same T and index window
+    share one call, and info["segment_solves"] counts them, next to
     info["segments"].  Masses, residuals and characters are still taken
-    per segment.  A segment eigenvalue counts weights[i] times; its c-th
-    copy belongs to the segment's c-th character, so a degenerate
-    eigenspace gets a canonical basis.
+    per segment.  The c-th copy of a segment eigenvalue belongs to the
+    segment's c-th character, so a degenerate eigenspace gets a canonical
+    basis.
 
     Eigenvectors are the path functions f (columns on the path nodes,
     zero off their segment, unit discrete L2); `characters` holds each
@@ -582,50 +709,53 @@ def solve_row_flip(op: RowFlipOperator, count: int, mode: str = "auto") -> Eigen
     N = int((stops - starts).max())
     _check_budget(8 * N * N, f"eigensolve: the longest row-flip segment has {N} path "
                              f"nodes, whose {N} x {N} eigenvector array needs", MeshError)
-    # An eigenvalue of a segment with w copies is picked only if fewer
-    # than count / w of the segment's eigenvalues come before it; one more
-    # for nearest_zero, where lambda and -lambda tie.
-    k = np.minimum(stops - starts, -(-count // weights) + 1)
-    if mode == "lowest":
-        lo = np.zeros_like(k)
-    else:
-        neg = _count_negative(op.diag, op.off, starts, stops)
-        lo = np.maximum(neg - k, 0)
-        k = np.minimum(stops - starts, neg + k) - lo
-    # Segments repeat (the paper's families), so each distinct problem,
-    # T's bytes and the index window, goes to LAPACK once per call.
+    # Segments repeat (the paper's families): each distinct T, by its
+    # bytes, is counted once, and each (T, index window) solved once.
+    distinct, one = {}, []                  # one: each T's first segment
+    seg_t = np.empty(len(starts), dtype=np.int64)
+    for i, (a, b) in enumerate(zip(starts.tolist(), stops.tolist())):
+        key = (op.diag[a:b].tobytes(), op.off[a:b - 1].tobytes())
+        if key not in distinct:
+            distinct[key] = len(one)
+            one.append(i)
+        seg_t[i] = distinct[key]
+    first, stop, band_t, band_index, band_rank, rounds = _tie_band(
+        op.diag, op.off, starts[one], stops[one],
+        np.bincount(seg_t, weights, len(one)).astype(np.int64), count, mode == "nearest_zero")
+
+    # every eigenvalue below the band, in (segment, index) order, then the
+    # band's, each once for every segment of its T
+    n = stop[seg_t] - first[seg_t]
+    by_t = np.argsort(seg_t, kind="stable")
+    per_t = np.bincount(seg_t, minlength=len(one))
+    m = per_t[band_t]
+    band_seg = by_t[_aranges(np.cumsum(per_t)[band_t] - m, m)]
+    band_index, band_rank = np.repeat(band_index, m), np.repeat(band_rank, m)
+    o = np.lexsort((band_index, band_seg, band_rank))
+    seg = np.concatenate([np.repeat(np.arange(len(starts)), n), band_seg[o]])
+    idx = np.concatenate([_aranges(first[seg_t], n), band_index[o]])
+    copies = weights[seg]
+    total = np.cumsum(copies)
+    need = int(np.searchsorted(total, count)) + 1
+    copies = copies[:need]
+    copies[-1] -= total[need - 1] - count
+    pick_seg, pick_idx = np.repeat(seg[:need], copies), np.repeat(idx[:need], copies)
+    copy = _aranges(np.zeros_like(copies), copies)
+
     memo = {}
-
-    def segment_eigh(i, lo_i, hi_i, vectors):
-        a, b = starts[i], stops[i]
-        d, e = op.diag[a:b], op.off[a:b - 1]
-        key = (d.tobytes(), e.tobytes(), lo_i, hi_i, vectors)
-        if key not in memo:
-            memo[key] = _segment_eigh(d, e, lo_i, hi_i, vectors)
-        return memo[key]
-
-    cand = [segment_eigh(i, lo[i], lo[i] + k[i], False) for i in range(len(k))]
-    vals = np.concatenate(cand)
-    seg = np.repeat(np.arange(len(k)), k)
-    idx = np.concatenate([np.arange(lo[i], lo[i] + k[i]) for i in range(len(k))])
-
-    order = np.argsort(vals if mode == "lowest" else np.abs(vals), kind="stable")
-    copies = weights[seg[order]]
-    need = int(np.searchsorted(np.cumsum(copies), count)) + 1
-    pick = np.repeat(order[:need], copies[:need])[:count]
-    copy = np.concatenate([np.arange(c) for c in copies[:need]])[:count]
-
     out = np.empty(count)
     res = np.empty(count)
     funcs = np.zeros((len(op.xs), count))
     characters = np.empty(count, dtype=np.int64)
-    for i in np.flatnonzero(np.bincount(seg[pick])):     # np.unique would import numpy.ma
-        cols = np.flatnonzero(seg[pick] == i)
-        want = idx[pick[cols]]
-        first = int(want.min())
-        lam, g = segment_eigh(i, first, int(want.max()) + 1, True)
-        lam, g = lam[want - first], g[:, want - first]      # copies: the memo stays intact
+    for i in np.flatnonzero(np.bincount(pick_seg)):     # np.unique would import numpy.ma
+        cols = np.flatnonzero(pick_seg == i)
+        want = pick_idx[cols]
+        key = (seg_t[i], int(want.min()), int(want.max()) + 1)
         a, b = starts[i], stops[i]
+        if key not in memo:
+            memo[key] = _segment_eigh(op.diag[a:b], op.off[a:b - 1], *key[1:])
+        lam, g = memo[key]
+        lam, g = lam[want - key[1]], g[:, want - key[1]]    # copies: the memo stays intact
         e = op.off[a:b - 1, None]
         r = op.diag[a:b, None] * g - g * lam
         r[:-1] += e * g[1:]
@@ -636,7 +766,8 @@ def solve_row_flip(op: RowFlipOperator, count: int, mode: str = "auto") -> Eigen
         characters[cols] = op.pair_character[op.pair_segment == i][copy[cols]]
     o = np.argsort(out, kind="stable")
     info = {"method": "row-flip", "mode": mode, "dim": op.dimension,
-            "characters": 1 << op.graph.level, "segments": len(k), "segment_solves": len(memo)}
+            "characters": 1 << op.graph.level, "segments": len(starts),
+            "count_rounds": rounds, "segment_solves": len(memo)}
     _contract(res, info)
     return EigenResult(out[o], funcs[:, o], res[o], info, characters[o])
 

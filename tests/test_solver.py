@@ -488,7 +488,7 @@ def test_row_flip_segments_are_discrete_sines(seq, n):
         d, e = rop.diag[a:b], rop.off[a:b - 1]
         kind = "".join(sorted(("N" if a == 0 else "D") + ("N" if b == len(rop.xs) else "D")))
         norm = np.max(np.abs(d) + np.abs(np.append(e, 0.0)) + np.abs(np.append(0.0, e)))
-        got = _segment_eigh(d, e, 0, len(d), False)
+        got = _segment_eigh(d, e, 0, len(d))[0]
         assert np.abs(got - _sine_values(kind, len(d), h)).max() <= 8 * np.finfo(float).eps * norm
         kinds[kind] += 1
     assert kinds["NN"] == 1 and kinds["DN"] >= (n > 0) and kinds["DD"] >= (n > 1)
@@ -570,12 +570,9 @@ def test_segment_eigh_matches_eigh_tridiagonal():
     for d, e in _segment_problems():
         N = len(d)
         for lo, hi in {(0, min(3, N)), (max(N - 3, 0), N), (N // 2, N // 2 + 1)}:
-            w = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
-                                 select_range=(lo, hi - 1), lapack_driver="stemr")
-            assert _segment_eigh(d, e, lo, hi, False).tobytes() == w.tobytes()
             w, v = eigh_tridiagonal(d, e, select="i", select_range=(lo, hi - 1),
                                     lapack_driver="stemr")
-            lam, g = _segment_eigh(d, e, lo, hi, True)
+            lam, g = _segment_eigh(d, e, lo, hi)
             assert lam.tobytes() == w.tobytes()
             assert g.shape == v.shape and g.tobytes() == v.tobytes()
         problems += 1
@@ -583,36 +580,174 @@ def test_segment_eigh_matches_eigh_tridiagonal():
 
 
 def _counted_segment_eigh(monkeypatch):
-    """Patch `_segment_eigh` to log the `vectors` flag of every call."""
+    """Patch `_segment_eigh` to log (T's bytes, lo, hi) of every call."""
     import laakso.solver
 
     calls = []
     inner = laakso.solver._segment_eigh
 
-    def counted(d, e, lo, hi, vectors):
-        calls.append(vectors)
-        return inner(d, e, lo, hi, vectors)
+    def counted(d, e, lo, hi):
+        calls.append((d.tobytes() + e.tobytes(), lo, hi))
+        return inner(d, e, lo, hi)
 
     monkeypatch.setattr(laakso.solver, "_segment_eigh", counted)
     return calls
 
 
+def _pairs(rop, r):
+    """The segment and character of each pair of a row-flip result: the
+    segment of its character that holds the peak of its path function."""
+    from laakso.solver import _aranges
+
+    reps = (rop.stops - rop.starts)[rop.pair_segment]
+    seg_at = np.full((1 << rop.graph.level, len(rop.xs)), -1)
+    seg_at[np.repeat(rop.pair_character, reps),
+           _aranges(rop.starts[rop.pair_segment], reps)] = np.repeat(rop.pair_segment, reps)
+    peaks = np.argmax(np.abs(r.eigenvectors), axis=0)
+    return seg_at[r.characters, peaks], r.characters
+
+
+def _windows(rop, r):
+    """(T's bytes, lo, hi) of each segment r holds pairs of, lo .. hi - 1 the
+    indices of its eigenvalues there (dense eigvalsh of its T)."""
+    seg, _ = _pairs(rop, r)
+    out = set()
+    for i in set(seg.tolist()):
+        a, b = rop.starts[i], rop.stops[i]
+        d, e = rop.diag[a:b], rop.off[a:b - 1]
+        full = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        idx = [int(np.argmin(np.abs(full - lam))) for lam in r.eigenvalues[seg == i]]
+        out.add((d.tobytes() + e.tobytes(), min(idx), max(idx) + 1))
+    return out
+
+
 def test_segment_solves_count_lapack_calls(monkeypatch):
-    # the free segments repeat, so far fewer LAPACK calls than segments
+    # the free segments repeat, so far fewer LAPACK calls than segments:
+    # no values-only call, and one vectors call per distinct picked
+    # (T, index window)
     calls = _counted_segment_eigh(monkeypatch)
-    r = solve_row_flip(reduce_rows(build_graph(SEQ2, 6), 7, Potential("free")), 20)
+    rop = reduce_rows(build_graph(SEQ2, 6), 7, Potential("free"))
+    r = solve_row_flip(rop, 20)
     assert r.info["segments"] == 184
     assert r.info["segment_solves"] == len(calls) < 184 // 4
-    assert 0 < calls.count(True) <= 20
+    assert set(calls) == _windows(rop, r) and len(set(calls)) == len(calls)
+    assert r.info["count_rounds"] > 0
 
 
 def test_parabolic_segments_are_all_distinct(monkeypatch):
-    # no two segments see the same V = 1/(x(1-x)), so the values pass
-    # makes one LAPACK call per segment
+    # no two segments see the same V = 1/(x(1-x)), so each picked segment
+    # takes one vectors call of its own, and none is solved for values only
     calls = _counted_segment_eigh(monkeypatch)
-    r = solve_row_flip(reduce_rows(build_graph(SEQ2, 6), 7, Potential("parabolic")), 20)
-    assert calls.count(False) == r.info["segments"] == 184
-    assert r.info["segment_solves"] == len(calls) > r.info["segments"]
+    rop = reduce_rows(build_graph(SEQ2, 6), 7, Potential("parabolic"))
+    r = solve_row_flip(rop, 20)
+    picked = set(_pairs(rop, r)[0].tolist())
+    assert r.info["segment_solves"] == len(calls) == len(picked) < r.info["segments"] == 184
+    assert set(calls) == _windows(rop, r) and len({key for key, _, _ in calls}) == len(calls)
+
+
+def _rounding_noise(monkeypatch, sign):
+    """Patch `_segment_eigh` to move each eigenvalue by 4 ulps, up or down
+    by the parity of its segment's length and its index."""
+    import laakso.solver
+
+    inner = laakso.solver._segment_eigh
+
+    def noisy(d, e, lo, hi):
+        lam, g = inner(d, e, lo, hi)
+        flip = (-1) ** (len(d) + np.arange(lo, hi))
+        return lam + sign * flip * 4 * np.spacing(lam), g
+
+    monkeypatch.setattr(laakso.solver, "_segment_eigh", noisy)
+
+
+@pytest.mark.parametrize("case", [
+    (SEQ2, 1, "free", 6), (SEQ2, 1, "square_well", 6), (SEQ2, 1, "parabolic", 3),
+    (SEQ2, 2, "parabolic", 20), (SEQ2, 2, "coulomb", 8),
+], ids=["free-1", "square_well-1", "parabolic-1", "parabolic-2", "coulomb-2"])
+def test_picks_do_not_follow_rounding_noise(monkeypatch, case):
+    # which copies of a tie are taken is decided by Sturm counts, so a
+    # few ulps on the computed eigenvalues move no pick (with a values
+    # pass they do, in the first four cases)
+    seq, n, pot, count = case
+    rop = reduce_rows(build_graph(seq, n), 3, Potential(pot))
+    want = sorted(zip(*(x.tolist() for x in _pairs(rop, solve_row_flip(rop, count)))))
+    for sign in (1, -1):
+        _rounding_noise(monkeypatch, sign)
+        got = sorted(zip(*(x.tolist() for x in _pairs(rop, solve_row_flip(rop, count)))))
+        assert got == want
+        monkeypatch.undo()
+
+
+def _sweep_ops(mesh, cells=64):
+    """The row-flip operators of the small-sequence sweep at n <= 3 with
+    at most `cells` cells, for every potential kind, and of the (5, 0, 0.2)
+    plates at n = 1, 2."""
+    for seq in small_sequences():
+        for n in levels(seq):
+            if n > 3 or 2**n * laakso.level_products(seq, n)[n] > cells:
+                break
+            g = build_graph(seq, n)
+            for pot in ("free", "square_well", "coulomb", "parabolic"):
+                yield reduce_rows(g, mesh, Potential(pot))
+    for n in (1, 2):
+        yield reduce_rows(build_graph(PLATES5[0], n, plates=PLATES5[1]), mesh, Potential("free"))
+
+
+def test_row_flip_selection_matches_the_two_pass_reference(monkeypatch):
+    # The Sturm-count selection against the values pass it replaced, for
+    # counts 1, 20 and dim in both modes: the same eigenvalues within
+    # 32 eps ||T_seg||_1 (two mirror-image segments differ by up to 19 eps
+    # in the Coulomb cases), the same number of copies from each tie band,
+    # and where the reference's cut splits no band, the same (segment,
+    # character) pairs and the same eigenvalue bits.  The residual
+    # contract is not compared: where a band is split the picked copies
+    # may come from other index windows, and the large parabolic segments
+    # meet 1e-8 in some windows only.
+    import row_flip_reference as reference
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    import laakso.solver
+
+    monkeypatch.setattr(laakso.solver, "_contract", lambda res, info: None)
+    eps = np.finfo(float).eps
+    cases = split = 0
+    for rop in _sweep_ops(3):
+        e0 = np.append(rop.off, 0.0)
+        norm = np.array([np.max(np.abs(rop.diag[a:b]) + np.abs(e0[a:b])
+                                + np.abs(np.append(0.0, rop.off[a:b - 1])))
+                         for a, b in zip(rop.starts, rop.stops)])
+        tie = 1024 * eps * norm.max()         # the solver's tie width
+        spectrum = np.concatenate([eigvalsh_tridiagonal(rop.diag[a:b], rop.off[a:b - 1],
+                                                        lapack_driver="stev")
+                                   for a, b in zip(rop.starts, rop.stops)])
+        copies = np.repeat(rop.weights, rop.stops - rop.starts)
+        for mode in ("lowest", "nearest_zero"):
+            keys = spectrum if mode == "lowest" else np.abs(spectrum)
+            for count in sorted({1, min(20, rop.dimension), rop.dimension}):
+                got = solve_row_flip(rop, count, mode)
+                want = reference.solve_row_flip(rop, count, mode)
+                got_seg, got_char = _pairs(rop, got)
+                want_seg, want_char = _pairs(rop, want)
+                gap = np.abs(got.eigenvalues - want.eigenvalues)
+                assert np.all(gap <= 32 * eps * np.maximum(norm[got_seg], norm[want_seg]))
+                # copies per tie band, each band around one of the reference's values
+                got_keys = np.sort(got.eigenvalues if mode == "lowest"
+                                   else np.abs(got.eigenvalues))
+                want_keys = np.sort(want.eigenvalues if mode == "lowest"
+                                    else np.abs(want.eigenvalues))
+                for edge, side in ((want_keys - tie, "left"), (want_keys + tie, "right")):
+                    assert np.array_equal(np.searchsorted(got_keys, edge, side),
+                                          np.searchsorted(want_keys, edge, side))
+                cut = want_keys[-1]
+                if np.count_nonzero(np.abs(want_keys - cut) <= tie) == copies[
+                        np.abs(keys - cut) <= tie].sum():
+                    assert (sorted(zip(got_seg.tolist(), got_char.tolist()))
+                            == sorted(zip(want_seg.tolist(), want_char.tolist())))
+                    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+                else:
+                    split += 1
+                cases += 1
+    assert cases > 2000 and split > 0
 
 
 def test_memoized_solve_leaves_shared_arrays_intact():
@@ -849,15 +984,16 @@ def test_operator_bits_are_pinned(case, want):
 
 def test_lapack_is_the_extension_scipy_linalg_wraps():
     # loaded from its file first, _flapack is the module a later
-    # `import scipy.linalg` wraps, so dstemr is the very same routine
-    code = ("import sys; from laakso.solver import _lapack; dstemr = _lapack(); "
+    # `import scipy.linalg` wraps, so dstemr and dstebz are the very same
+    # routines
+    code = ("import sys; from laakso.solver import _lapack; flapack = _lapack(); "
             "assert 'scipy.linalg' not in sys.modules; "
             "from scipy.linalg import lapack; "
-            "print(dstemr is lapack.dstemr)")
+            "print(flapack.dstemr is lapack.dstemr, flapack.dstebz is lapack.dstebz)")
     src = os.path.dirname(os.path.dirname(laakso.__file__))
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.split() == ["True"]
+    assert proc.stdout.split() == ["True", "True"]
 
 
 def test_entries_outside_double_range_raise_mesh_error():
