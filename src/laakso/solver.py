@@ -494,7 +494,8 @@ def _tie_band(diag, off, starts, stops, weight, count: int, nearest: bool):
     norm = np.maximum.reduceat(np.abs(D) + np.abs(E) + np.abs(np.append(0.0, E[:-1])), tops)
     tie = _TIE * np.ldexp(norm, k - k.max())
     # sigma in a T's own scale; past 2^1000 no count can change
-    stretch = np.ldexp(1.0, np.minimum(k.max() - k, 1000))[t_row]
+    grow = np.ldexp(1.0, np.minimum(k.max() - k, 1000))
+    stretch = grow[t_row]
     dstebz = _lapack().dstebz
     rounds = 0
 
@@ -518,9 +519,28 @@ def _tie_band(diag, off, starts, stops, weight, count: int, nearest: bool):
             if info != 0:
                 raise ConvergenceError(f"dstebz failed (info={info}) counting {x.size} rows")
             hits = owner[split[block[:m] - 1] - 1]
-            return np.bincount(hits, minlength=x.size and len(sigmas) * len(ts)
-                               ).reshape(len(sigmas), -1)
+            return np.bincount(hits, minlength=len(sigmas) * len(ts)).reshape(len(sigmas), -1)
         return below
+
+    def located(ts, lo, hi, tau):
+        """The sigma, or |sigma|, of the count-th copy when each T in ts
+        holds one eigenvalue in the bracket: dstebz bisects each to within
+        tau / 16, with one call per scale and side of zero."""
+        nonlocal rounds
+        where, owner = [], []
+        for g in set(grow[ts].tolist()):
+            mine = np.flatnonzero(np.isin(t_row, ts[grow[ts] == g]))
+            for vl, vu in ((-hi, -lo), (lo, hi)) if nearest else ((lo, hi),):
+                m, w, block, split, info = dstebz(D[mine], E[mine][:-1], 1, vl * g, vu * g,
+                                                  0, 0, tau * g / 8, b"B")
+                rounds += 1
+                if info != 0:
+                    raise ConvergenceError(f"dstebz failed (info={info}) on {len(mine)} rows")
+                where.append(np.abs(w[:m]) / g if nearest else w[:m] / g)
+                owner.append(t_row[mine][split[block[:m] - 1] - 1])
+        where, owner = np.concatenate(where), np.concatenate(owner)
+        o = np.argsort(where, kind="stable")
+        return float(where[o][np.searchsorted(base + np.cumsum(weight[owner[o]]), count)])
 
     def widened(lo, hi):
         """(first, stop, sides) for the bracket (lo, hi]: each side is (first
@@ -564,6 +584,11 @@ def _tie_band(diag, off, starts, stops, weight, count: int, nearest: bool):
                 ranked = True
                 break
             one_t = False
+        if (at_hi - at_lo == 1).all():
+            sigma = located(act, lo, hi, tau)
+            first, stop, sides = widened(sigma - 1.5 * tau, sigma + 1.5 * tau)
+            ranked = False
+            break
         c = below(np.concatenate([sigmas, -sigmas]) if nearest else sigmas)
         if nearest:
             c = c[:len(sigmas)] - c[len(sigmas):]
