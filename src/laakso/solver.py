@@ -32,17 +32,21 @@ multiplicities of the paper, at the discrete level.  `reduce_rows` keeps
 each distinct segment once, and `solve_row_flip` solves them as
 tridiagonal problems without assembling H.  Segments at different
 places can still carry the same T (the paper's families repeat), so
-within one call each distinct problem, T's bytes and the index window
-asked of it, goes to LAPACK once: the eigenvalues of the 184 segments
-of the free j = 2, n = 6 solve (count 20) take 23 calls.  `solve` takes
-this path at every size.  `discretize` + `solve_lowest`, the dense solve
+within one call each distinct T, by its bytes, is counted once, and each
+T and index window asked of it is solved once.  The 184 segments of the
+free j = 2, n = 6 solve (count 20) hold 19 distinct T's: Sturm counts on
+them (10 dstebz calls) pick the 20 eigenpairs, and 8 dstemr calls solve
+those.  The count-th copy often falls in a band of tied eigenvalues of different
+T's, the paper's multiplicities; the copies taken from it follow a
+stated order, not the rounding of their values.  `solve` takes this
+path at every size.  `discretize` + `solve_lowest`, the dense solve
 of the assembled H, is the reduction's oracle.
 
 The commands that never solve (`describe`, `census`, `spectrum`, `zeta`,
 `casimir`) would spend most of their start-up importing scipy, and even
-`solve` needs only one kernel, LAPACK's `dstemr`.  So it imports none of
-scipy's subpackages: `_lapack` loads scipy's `_flapack` extension straight
-from its file (the same shared object `scipy.linalg.lapack` wraps, so
+`solve` needs only two kernels, LAPACK's `dstebz` and `dstemr`.  So it
+imports none of scipy's subpackages: `_lapack` loads scipy's `_flapack`
+extension straight from its file (the same shared object `scipy.linalg.lapack` wraps, so
 the bits are the same).  Every `solve` loads `_flapack`, so a warm-up
 solve pays for every later one.
 """
@@ -471,16 +475,19 @@ def _tie_band(diag, off, starts, stops, weight, count: int, nearest: bool):
     leaves its counts unchanged; sigma is in units of 2^K, K the largest
     k.  The count C(sigma) = sum of weight * #{lambda <= sigma} ('lowest',
     or #{|lambda| <= sigma} for 'nearest_zero') is cut at points of the
-    bracket (lo, hi], C(lo) < count <= C(hi), until the bracket is
-    narrower than the tie width tau of the T's it holds, or until, widened
-    by tau, it holds eigenvalues of one T only (on one side of zero),
-    whose index order is then their order.  Each round counts only the
-    T's with eigenvalues in the bracket.
+    bracket (lo, hi], C(lo) < count <= C(hi), evenly spaced, or
+    geometrically while the bracket spans orders of magnitude.  Each
+    round counts only the T's with eigenvalues in the bracket, and ends
+    when the bracket is narrower than the tie width tau of those T's, or
+    when each holds one eigenvalue there: dstebz's own bisection then
+    places them, and the bracket becomes tau wide around the one the
+    count-th copy falls on.  The band is the bracket widened by tau on
+    each side, so that it splits no tie.
 
-    Returns (first, stop, band_t, band_index, band_rank, rounds): the
-    eigenvalues first[t] .. stop[t] - 1 of T t lie below the widened
-    bracket, and eigenvalue band_index of T band_t inside it, ranked 0 (a
-    tie) or by its order within the one T; rounds counts the dstebz calls.
+    Returns (first, stop, sides, rounds): the eigenvalues first[t] ..
+    stop[t] - 1 of T t lie below the band, and each side (of zero) of the
+    band, a pair (start, n), holds its eigenvalues start[t] .. start[t] +
+    n[t] - 1; rounds counts the dstebz calls.
     """
     sizes = stops - starts
     t_row = np.repeat(np.arange(len(sizes)), sizes)
@@ -512,9 +519,9 @@ def _tie_band(diag, off, starts, stops, weight, count: int, nearest: bool):
 
         def below(sigmas):
             nonlocal rounds
-            x = d - sigmas[:, None] * st
-            m, _, block, split, info = dstebz(x.ravel(), e[:x.size - 1], 1, -_HUGE, 0.0,
-                                              0, 0, 1e300, b"B")
+            x = d - sigmas[:, None] * st            # e: dstebz takes e[0] at N = 1
+            m, _, block, split, info = dstebz(x.ravel(), e[:max(x.size - 1, 1)], 1, -_HUGE,
+                                              0.0, 0, 0, 1e300, b"B")
             rounds += 1
             if info != 0:
                 raise ConvergenceError(f"dstebz failed (info={info}) counting {x.size} rows")
@@ -525,40 +532,42 @@ def _tie_band(diag, off, starts, stops, weight, count: int, nearest: bool):
     def located(ts, lo, hi, tau):
         """The sigma, or |sigma|, of the count-th copy when each T in ts
         holds one eigenvalue in the bracket: dstebz bisects each to within
-        tau / 16, with one call per scale and side of zero."""
+        tau / 16.  None if dstebz finds another number of them."""
         nonlocal rounds
-        where, owner = [], []
-        for g in set(grow[ts].tolist()):
-            mine = np.flatnonzero(np.isin(t_row, ts[grow[ts] == g]))
+        where = []
+        for t in ts.tolist():
+            d, g = D[tops[t]:tops[t] + sizes[t]], grow[t]
+            e = E[tops[t]:tops[t] + max(sizes[t] - 1, 1)]     # dstebz takes e[0] at N = 1
             for vl, vu in ((-hi, -lo), (lo, hi)) if nearest else ((lo, hi),):
-                m, w, block, split, info = dstebz(D[mine], E[mine][:-1], 1, vl * g, vu * g,
-                                                  0, 0, tau * g / 8, b"B")
+                m, w, _, _, info = dstebz(d, e, 1, vl * g, vu * g, 0, 0, tau * g / 8, b"E")
                 rounds += 1
                 if info != 0:
-                    raise ConvergenceError(f"dstebz failed (info={info}) on {len(mine)} rows")
-                where.append(np.abs(w[:m]) / g if nearest else w[:m] / g)
-                owner.append(t_row[mine][split[block[:m] - 1] - 1])
-        where, owner = np.concatenate(where), np.concatenate(owner)
-        o = np.argsort(where, kind="stable")
-        return float(where[o][np.searchsorted(base + np.cumsum(weight[owner[o]]), count)])
+                    raise ConvergenceError(f"dstebz failed (info={info}) on {len(d)} rows")
+                where += [((abs(x) if nearest else x) / g, t) for x in w[:m].tolist()]
+        if len(where) != len(ts):       # its count at an end of the bracket differs
+            return None
+        total = base
+        for x, t in sorted(where):
+            total += weight[t]
+            if total >= count:
+                return x
 
     def widened(lo, hi):
-        """(first, stop, sides) for the bracket (lo, hi]: each side is (first
-        index, how many, index of rank 0, rank step) per T."""
+        """(first, stop, sides) for the band (lo, hi]."""
         below = counter(everything, 4)
         if not nearest:
             N = below(np.array([lo, hi]))
-            return 0 * N[0], N[0], [(N[0], N[1] - N[0], N[0], 1)]
+            return 0 * N[0], N[0], [(N[0], N[1] - N[0])]
         if lo <= 0:
             N = below(np.array([-hi, hi]))
-            return N[0], N[0], [(N[0], N[1] - N[0], N[0], 1)]
+            return N[0], N[0], [(N[0], N[1] - N[0])]
         N = below(np.array([-hi, -lo, lo, hi]))
-        return N[1], N[2], [(N[0], N[1] - N[0], N[1] - 1, -1), (N[2], N[3] - N[2], N[2], 1)]
+        return N[1], N[2], [(N[0], N[1] - N[0]), (N[2], N[3] - N[2])]
 
     everything = np.arange(len(sizes))
     lo, hi = (0.0, 4.0) if nearest else (-4.0, 4.0)
     act, at_lo, at_hi = everything, 0 * sizes, sizes        # the counts of act's T's
-    base, one_t, changed = 0, True, True                     # base = C(lo)
+    base, changed = 0, True                                  # base = C(lo)
     while True:
         if changed:
             tau = tie[act].max()
@@ -576,18 +585,10 @@ def _tie_band(diag, off, starts, stops, weight, count: int, nearest: bool):
             sigmas = lo + (hi - lo) * steps
         if hi - lo < tau or not lo < sigmas[0] <= sigmas[-1] < hi:
             first, stop, sides = widened(lo - tau, hi + tau)
-            ranked = False
             break
-        if one_t and len(act) == 1:
-            first, stop, sides = widened(lo - tau, hi + tau)
-            if sum(np.count_nonzero(n) for _, n, _, _ in sides) == 1:   # one T, one side
-                ranked = True
-                break
-            one_t = False
-        if (at_hi - at_lo == 1).all():
-            sigma = located(act, lo, hi, tau)
+        sigma = located(act, lo, hi, tau) if (at_hi - at_lo == 1).all() else None
+        if sigma is not None:
             first, stop, sides = widened(sigma - 1.5 * tau, sigma + 1.5 * tau)
-            ranked = False
             break
         c = below(np.concatenate([sigmas, -sigmas]) if nearest else sigmas)
         if nearest:
@@ -602,14 +603,7 @@ def _tie_band(diag, off, starts, stops, weight, count: int, nearest: bool):
         changed = not live.all()
         if changed:
             act, at_lo, at_hi = act[live], at_lo[live], at_hi[live]
-    band_t, band_index, band_rank = [], [], []
-    for start, n, rank0, step in sides:
-        band_t.append(np.repeat(everything, n))
-        band_index.append(_aranges(start, n))
-        band_rank.append((band_index[-1] - np.repeat(rank0, n)) * step if ranked
-                         else 0 * band_index[-1])
-    return (first, stop, np.concatenate(band_t), np.concatenate(band_index),
-            np.concatenate(band_rank), rounds)
+    return first, stop, sides, rounds
 
 
 @dataclass
@@ -707,11 +701,11 @@ def solve_row_flip(op: RowFlipOperator, count: int, mode: str = "auto") -> Eigen
     Modes are those of `solve_lowest`.  A segment eigenvalue counts
     weights[i] times, and which ones are taken is decided from Sturm
     counts alone (`_tie_band`), on each distinct T once: every eigenvalue
-    below the tie band of the `count`-th copy, then copies from the band
-    in (segment, eigenvalue index) order until there are `count`
-    (eigenvalues of one T that the band holds go in index order first).
-    So a degenerate cut is a stated rule, not the rounding of computed
-    values; info["count_rounds"] counts the dstebz calls.  Then only the
+    below the tie band of the `count`-th copy (the eigenvalues within
+    about 1024 eps ||T||_1 of it), then copies from the band in (segment,
+    eigenvalue index) order until there are `count`.  So a degenerate cut
+    is a stated rule, not the rounding of computed values;
+    info["count_rounds"] counts the dstebz calls.  Then only the
     picked eigenpairs are solved, by index with LAPACK's MRRR driver
     (dstemr, `_segment_eigh`); segments with the same T and index window
     share one call, and info["segment_solves"] counts them, next to
@@ -744,21 +738,20 @@ def solve_row_flip(op: RowFlipOperator, count: int, mode: str = "auto") -> Eigen
             distinct[key] = len(one)
             one.append(i)
         seg_t[i] = distinct[key]
-    first, stop, band_t, band_index, band_rank, rounds = _tie_band(
+    first, stop, sides, rounds = _tie_band(
         op.diag, op.off, starts[one], stops[one],
         np.bincount(seg_t, weights, len(one)).astype(np.int64), count, mode == "nearest_zero")
 
-    # every eigenvalue below the band, in (segment, index) order, then the
-    # band's, each once for every segment of its T
-    n = stop[seg_t] - first[seg_t]
-    by_t = np.argsort(seg_t, kind="stable")
-    per_t = np.bincount(seg_t, minlength=len(one))
-    m = per_t[band_t]
-    band_seg = by_t[_aranges(np.cumsum(per_t)[band_t] - m, m)]
-    band_index, band_rank = np.repeat(band_index, m), np.repeat(band_rank, m)
-    o = np.lexsort((band_index, band_seg, band_rank))
-    seg = np.concatenate([np.repeat(np.arange(len(starts)), n), band_seg[o]])
-    idx = np.concatenate([_aranges(first[seg_t], n), band_index[o]])
+    # every eigenvalue below the band, then the band's, each part in
+    # (segment, index) order
+    seg, idx = [], []
+    for part in ([(first, stop - first)], sides):
+        part_seg = np.concatenate([np.repeat(np.arange(len(starts)), n[seg_t]) for _, n in part])
+        part_idx = np.concatenate([_aranges(a[seg_t], n[seg_t]) for a, n in part])
+        o = np.lexsort((part_idx, part_seg))
+        seg.append(part_seg[o])
+        idx.append(part_idx[o])
+    seg, idx = np.concatenate(seg), np.concatenate(idx)
     copies = weights[seg]
     total = np.cumsum(copies)
     need = int(np.searchsorted(total, count)) + 1

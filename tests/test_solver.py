@@ -778,6 +778,18 @@ def test_solve_picks_the_path_by_size(seq, n, dim):
     assert _close(r.eigenvalues, solve_lowest(full, 10).eigenvalues, 1e-9)
 
 
+@pytest.mark.parametrize("mode", ["lowest", "nearest_zero"])
+def test_one_node_segments_are_counted(mode):
+    # the well cuts j = 3, n = 1 at mesh 5 into segments of one node too,
+    # for which dstebz still takes one off-diagonal entry
+    g = build_graph(SEQ3, 1)
+    pot = Potential("square_well")
+    rop = reduce_rows(g, 5, pot)
+    assert (rop.stops - rop.starts).min() == 1
+    r = solve_row_flip(rop, 9, mode)
+    assert _close(r.eigenvalues, solve_lowest(discretize(g, 5, pot), 9, mode).eigenvalues, 1e-9)
+
+
 # ---------------------------------------------------------------------------
 # clustering
 
