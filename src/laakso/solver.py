@@ -35,20 +35,22 @@ places can still carry the same T (the paper's families repeat), so
 within one call each distinct T, by its bytes, is counted once, and each
 T and index window asked of it is solved once.  The 184 segments of the
 free j = 2, n = 6 solve (count 20) hold 19 distinct T's: Sturm counts on
-them (10 dstebz calls) pick the 20 eigenpairs, and 8 dstemr calls solve
-those.  The count-th copy often falls in a band of tied eigenvalues of different
-T's, the paper's multiplicities; the copies taken from it follow a
-stated order, not the rounding of their values.  `solve` takes this
-path at every size.  `discretize` + `solve_lowest`, the dense solve
-of the assembled H, is the reduction's oracle.
+them (13 dstebz calls) pick the 20 eigenpairs, and 8 dstemr calls solve
+those.  The count-th copy often falls in a band of eigenvalues of
+different T's that tie, within tau = 1024 eps ||T||_1 of it (the paper's
+multiplicities): every eigenvalue below the band is taken, then copies
+from the band in (segment, eigenvalue index) order, not by the rounding
+of their values.  `solve` takes this path at every size.  `discretize` +
+`solve_lowest`, the dense solve of the assembled H, is the reduction's
+oracle.
 
 The commands that never solve (`describe`, `census`, `spectrum`, `zeta`,
 `casimir`) would spend most of their start-up importing scipy, and even
 `solve` needs only two kernels, LAPACK's `dstebz` and `dstemr`.  So it
 imports none of scipy's subpackages: `_lapack` loads scipy's `_flapack`
-extension straight from its file (the same shared object `scipy.linalg.lapack` wraps, so
-the bits are the same).  Every `solve` loads `_flapack`, so a warm-up
-solve pays for every later one.
+extension straight from its file (the same shared object
+`scipy.linalg.lapack` wraps, so the bits are the same).  Every `solve`
+loads `_flapack`, so a warm-up solve pays for every later one.
 """
 
 from __future__ import annotations

@@ -696,8 +696,9 @@ def _sweep_ops(mesh, cells=64):
 def test_row_flip_selection_matches_the_two_pass_reference(monkeypatch):
     # The Sturm-count selection against the values pass it replaced, for
     # counts 1, 20 and dim in both modes: the same eigenvalues within
-    # 32 eps ||T_seg||_1 (two mirror-image segments differ by up to 19 eps
-    # in the Coulomb cases), the same number of copies from each tie band,
+    # 8 eps ||T_seg||_1 (the largest gap is 2.6 eps, where the picked
+    # copies of a band come from other segments), the same number of
+    # copies from each tie band,
     # and where the reference's cut splits no band, the same (segment,
     # character) pairs and the same eigenvalue bits.  The residual
     # contract is not compared: where a band is split the picked copies
@@ -729,7 +730,7 @@ def test_row_flip_selection_matches_the_two_pass_reference(monkeypatch):
                 got_seg, got_char = _pairs(rop, got)
                 want_seg, want_char = _pairs(rop, want)
                 gap = np.abs(got.eigenvalues - want.eigenvalues)
-                assert np.all(gap <= 32 * eps * np.maximum(norm[got_seg], norm[want_seg]))
+                assert np.all(gap <= 8 * eps * np.maximum(norm[got_seg], norm[want_seg]))
                 # copies per tie band, each band around one of the reference's values
                 got_keys = np.sort(got.eigenvalues if mode == "lowest"
                                    else np.abs(got.eigenvalues))
