@@ -463,9 +463,6 @@ def _aranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 # ||T||_1 the largest 1-norm among the segments that hold them.
 _TIE = 1024 * np.finfo(float).eps
 _HUGE = np.finfo(float).max
-# A count round takes up to 15 points at once, while they span at most
-# this many rows: dstebz's own cost then stays near the round's overhead.
-_ROUND_ROWS = 1024
 
 
 def _tie_band(diag, off, starts, stops, weight, count: int, nearest: bool):
@@ -476,15 +473,15 @@ def _tie_band(diag, off, starts, stops, weight, count: int, nearest: bool):
     Each T is scaled by 2^-k, k the exponent of its largest |entry|, which
     leaves its counts unchanged; sigma is in units of 2^K, K the largest
     k.  The count C(sigma) = sum of weight * #{lambda <= sigma} ('lowest',
-    or #{|lambda| <= sigma} for 'nearest_zero') is cut at points of the
-    bracket (lo, hi], C(lo) < count <= C(hi), evenly spaced, or
-    geometrically while the bracket spans orders of magnitude.  Each
-    round counts only the T's with eigenvalues in the bracket, and ends
-    when the bracket is narrower than the tie width tau of those T's, or
-    when each holds one eigenvalue there: dstebz's own bisection then
-    places them, and the bracket becomes tau wide around the one the
-    count-th copy falls on.  The band is the bracket widened by tau on
-    each side, so that it splits no tie.
+    or #{|lambda| <= sigma} for 'nearest_zero') is bisected on the bracket
+    (lo, hi], C(lo) < count <= C(hi), at its midpoint, or its geometric
+    midpoint while it spans orders of magnitude.  Each round counts only
+    the T's with eigenvalues in the bracket.  Bisection ends when the
+    bracket is narrower than the tie width tau of those T's, or when each
+    holds one eigenvalue there: dstebz's own bisection then places them,
+    and the bracket becomes tau wide around the one the count-th copy
+    falls on.  The band is the bracket widened by tau on each side, so
+    that it splits no tie.
 
     Returns (first, stop, sides, rounds): the eigenvalues first[t] ..
     stop[t] - 1 of T t lie below the band, and each side (of zero) of the
@@ -508,25 +505,24 @@ def _tie_band(diag, off, starts, stops, weight, count: int, nearest: bool):
     dstebz = _lapack().dstebz
     rounds = 0
 
-    def counter(ts, points):
-        """#{lambda <= sigma} of each T in ts, a row per sigma (at most
-        `points` of them): dstebz with a tolerance so large that it never
-        bisects, so that its m is a pure Sturm count, on one shifted copy of
-        the T's per sigma."""
+    def counter(ts):
+        """#{lambda <= sigma} of each T in ts, a row per sigma: dstebz with
+        a tolerance so large that it never bisects, so that its m is a pure
+        Sturm count, on one shifted copy of the T's per sigma."""
         slot = np.full(len(sizes), -1)
         slot[ts] = np.arange(len(ts))
         mine = np.flatnonzero(slot[t_row] >= 0)
-        d, e, st = D[mine], np.tile(E[mine], points), stretch[mine]
-        owner = (np.arange(points)[:, None] * len(ts) + slot[t_row[mine]]).ravel()
+        d, e, st, own = D[mine], E[mine], stretch[mine], slot[t_row[mine]]
 
         def below(sigmas):
             nonlocal rounds
-            x = d - sigmas[:, None] * st            # e: dstebz takes e[0] at N = 1
-            m, _, block, split, info = dstebz(x.ravel(), e[:max(x.size - 1, 1)], 1, -_HUGE,
-                                              0.0, 0, 0, 1e300, b"B")
+            x = d - sigmas[:, None] * st
+            ex = np.tile(e, len(sigmas))[:max(x.size - 1, 1)]     # dstebz takes e[0] at N = 1
+            m, _, block, split, info = dstebz(x.ravel(), ex, 1, -_HUGE, 0.0, 0, 0, 1e300, b"B")
             rounds += 1
             if info != 0:
                 raise ConvergenceError(f"dstebz failed (info={info}) counting {x.size} rows")
+            owner = (np.arange(len(sigmas))[:, None] * len(ts) + own).ravel()
             hits = owner[split[block[:m] - 1] - 1]
             return np.bincount(hits, minlength=len(sigmas) * len(ts)).reshape(len(sigmas), -1)
         return below
@@ -556,7 +552,7 @@ def _tie_band(diag, off, starts, stops, weight, count: int, nearest: bool):
 
     def widened(lo, hi):
         """(first, stop, sides) for the band (lo, hi]."""
-        below = counter(everything, 4)
+        below = counter(everything)
         if not nearest:
             N = below(np.array([lo, hi]))
             return 0 * N[0], N[0], [(N[0], N[1] - N[0])]
@@ -573,34 +569,30 @@ def _tie_band(diag, off, starts, stops, weight, count: int, nearest: bool):
     while True:
         if changed:
             tau = tie[act].max()
-            points = 2 ** int(np.clip(np.log2(_ROUND_ROWS / sizes[act].sum()), 1, 4))
-            steps = np.arange(1, points) / points
-            below, w = counter(act, 2 * points if nearest else points), weight[act]
-        # geometric points while the bracket spans orders of magnitude
+            below, w = counter(act), weight[act]
+        # the geometric midpoint while the bracket spans orders of magnitude
         if lo >= 0 and hi > 8 * max(lo, tau):
             a = max(lo, tau, hi * 2.0**-64)
-            sigmas = a * (hi / a) ** steps
+            sigma = a * math.sqrt(hi / a)
         elif hi <= 0 and -lo > 8 * max(-hi, tau):
             a = max(-hi, tau, -lo * 2.0**-64)
-            sigmas = -a * (-lo / a) ** steps[::-1]
+            sigma = -a * math.sqrt(-lo / a)
         else:
-            sigmas = lo + (hi - lo) * steps
-        if hi - lo < tau or not lo < sigmas[0] <= sigmas[-1] < hi:
+            sigma = lo + (hi - lo) / 2
+        if hi - lo < tau or not lo < sigma < hi:
             first, stop, sides = widened(lo - tau, hi + tau)
             break
-        sigma = located(act, lo, hi, tau) if (at_hi - at_lo == 1).all() else None
-        if sigma is not None:
-            first, stop, sides = widened(sigma - 1.5 * tau, sigma + 1.5 * tau)
+        x = located(act, lo, hi, tau) if (at_hi - at_lo == 1).all() else None
+        if x is not None:
+            first, stop, sides = widened(x - 1.5 * tau, x + 1.5 * tau)
             break
-        c = below(np.concatenate([sigmas, -sigmas]) if nearest else sigmas)
-        if nearest:
-            c = c[:len(sigmas)] - c[len(sigmas):]
+        c = below(np.array([sigma, -sigma]) if nearest else np.array([sigma]))
+        c = c[0] - c[1] if nearest else c[0]
         C = base + (c - at_lo) @ w
-        j = int((C >= count).argmax()) if C[-1] >= count else len(C)
-        if j < len(C):
-            hi, at_hi = float(sigmas[j]), c[j]
-        if j > 0:
-            lo, at_lo, base = float(sigmas[j - 1]), c[j - 1], C[j - 1]
+        if C >= count:
+            hi, at_hi = sigma, c
+        else:
+            lo, at_lo, base = sigma, c, C
         live = at_hi > at_lo
         changed = not live.all()
         if changed:
