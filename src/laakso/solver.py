@@ -165,14 +165,11 @@ class DiscretizedOperator:
 
     Nodes are the vertices, then the interior points of each cell in
     turn.  H acts on the kept ones, `kept` indexes them; eliminated nodes
-    (walls, conducting vertices) are Dirichlet.  H is held as CSR arrays
-    (its link entries sorted by row, then column, no stored zero);
-    `matrix`, the scipy.sparse form, is built on demand.
+    (walls, conducting vertices) are Dirichlet.  `matrix` is H in CSR
+    form, with sorted column indices and no stored zero.
     """
 
-    data: np.ndarray                   # symmetrized H on kept nodes, CSR
-    indices: np.ndarray
-    indptr: np.ndarray
+    matrix: sparse.csr_matrix          # symmetrized H on kept nodes
     mass: np.ndarray                   # lumped node masses (kept nodes)
     xs: np.ndarray                     # x-coordinate per node
     kept: np.ndarray                   # indices of the kept nodes
@@ -182,25 +179,7 @@ class DiscretizedOperator:
 
     @property
     def dimension(self) -> int:
-        return len(self.indptr) - 1
-
-    def rows(self) -> np.ndarray:
-        """The row of each stored entry."""
-        return np.repeat(np.arange(self.dimension), np.diff(self.indptr))
-
-    @functools.cached_property
-    def matrix(self) -> sparse.csr_matrix:
-        from scipy import sparse
-
-        n = self.dimension
-        return sparse.csr_matrix((self.data, self.indices, self.indptr), shape=(n, n))
-
-    def dense(self) -> np.ndarray:
-        """H as a dense array: `matrix.toarray()`."""
-        n = self.dimension
-        H = np.zeros((n, n))
-        H[self.rows(), self.indices] = self.data
-        return H
+        return self.matrix.shape[0]
 
     def symmetry_defect(self) -> float:
         d = self.matrix - self.matrix.T
@@ -254,7 +233,7 @@ def discretize(graph: QuantumGraph, mesh: int, potential: Potential
     Cell c is the chain u, p_1 ... p_M, v of M + 1 links of step h_c
     (module docstring).  Links that touch an eliminated node are dropped,
     the rest and the kept diagonal are remapped to the kept nodes, scaled
-    by the masses and sorted into CSR order.
+    by the masses and handed to scipy.sparse as CSR.
 
     Parameters
     ----------
@@ -270,8 +249,8 @@ def discretize(graph: QuantumGraph, mesh: int, potential: Potential
         conducting vertices and wall nodes (V infinite) eliminated.
         MeshError if an entry is outside double range.
 
-    Memory (tracemalloc, M = 7, every node kept): about 310 bytes per
-    node at the peak, the result's 82 included.
+    Memory (tracemalloc, j = 2, n = 7, M = 7, every node kept): about 280
+    bytes per node at the peak, the result's 66 included.
     """
     lengths = _lengths(graph, mesh)
     nv, ne, M = graph.num_vertices, graph.num_cells, mesh
@@ -294,8 +273,6 @@ def discretize(graph: QuantumGraph, mesh: int, potential: Potential
     row = np.concatenate([np.arange(n), a, b])
     col = np.concatenate([np.arange(n), b, a])
     val = np.concatenate([stiff[idx], w, w])
-    order = np.argsort(row * n + col, kind="stable")    # timsort: the keys come in runs
-    row, col, val = row[order], col[order], val[order]
     massk = massv[idx]
     s = 1.0 / np.sqrt(massk)
     # group s_r s_c first: it is commutative, so (r, c) and (c, r) round alike
@@ -303,12 +280,13 @@ def discretize(graph: QuantumGraph, mesh: int, potential: Potential
     hval[row == col] += V[idx]
     if not np.isfinite(hval).all():
         raise MeshError(f"discretize: H on {n} kept nodes (mesh {M}) is outside double range")
-    nz = hval != 0            # a diagonal that cancels exactly is not stored
-    row, col, hval = row[nz], col[nz], hval[nz]
+    from scipy import sparse
+
+    # mesh >= 2, so no (row, col) pair repeats and the conversion sums nothing
+    H = sparse.csr_matrix((hval, (row, col)), shape=(n, n))
+    H.eliminate_zeros()       # a diagonal that cancels exactly is not stored
     return DiscretizedOperator(
-        data=hval,
-        indices=col,
-        indptr=np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n))]),
+        matrix=H,
         mass=massk,
         xs=xs,
         kept=idx,
@@ -668,9 +646,11 @@ def solve_lowest(op: DiscretizedOperator, count: int, mode: str = "auto") -> Eig
     below as h -> 0, so its lowest eigenvalues are mesh artifacts far
     below zero.  'auto' picks 'nearest_zero' for Coulomb and 'lowest'
     otherwise.  Raises ConvergenceError if any residual exceeds 1e-8.
+    The eigenvectors carry the sign LAPACK gives them;
+    `eigenfunction_trace` signs what it plots.
     """
     mode = _window(op, count, mode)
-    H = op.dense()
+    H = op.matrix.toarray()
     vals, vecs = np.linalg.eigh(H)
     if mode == "lowest":
         sel = np.arange(count)
@@ -680,13 +660,7 @@ def solve_lowest(op: DiscretizedOperator, count: int, mode: str = "auto") -> Eig
     res = _relative_norms(H @ vecs - vecs * vals[None, :], vecs)
     info = {"method": "dense", "mode": mode, "dim": op.dimension}
     _contract(res, info)
-
-    funcs = vecs / np.sqrt(op.mass)[:, None]
-    for i in range(funcs.shape[1]):
-        jmax = int(np.argmax(np.abs(funcs[:, i])))
-        if funcs[jmax, i] < 0:
-            funcs[:, i] = -funcs[:, i]
-    return EigenResult(vals, funcs, res, info)
+    return EigenResult(vals, vecs / np.sqrt(op.mass)[:, None], res, info)
 
 
 def solve_row_flip(op: RowFlipOperator, count: int, mode: str = "auto") -> EigenResult:
@@ -831,21 +805,22 @@ def eigenfunction_trace(op: DiscretizedOperator | RowFlipOperator, result: Eigen
     Returns (x, row label, value) tuples for every node, sorted by
     (x, row); values are in the unit discrete-L2 normalization, and
     eliminated nodes (walls, conducting vertices) read exactly 0.0.  A
-    row-flip pair is lifted onto the graph and signed as `solve_lowest`
-    signs its vectors: positive where |value| first peaks in node order.
+    row-flip pair is first lifted onto the graph.  Every trace, of either
+    operator, is signed by one rule: positive where |value| first peaks
+    in node order.
     """
     if not 0 <= index < result.eigenvectors.shape[1]:
         raise IndexError(f"eigenfunction index {index} out of range")
     if isinstance(op, RowFlipOperator):
         xs = op.node_x()
         u = op.lift(result.eigenvectors[:, index], int(result.characters[index]))
-        if u[np.argmax(np.abs(u))] < 0:
-            u = -u
-        u += 0.0              # a zero times -1 is -0.0; eliminated nodes read 0.0
     else:
         xs = op.xs
         u = np.zeros(len(op.xs))
         u[op.kept] = result.eigenvectors[:, index]
+    if u[np.argmax(np.abs(u))] < 0:
+        u = -u
+    u += 0.0                  # a zero times -1 is -0.0; eliminated nodes read 0.0
     g = op.graph
     # node order: vertices, then the interior points of each cell in turn
     rows = np.concatenate([g.vertex_labels(),
@@ -863,11 +838,11 @@ def export_matrix(op: DiscretizedOperator, path: str):
     `_EXPORT_SLICE` stored entries at a time to Python lists, so its own
     memory is bounded whatever the size: 0.5 MB at its peak (tracemalloc)
     for the j = 2, n = 8, M = 7 free matrix, 1.54 M entries and 51 MB of text."""
-    nnz = len(op.data)
+    H = op.matrix
     with open(path, "w") as fh:
-        fh.write(f"% symmetric {op.dimension} x {op.dimension}, nnz {nnz}\n")
-        for a in range(0, nnz, _EXPORT_SLICE):
-            b = min(a + _EXPORT_SLICE, nnz)
-            rows = np.searchsorted(op.indptr, np.arange(a, b), side="right") - 1
-            for r, c, v in zip(rows.tolist(), op.indices[a:b].tolist(), op.data[a:b].tolist()):
+        fh.write(f"% symmetric {op.dimension} x {op.dimension}, nnz {H.nnz}\n")
+        for a in range(0, H.nnz, _EXPORT_SLICE):
+            b = min(a + _EXPORT_SLICE, H.nnz)
+            rows = np.searchsorted(H.indptr, np.arange(a, b), side="right") - 1
+            for r, c, v in zip(rows.tolist(), H.indices[a:b].tolist(), H.data[a:b].tolist()):
                 fh.write(f"{r} {c} {v:.17g}\n")

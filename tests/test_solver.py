@@ -765,10 +765,10 @@ def test_memoized_solve_leaves_shared_arrays_intact():
 @pytest.mark.parametrize("seq,n,dim", [
     (JSequence((3,), periodic=True), 2, 140),
     (SEQ2, 3, 244),
-], ids=["dense", "row-flip"])
-def test_solve_picks_the_path_by_size(seq, n, dim):
-    # the ids name the path each size took while solve switched at 200
-    # kept nodes; it now takes row-flip at both, and matches the dense oracle
+], ids=["dim140", "dim244"])
+def test_solve_takes_row_flip_on_both_sides_of_200_nodes(seq, n, dim):
+    # solve once switched to a dense path below 200 kept nodes; it takes
+    # row-flip at both sizes, and matches the dense oracle
     g = build_graph(seq, n)
     pot = Potential("square_well")
     full = discretize(g, 7, pot)
@@ -859,6 +859,23 @@ def test_trace_unit_norm_and_index_checks():
         eigenfunction_trace(op, r, 5)
 
 
+@pytest.mark.parametrize("seq,n,M,kind,count", [
+    (SEQ23, 2, 5, "square_well", 8),
+    (SEQ23, 2, 5, "free", 8),
+    (SEQ2, 1, 10, "parabolic", 4),
+], ids=["well", "free", "parabolic"])
+def test_dense_trace_signs_itself(seq, n, M, kind, count):
+    # solve_lowest leaves LAPACK's sign on its vectors; the trace applies
+    # the sign rule, so a negated vector plots the same
+    op = discretize(build_graph(seq, n), M, Potential(kind))
+    r = solve_lowest(op, count)
+    for i in range(count):
+        trace = eigenfunction_trace(op, r, i)
+        r.eigenvectors[:, i] *= -1
+        assert eigenfunction_trace(op, r, i) == trace
+        assert not any(np.signbit(v) for _, _, v in trace if v == 0.0)
+
+
 def test_export_matrix_roundtrip(tmp_path):
     op = discretize(build_graph(SEQ2, 1), 4, Potential("free"))
     path = tmp_path / "matrix.txt"
@@ -891,23 +908,24 @@ def test_export_matrix_slices_write_the_whole_text(tmp_path, monkeypatch, size):
     # slice size, also across rows that hold no entry, it writes the text of
     # one pass over the whole CSR arrays
     op = discretize(build_graph(SEQ23, 2), 5, Potential("square_well"))
-    keep = op.rows() % 3 != 1                   # rows 1, 4, 7, ... lose every entry
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(op.rows()[keep],
-                                                        minlength=op.dimension))])
-    holed = dataclasses.replace(op, data=op.data[keep], indices=op.indices[keep], indptr=indptr)
+    coo = op.matrix.tocoo()
+    keep = coo.row % 3 != 1                     # rows 1, 4, 7, ... lose every entry
+    holed = dataclasses.replace(op, matrix=sparse.csr_matrix(
+        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape))
     monkeypatch.setattr("laakso.solver._EXPORT_SLICE", size)
     path = tmp_path / "matrix.txt"
     for case in (op, holed):
-        assert len(case.data) % 7                  # the last slice of 7 is partial
-        want = f"% symmetric {case.dimension} x {case.dimension}, nnz {len(case.data)}\n" + "".join(
+        H = case.matrix.tocoo()
+        assert H.nnz % 7                           # the last slice of 7 is partial
+        want = f"% symmetric {case.dimension} x {case.dimension}, nnz {H.nnz}\n" + "".join(
             f"{r} {c} {v:.17g}\n"
-            for r, c, v in zip(case.rows().tolist(), case.indices.tolist(), case.data.tolist()))
+            for r, c, v in zip(H.row.tolist(), H.col.tolist(), H.data.tolist()))
         export_matrix(case, str(path))
         assert path.read_bytes() == want.encode()
 
 
 # ---------------------------------------------------------------------------
-# H's CSR arrays against scipy's own kernels
+# H's CSR form
 
 @pytest.mark.parametrize("seq,n,M,pot,plates", [
     (SEQ2, 2, 7, Potential("free"), None),
@@ -917,10 +935,10 @@ def test_export_matrix_slices_write_the_whole_text(tmp_path, monkeypatch, size):
     (PLATES5[0], 1, 7, Potential("free"), PLATES5[1]),  # conducting vertices
     (SEQ23, 2, 5, Potential("square_well"), None),
 ], ids=_case_id)
-def test_csr_kernels_are_scipys_bit_for_bit(seq, n, M, pot, plates):
+def test_matrix_has_sorted_indices_and_no_stored_zero(seq, n, M, pot, plates):
     op = discretize(build_graph(seq, n, plates=plates), M, pot)
-    assert np.all(op.data != 0)
-    assert op.dense().tobytes() == op.matrix.toarray().tobytes()
+    assert op.matrix.has_sorted_indices
+    assert np.all(op.matrix.data != 0)
 
 
 def test_exact_zero_diagonal_is_not_stored():
@@ -928,17 +946,15 @@ def test_exact_zero_diagonal_is_not_stored():
     # arrays scipy's eliminate_zeros leaves
     g = build_graph(SEQ23, 2)
     free = discretize(g, 5, Potential("free"))
-    diagonal = free.rows() == free.indices
-    op = discretize(g, 5, Potential("custom", func=lambda x: -free.data[diagonal]))
-    data = free.data.copy()
-    data[diagonal] = 0.0
-    want = sparse.csr_matrix((data, free.indices, free.indptr), shape=free.matrix.shape)
+    op = discretize(g, 5, Potential("custom", func=lambda x: -free.matrix.diagonal()))
+    want = free.matrix.copy()
+    want.setdiag(0.0)
     want.eliminate_zeros()
-    assert len(op.data) == len(free.data) - free.dimension
-    for got, ref in ((op.data, want.data), (op.indices, want.indices),
-                     (op.indptr, want.indptr)):
+    assert op.matrix.nnz == free.matrix.nnz - free.dimension
+    for got, ref in ((op.matrix.data, want.data), (op.matrix.indices, want.indices),
+                     (op.matrix.indptr, want.indptr)):
         assert np.array_equal(got, ref)
-    assert op.dense().tobytes() == want.toarray().tobytes()
+    assert op.matrix.toarray().tobytes() == want.toarray().tobytes()
 
 
 
@@ -959,7 +975,7 @@ def _pinned_case(case):
     if case == "cancel":
         g = build_graph(SEQ23, 2)
         free = discretize(g, 5, Potential("free"))
-        diagonal = free.data[free.rows() == free.indices]
+        diagonal = free.matrix.diagonal()
         path = reduce_rows(g, 5, Potential("free")).diag
         return (g, 5, Potential("custom", func=lambda x: -diagonal),
                 Potential("custom", func=lambda x: -path))
@@ -989,7 +1005,10 @@ def test_operator_bits_are_pinned(case, want):
     g, M, pot, path_pot = _pinned_case(case)
     op = discretize(g, M, pot)
     rop = reduce_rows(g, M, path_pot)
-    got = (_digest(op.data, op.indices, op.indptr, op.mass, op.xs, op.kept),
+    H = op.matrix
+    # scipy stores int32 indices; the pinned digests hash them as int64
+    got = (_digest(H.data, H.indices.astype(np.int64), H.indptr.astype(np.int64),
+                   op.mass, op.xs, op.kept),
            _digest(rop.xs, rop.mass, rop.diag, rop.off, rop.starts, rop.stops,
                    rop.weights, rop.pair_character, rop.pair_segment))
     assert got == want
