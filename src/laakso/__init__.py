@@ -34,7 +34,6 @@ from .solver import (
     cluster,
     discretize,
     eigenfunction_trace,
-    export_matrix,
     reduce_rows,
     solve,
     solve_lowest,
@@ -78,8 +77,8 @@ __all__ = [
     "PlateConfig", "PlateConfigError",
     "JSequence", "SequenceTooShort", "hausdorff_dimension", "level_products",
     "ConvergenceError", "DiscretizedOperator", "EigenResult", "Potential",
-    "RowFlipOperator", "cluster", "discretize", "eigenfunction_trace", "export_matrix",
-    "reduce_rows", "solve", "solve_lowest", "solve_row_flip",
+    "RowFlipOperator", "cluster", "discretize", "eigenfunction_trace", "reduce_rows",
+    "solve", "solve_lowest", "solve_row_flip",
     "MERGED", "PER_FAMILY", "LineSource", "MultiplicityError", "SpectralLine",
     "Spectrum", "SpectrumQuery", "census_closed_form",
     "free_spectrum", "interior_shape_counts", "merge_lines", "plates_spectrum",

@@ -403,23 +403,6 @@ def _trace_to_json(eigenvalue: float, trace) -> str:
             % (eigenvalue, "[\n" + rows + "\n  ]" if rows else "[]"))
 
 
-def parse_lines_csv(text: str):
-    """Parse the spectrum CSV back into (lambda, multiplicity, sources) rows."""
-    out = []
-    rows = text.strip().splitlines()
-    if rows and rows[0] == "lambda,multiplicity,sources":
-        rows = rows[1:]
-    for row in rows:
-        lam, mult, srcs = row.split(",", 2)
-        sources = []
-        for item in srcs.split(";"):
-            if item:
-                family, n, k = item.rsplit(":", 2)
-                sources.append((family, int(n), int(k)))
-        out.append((float(lam), int(mult), sources))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # argument handling
 
@@ -512,7 +495,8 @@ _SUBCOMMANDS = {
                     "Hamiltonian is never assembled."),
     "zeta": _Subcommand("spectral zeta function of a periodic space", (
         _J, _PERIODIC,
-        _Flag("--s", required=True, help="argument, 're' or 're,im'"),
+        _Flag("--s", required=True, help="argument, 're' or 're,im'; a negative real "
+              "part needs the '=' form, as in --s=-0.5,0"),
         *_COMMON)),
     "casimir": _Subcommand("regularized plate energy and force", (
         _Flag("--N", type=int, required=True),

@@ -28,9 +28,11 @@ walls and conducting columns.  Cut at its Dirichlet nodes, a block falls
 into segments.  A segment whose end columns are Dirichlet only through S
 and born at levels R, and whose inner columns are born at levels B, lies
 in 2^(n - |R u B|) blocks, and in none if R and B meet: the closed-form
-multiplicities of the paper, at the discrete level.  `reduce_rows` keeps
-each distinct segment once, and `solve_row_flip` solves them as
-tridiagonal problems without assembling H.  Segments at different
+multiplicities of the paper, at the discrete level (the character
+decomposition of Band, Parzanchevski and Ben-Shach, J. Phys. A 42, 2009).
+`reduce_rows` finds each segment once by that rule, from its ends and the
+levels between them, never per character, and `solve_row_flip` solves
+them as tridiagonal problems without assembling H.  Segments at different
 places can still carry the same T (the paper's families repeat), so
 within one call each distinct T, by its bytes, is counted once, and each
 T and index window asked of it is solved once.  The 184 segments of the
@@ -113,9 +115,10 @@ class MeshError(ValueError):
 # n = 1-6, every potential: 88.  dstemr's eigenvectors of an N-node
 # segment take 8 N^2 bytes more.
 _BYTES_PER_PATH_NODE = 100
-# and per (character, cut) entry of its segment table, j = 2, mesh 7,
-# n = 8-11: 42 free and Coulomb, 38 square well
-_BYTES_PER_TABLE_ENTRY = 48
+# and per (column, level) pair, for the scan that finds the segments:
+# 28-85 more at mesh 7, for j = 2 at n = 8-12 and j = 3, (2,3), (3,2) at
+# n = 6-7, every potential; up to 102 at n = 4
+_BYTES_PER_COLUMN_LEVEL = 80
 
 
 class ConvergenceError(RuntimeError):
@@ -304,8 +307,10 @@ class RowFlipOperator:
     M interior points of cell k follow it.  `diag` and `off` are the
     tridiagonal T = D^(-1/2) L D^(-1/2) + diag(V) on every path node.
     Segment i is T on nodes starts[i]:stops[i], a block of H for
-    weights[i] characters; the occurrence p is segment pair_segment[p] of
-    character pair_character[p], in ascending character order.
+    weights[i] characters.  Its n-bit masks are the levels its end columns
+    are cut at only through the character, `fixed[i]` (R), and those with
+    its inner columns' birth levels, `used[i]` (R u B): it lies in the
+    characters that hold R and avoid B, 2^(n - |R u B|) of them.
     """
 
     graph: QuantumGraph = field(repr=False)
@@ -318,13 +323,22 @@ class RowFlipOperator:
     starts: np.ndarray
     stops: np.ndarray
     weights: np.ndarray
-    pair_character: np.ndarray
-    pair_segment: np.ndarray
+    fixed: np.ndarray
+    used: np.ndarray
 
     @property
     def dimension(self) -> int:
         """The kept-node count of the graph: segment sizes summed over all characters."""
         return int(self.weights @ (self.stops - self.starts))
+
+    def characters(self, i: int, copies: np.ndarray) -> np.ndarray:
+        """The character of each copy c of segment i, ascending in c: R,
+        with c's bits deposited in order on the levels outside R u B."""
+        out = np.full_like(copies, self.fixed[i])
+        free = [m for m in range(self.graph.level) if not self.used[i] >> m & 1]
+        for j, m in enumerate(free):
+            out |= (copies >> j & 1) << m
+        return out
 
     def node_x(self) -> np.ndarray:
         """x-coordinate of every graph node, in `discretize`'s node order."""
@@ -354,18 +368,22 @@ def reduce_rows(graph: QuantumGraph, mesh: int, potential: Potential
     into its row-flip segments, without assembling it.
 
     Reads only the graph's columns: birth levels, x, the length class of
-    each cell column and the conducting columns.  MeshError if an entry
-    of T is outside double range, or if what it holds needs more than
-    `_memory_budget()` (`_check_budget`): the path nodes at
-    _BYTES_PER_PATH_NODE each, checked before any array is made, and with
-    them the table of 2^n characters by the cut columns and cut run ends
-    at _BYTES_PER_TABLE_ENTRY each, checked before the table is made.
+    each cell column and the conducting columns.  The segments follow the
+    module docstring's rule, never a character at a time: from each cut
+    node p, a segment ends at the first node of each level bit not yet
+    passed, up to the first node cut in every character or the next one
+    with p's bit.  MeshError if an entry of T is outside double range, or
+    if what it holds needs more than `_memory_budget()` (`_check_budget`),
+    checked before any array is made: the path nodes at
+    _BYTES_PER_PATH_NODE each and the (column, level) pairs at
+    _BYTES_PER_COLUMN_LEVEL each.
     """
     lengths = _lengths(graph, mesh)
     n, I_n, M = graph.level, graph.columns, mesh
     nodes = (M + 1) * I_n + 1
-    _check_budget(nodes * _BYTES_PER_PATH_NODE, f"reduce_rows: mesh {M} gives {nodes} "
-                  f"path nodes at level {n}, which need", MeshError)
+    _check_budget(nodes * _BYTES_PER_PATH_NODE + (I_n + 1) * n * _BYTES_PER_COLUMN_LEVEL,
+                  f"reduce_rows: mesh {M} gives {nodes} path nodes at level {n}, which need",
+                  MeshError)
     # link p joins path nodes p and p + 1
     h = np.repeat(lengths[graph.length_class] / (M + 1), M + 1)
     links = np.arange(len(h))
@@ -386,28 +404,39 @@ def reduce_rows(graph: QuantumGraph, mesh: int, potential: Potential
                         "is outside double range")
 
     # A column born at level m >= 1 is Dirichlet for the characters holding
-    # row bit n - m.  Pad each character's cut nodes with the two path ends
-    # and take the non-empty gaps between neighbours.  Only the two ends of
-    # a run of cut nodes can bound a gap, so the table keeps those, and a
-    # gap may not start on a cut node.
-    node_bit = np.zeros(len(xs), dtype=np.int64)
-    node_bit[::M + 1] = np.where(graph.birth > 0, 1 << (n - graph.birth), 0)
-    run_end = cut & ~(np.append(cut[1:], False) & np.insert(cut[:-1], 0, False))
-    at = np.flatnonzero(run_end | (node_bit > 0))
-    _check_budget(nodes * _BYTES_PER_PATH_NODE + (len(at) << n) * _BYTES_PER_TABLE_ENTRY,
-                  f"reduce_rows: the table of {1 << n} characters by {len(at)} cut nodes, "
-                  f"with {nodes} path nodes at mesh {M}, needs", MeshError)
-    hit = cut[at] | ((np.arange(1 << n)[:, None] & node_bit[at]) != 0)
-    char, k = np.nonzero(np.pad(hit, ((0, 0), (1, 1)), constant_values=True))
-    pos = np.concatenate([[-1], at, [len(xs)]])
-    a, b = pos[k[:-1]] + 1, pos[k[1:]]
-    ok = (char[:-1] == char[1:]) & (b > a)
-    ok[ok] = ~cut[a[ok]]
-    span = len(xs) + 1
-    keys, seg, weights = np.unique(a[ok] * span + b[ok], return_inverse=True,
-                                   return_counts=True)
+    # row bit n - m.  bit[i] is that bit of node i, -1 if it is cut in every
+    # character, and bit[end] = -1 is past the path; mask[bit] is its mask.
+    end = len(xs)
+    bit = np.full(end + 1, -1)
+    bit[:-1:M + 1] = np.where(graph.birth > 0, n - graph.birth, -1)
+    bit[:-1][cut] = -1
+    mask = np.append(1 << np.arange(n), 0)
+    # p: the cut node (or -1, the left path end) before each segment start
+    p = np.flatnonzero(~cut & np.append(True, cut[:-1] | (bit[:-2] >= 0))) - 1
+    # nxt[m, k]: the first node after p[k] with bit m, or end
+    marked = np.flatnonzero(bit >= 0)
+    span, level = end + 1, np.arange(n)[:, None]
+    keys = np.append(np.sort(bit[marked] * span + marked), n * span)
+    found = keys[np.searchsorted(keys, level * span + p, side="right")]
+    nxt = np.where(found // span == level, found % span, end)
+    walls = np.append(np.flatnonzero(cut[1:] & ~cut[:-1]) + 1, end)
+    stop = walls[np.searchsorted(walls, p, side="right")]
+    own = np.flatnonzero(bit[p] >= 0)
+    stop[own] = np.minimum(stop[own], nxt[bit[p[own]], own])
+    # The ends from p, ascending: the first node of each bit before the
+    # stop, then the stop.  An end's B is the bits of the nodes before it,
+    # so |B| is its rank; R (fixed) is the bits of p and of the end.
+    ends = np.sort(np.vstack([np.minimum(nxt, stop), stop]), axis=0)
+    passed = mask[bit[ends]]
+    inner = np.cumsum(passed, axis=0) - passed
+    keep = ends > p + 1
+    keep[1:] &= ends[1:] > ends[:-1]
+    k, rank = np.nonzero(keep.T)
+    q = ends.T[keep.T]
+    fixed = mask[bit[p[k]]] | mask[bit[q]]
+    held = rank + (bit[p[k]] >= 0) + ((bit[q] >= 0) & (bit[q] != bit[p[k]]))
     return RowFlipOperator(graph, mesh, potential, xs, mass, diag, off,
-                           keys // span, keys % span, weights, char[:-1][ok], seg)
+                           p[k] + 1, q, 1 << (n - held), fixed, fixed | inner.T[keep.T])
 
 
 def _segment_eigh(d: np.ndarray, e: np.ndarray, lo: int, hi: int):
@@ -749,7 +778,7 @@ def solve_row_flip(op: RowFlipOperator, count: int, mode: str = "auto") -> Eigen
         out[cols] = lam
         res[cols] = _relative_norms(r, g)
         funcs[a:b, cols] = g / np.sqrt(op.mass[a:b])[:, None]
-        characters[cols] = op.pair_character[op.pair_segment == i][copy[cols]]
+        characters[cols] = op.characters(i, copy[cols])
     o = np.argsort(out, kind="stable")
     info = {"method": "row-flip", "mode": mode, "dim": op.dimension,
             "characters": 1 << op.graph.level, "segments": len(starts),
@@ -827,22 +856,3 @@ def eigenfunction_trace(op: DiscretizedOperator | RowFlipOperator, result: Eigen
                            g.row_labels(np.repeat(np.arange(1 << g.level), g.columns * op.mesh))])
     order = np.lexsort((rows, xs))
     return list(zip(xs[order].tolist(), rows[order].tolist(), u[order].tolist()))
-
-
-_EXPORT_SLICE = 4096
-
-
-def export_matrix(op: DiscretizedOperator, path: str):
-    """Write the assembled matrix in coordinate text format (row col value),
-    rows ascending and columns ascending within a row.  It converts
-    `_EXPORT_SLICE` stored entries at a time to Python lists, so its own
-    memory is bounded whatever the size: 0.5 MB at its peak (tracemalloc)
-    for the j = 2, n = 8, M = 7 free matrix, 1.54 M entries and 51 MB of text."""
-    H = op.matrix
-    with open(path, "w") as fh:
-        fh.write(f"% symmetric {op.dimension} x {op.dimension}, nnz {H.nnz}\n")
-        for a in range(0, H.nnz, _EXPORT_SLICE):
-            b = min(a + _EXPORT_SLICE, H.nnz)
-            rows = np.searchsorted(H.indptr, np.arange(a, b), side="right") - 1
-            for r, c, v in zip(rows.tolist(), H.indices[a:b].tolist(), H.data[a:b].tolist()):
-                fh.write(f"{r} {c} {v:.17g}\n")

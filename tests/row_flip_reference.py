@@ -1,12 +1,52 @@
-"""The eigenpair selection `laakso.solver.solve_row_flip` replaced: a
-values pass over every segment, then the `count` lowest copies by the
-computed values.  The reference its Sturm-count selection must agree
-with, up to the order of tied copies."""
+"""Two references for the row-flip path.
+
+The segment enumeration `laakso.solver.reduce_rows` replaced: a table of
+every character by every cut node, and the pairs (character, segment)
+read off it.  And the eigenpair selection `laakso.solver.solve_row_flip`
+replaced: a values pass over every segment, then the `count` lowest
+copies by the computed values.  The reference its Sturm-count selection
+must agree with, up to the order of tied copies."""
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from laakso.solver import EigenResult, _relative_norms, _segment_eigh, _window
+
+
+def table_segments(op):
+    """(starts, stops, weights, pair_character, pair_segment) of op's graph,
+    mesh and potential, by the table of 2^n characters by the cut nodes:
+    each character's segments are the non-empty gaps between its cut
+    nodes and the two path ends, and the pair p is segment pair_segment[p]
+    of character pair_character[p], by character, then start."""
+    g, M, n = op.graph, op.mesh, op.graph.level
+    cut = ~np.isfinite(op.potential.values(op.xs))
+    cut[np.asarray(g.conducting_columns(), dtype=np.int64) * (M + 1)] = True
+    node_bit = np.zeros(len(op.xs), dtype=np.int64)
+    node_bit[::M + 1] = np.where(g.birth > 0, 1 << (n - g.birth), 0)
+    # only the two ends of a run of cut nodes can bound a gap, and a gap
+    # may not start on a cut node
+    run_end = cut & ~(np.append(cut[1:], False) & np.insert(cut[:-1], 0, False))
+    at = np.flatnonzero(run_end | (node_bit > 0))
+    hit = cut[at] | ((np.arange(1 << n)[:, None] & node_bit[at]) != 0)
+    char, k = np.nonzero(np.pad(hit, ((0, 0), (1, 1)), constant_values=True))
+    pos = np.concatenate([[-1], at, [len(op.xs)]])
+    a, b = pos[k[:-1]] + 1, pos[k[1:]]
+    ok = (char[:-1] == char[1:]) & (b > a)
+    ok[ok] = ~cut[a[ok]]
+    span = len(op.xs) + 1
+    keys, seg, weights = np.unique(a[ok] * span + b[ok], return_inverse=True,
+                                   return_counts=True)
+    return keys // span, keys % span, weights, char[:-1][ok], seg
+
+
+def pair_table(op):
+    """(pair_character, pair_segment) of op as the table gave them, int64,
+    by character, then start: every character S that holds segment i's
+    fixed levels and avoids the rest of its used ones."""
+    S = np.arange(1 << op.graph.level, dtype=np.int64)
+    hold = ((S[:, None] & op.fixed) == op.fixed) & ((S[:, None] & (op.used & ~op.fixed)) == 0)
+    return np.nonzero(hold)
 
 
 def count_negative(diag, off, starts, stops) -> np.ndarray:
@@ -73,6 +113,7 @@ def solve_row_flip(op, count: int, mode: str = "auto") -> EigenResult:
     res = np.empty(count)
     funcs = np.zeros((len(op.xs), count))
     characters = np.empty(count, dtype=np.int64)
+    pair_character, pair_segment = pair_table(op)
     for i in np.flatnonzero(np.bincount(seg[pick])):
         cols = np.flatnonzero(seg[pick] == i)
         want = idx[pick[cols]]
@@ -87,7 +128,7 @@ def solve_row_flip(op, count: int, mode: str = "auto") -> EigenResult:
         out[cols] = lam
         res[cols] = _relative_norms(r, g)
         funcs[a:b, cols] = g / np.sqrt(op.mass[a:b])[:, None]
-        characters[cols] = op.pair_character[op.pair_segment == i][copy[cols]]
+        characters[cols] = pair_character[pair_segment == i][copy[cols]]
     o = np.argsort(out, kind="stable")
     info = {"method": "row-flip", "mode": mode, "dim": op.dimension,
             "characters": 1 << op.graph.level, "segments": len(k), "segment_solves": len(memo)}

@@ -157,6 +157,23 @@ def _column_cases():
     yield "square-well", "merged", lambda q: square_well_spectrum(seq2, q), lowest
 
 
+def parse_lines_csv(text: str):
+    """Parse the spectrum CSV back into (lambda, multiplicity, sources) rows."""
+    out = []
+    rows = text.strip().splitlines()
+    if rows and rows[0] == "lambda,multiplicity,sources":
+        rows = rows[1:]
+    for row in rows:
+        lam, mult, srcs = row.split(",", 2)
+        sources = []
+        for item in srcs.split(";"):
+            if item:
+                family, n, k = item.rsplit(":", 2)
+                sources.append((family, int(n), int(k)))
+        out.append((float(lam), int(mult), sources))
+    return out
+
+
 def _assert_writers_match_line_records(kind, policy, spectrum, lambda_max):
     lines = list(spectrum)
     doc = {"kind": kind, "lambda_max": lambda_max, "policy": policy,
@@ -166,7 +183,7 @@ def _assert_writers_match_line_records(kind, policy, spectrum, lambda_max):
     assert len(chunks) == max(1, -(-len(lines) // cli._CHUNK_LINES))
     csv = "".join(chunks)
     assert csv == _csv_from_records(lines)
-    assert cli.parse_lines_csv(csv) == [
+    assert parse_lines_csv(csv) == [
         (line.lam, line.multiplicity, [(s.family, s.n, s.k) for s in line.sources])
         for line in lines]
 
@@ -570,7 +587,7 @@ def test_spectrum_csv_round_trip():
     rc, out, _ = run("spectrum --kind square-well --j 2,3 --periodic "
                      "--lambda-max 2e4 --format csv")
     assert rc == 0
-    rows = cli.parse_lines_csv(out)
+    rows = parse_lines_csv(out)
     lines = square_well_spectrum(JSequence((2, 3), periodic=True), SpectrumQuery(2e4))
     assert rows == [(line.lam, line.multiplicity,
                      [(s.family, s.n, s.k) for s in line.sources]) for line in lines]

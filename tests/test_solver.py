@@ -26,7 +26,6 @@ from laakso import (
     cluster,
     discretize,
     eigenfunction_trace,
-    export_matrix,
     free_spectrum,
     plates_spectrum,
     reduce_rows,
@@ -597,12 +596,15 @@ def _counted_segment_eigh(monkeypatch):
 def _pairs(rop, r):
     """The segment and character of each pair of a row-flip result: the
     segment of its character that holds the peak of its path function."""
+    from row_flip_reference import pair_table
+
     from laakso.solver import _aranges
 
-    reps = (rop.stops - rop.starts)[rop.pair_segment]
+    pair_character, pair_segment = pair_table(rop)
+    reps = (rop.stops - rop.starts)[pair_segment]
     seg_at = np.full((1 << rop.graph.level, len(rop.xs)), -1)
-    seg_at[np.repeat(rop.pair_character, reps),
-           _aranges(rop.starts[rop.pair_segment], reps)] = np.repeat(rop.pair_segment, reps)
+    seg_at[np.repeat(pair_character, reps),
+           _aranges(rop.starts[pair_segment], reps)] = np.repeat(pair_segment, reps)
     peaks = np.argmax(np.abs(r.eigenvectors), axis=0)
     return seg_at[r.characters, peaks], r.characters
 
@@ -691,6 +693,33 @@ def _sweep_ops(mesh, cells=64):
                 yield reduce_rows(g, mesh, Potential(pot))
     for n in (1, 2):
         yield reduce_rows(build_graph(PLATES5[0], n, plates=PLATES5[1]), mesh, Potential("free"))
+
+
+# walls at a third of the nodes, next to columns and between them
+RIDDLED = Potential("custom", func=lambda x: np.where(x * 37 % 1 < 0.3, np.inf, x))
+
+
+def test_segments_match_the_character_table():
+    # reduce_rows finds each segment once, from its ends and the levels
+    # between them; the table of every character by every cut node that it
+    # replaced gives the same segments and weights and, copy by copy, the
+    # same characters, byte for byte
+    from row_flip_reference import table_segments
+
+    g8 = build_graph(SEQ2, 8)
+    ops = [*_sweep_ops(7), *(reduce_rows(g8, 7, pot) for pot in (
+        Potential("free"), Potential("square_well"), Potential("coulomb"),
+        Potential("parabolic"), SINE, RIDDLED)),
+        reduce_rows(build_graph(PLATES5[0], 3, plates=PLATES5[1]), 7, Potential("free")),
+        reduce_rows(build_graph(SEQ23, 3), 3, RIDDLED)]
+    for rop in ops:
+        starts, stops, weights, pair_character, pair_segment = table_segments(rop)
+        copies = [rop.characters(i, np.arange(w)) for i, w in enumerate(rop.weights.tolist())]
+        for got, want in ((rop.starts, starts), (rop.stops, stops), (rop.weights, weights),
+                          (np.concatenate(copies),
+                           pair_character[np.lexsort((pair_character, pair_segment))])):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert len(ops) > 300
 
 
 def test_row_flip_selection_matches_the_two_pass_reference(monkeypatch):
@@ -821,7 +850,7 @@ def test_cluster_zero_tolerance_is_exact():
 
 
 # ---------------------------------------------------------------------------
-# traces and export
+# traces
 
 def test_free_ground_state_constant():
     op = discretize(build_graph(SEQ23, 2), 6, Potential("free"))
@@ -874,54 +903,6 @@ def test_dense_trace_signs_itself(seq, n, M, kind, count):
         r.eigenvectors[:, i] *= -1
         assert eigenfunction_trace(op, r, i) == trace
         assert not any(np.signbit(v) for _, _, v in trace if v == 0.0)
-
-
-def test_export_matrix_roundtrip(tmp_path):
-    op = discretize(build_graph(SEQ2, 1), 4, Potential("free"))
-    path = tmp_path / "matrix.txt"
-    export_matrix(op, str(path))
-    rows = path.read_text().strip().splitlines()
-    assert rows[0].startswith("%")
-    entries = [line.split() for line in rows[1:]]
-    assert len(entries) == op.matrix.nnz
-    vals = {(int(r), int(c)): float(v) for r, c, v in entries}
-    for (r, c), v in vals.items():
-        assert vals[(c, r)] == v
-
-
-def test_export_matrix_writes_the_coo_text(tmp_path):
-    # the entries come straight from the CSR arrays, in the order the
-    # scipy route (tocoo, then a sort by row and column) wrote them
-    op = discretize(build_graph(SEQ23, 2), 5, Potential("square_well"))
-    path = tmp_path / "matrix.txt"
-    export_matrix(op, str(path))
-    coo = op.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    want = f"% symmetric {op.dimension} x {op.dimension}, nnz {coo.nnz}\n" + "".join(
-        f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.17g}\n" for i in order)
-    assert path.read_bytes() == want.encode()
-
-
-@pytest.mark.parametrize("size", [1, 7, 10**9])
-def test_export_matrix_slices_write_the_whole_text(tmp_path, monkeypatch, size):
-    # export_matrix converts a fixed-size slice of entries at a time; at any
-    # slice size, also across rows that hold no entry, it writes the text of
-    # one pass over the whole CSR arrays
-    op = discretize(build_graph(SEQ23, 2), 5, Potential("square_well"))
-    coo = op.matrix.tocoo()
-    keep = coo.row % 3 != 1                     # rows 1, 4, 7, ... lose every entry
-    holed = dataclasses.replace(op, matrix=sparse.csr_matrix(
-        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape))
-    monkeypatch.setattr("laakso.solver._EXPORT_SLICE", size)
-    path = tmp_path / "matrix.txt"
-    for case in (op, holed):
-        H = case.matrix.tocoo()
-        assert H.nnz % 7                           # the last slice of 7 is partial
-        want = f"% symmetric {case.dimension} x {case.dimension}, nnz {H.nnz}\n" + "".join(
-            f"{r} {c} {v:.17g}\n"
-            for r, c, v in zip(H.row.tolist(), H.col.tolist(), H.data.tolist()))
-        export_matrix(case, str(path))
-        assert path.read_bytes() == want.encode()
 
 
 # ---------------------------------------------------------------------------
@@ -1001,7 +982,9 @@ def test_operator_bits_are_pinned(case, want):
     # the bits of both operators, fixed across rewrites of their assembly:
     # walls, the Coulomb centre, the parabolic ends, conducting vertices
     # and a diagonal that cancels to exact zeros (not stored) each drop
-    # entries
+    # entries.  The row-flip pairs are hashed as the table held them.
+    from row_flip_reference import pair_table
+
     g, M, pot, path_pot = _pinned_case(case)
     op = discretize(g, M, pot)
     rop = reduce_rows(g, M, path_pot)
@@ -1010,7 +993,7 @@ def test_operator_bits_are_pinned(case, want):
     got = (_digest(H.data, H.indices.astype(np.int64), H.indptr.astype(np.int64),
                    op.mass, op.xs, op.kept),
            _digest(rop.xs, rop.mass, rop.diag, rop.off, rop.starts, rop.stops,
-                   rop.weights, rop.pair_character, rop.pair_segment))
+                   rop.weights, *pair_table(rop)))
     assert got == want
 
 
@@ -1056,31 +1039,11 @@ def _reduce_rows_estimate(monkeypatch, graph, pot):
     return asked[-1], peak
 
 
-@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("n", [8, 9, 10])
 @pytest.mark.parametrize("pot", ["free", "square_well", "coulomb"])
 def test_reduce_rows_estimate_is_within_twice_its_peak(monkeypatch, n, pot):
     need, peak = _reduce_rows_estimate(monkeypatch, build_graph(SEQ2, n), pot)
     assert peak / 2 <= need <= 2 * peak
-
-
-def test_reduce_rows_refuses_its_table_before_making_it(monkeypatch):
-    from laakso import graphs, solver
-
-    graph = build_graph(SEQ2, 8)
-    nodes = 8 * graph.columns + 1
-    need, _ = _reduce_rows_estimate(monkeypatch, graph, "free")
-    assert need > 10 * nodes * solver._BYTES_PER_PATH_NODE     # the table is most of it
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the table was made before the budget was checked")
-
-    monkeypatch.setattr(graphs, "_memory_budget", lambda: need - 1)
-    monkeypatch.setattr(np, "pad", refuse)
-    with pytest.raises(MeshError, match=(
-            r"^reduce_rows: the table of 256 characters by 255 cut nodes, with 2049 path "
-            r"nodes at mesh 7, needs about 0\.0 GB, more than the 0\.0 GB this process "
-            "may use$")):
-        reduce_rows(graph, 7, Potential("free"))
 
 
 def test_relative_norms_rescale_only_columns_that_overflow():
