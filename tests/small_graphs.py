@@ -1,8 +1,11 @@
-"""The exhaustive small-sequence sweep shared by the table oracles."""
+"""The exhaustive small-sequence sweep shared by the table oracles, and a
+potential whose walls cut the row-flip path in many places."""
 
 import itertools
 
-from laakso import JSequence, level_products
+import numpy as np
+
+from laakso import JSequence, Potential, level_products
 
 LIMIT = 20_000
 
@@ -19,3 +22,7 @@ def levels(seq, first=0):
     while 2**n * level_products(seq, n)[n] <= LIMIT:
         yield n
         n += 1
+
+
+# walls at a third of the nodes, next to columns and between them
+RIDDLED = Potential("custom", func=lambda x: np.where(x * 37 % 1 < 0.3, np.inf, x))

@@ -10,6 +10,7 @@ import io
 
 import numpy as np
 import pytest
+from small_graphs import RIDDLED
 
 from laakso import (JSequence, PlateConfig, Potential, build_graph, cli, reduce_rows,
                     solve_row_flip)
@@ -35,9 +36,9 @@ def test_mirror_has_one_spectrum(values, n):
     # x -> 1 - x, each column mirrored onto one born at its level, so V(x)
     # and V(1 - x) have one spectrum.  The mirror reverses each segment and
     # moves each x by up to an ulp, and both solves are backward stable, so
-    # the two differ by rounding: at most 2.8e-12 relative over these 24
-    # cases (4.4 eps ||T||_1, at (4), n = 4).  1e-10 leaves 36 times that
-    # for other LAPACK builds; an eigenvalue that moves with the
+    # the two differ by rounding: over these 24 cases by at most 2.8e-12
+    # relative (at (4), n = 4) and 4.4 eps ||T||_1.  1e-10 leaves 36 times
+    # that for other LAPACK builds; an eigenvalue that moves with the
     # orientation moves by far more.
     g = build_graph(JSequence(values, periodic=True), n)
     spectra = [solve_row_flip(reduce_rows(g, 7, Potential("custom", func=func)), 12).eigenvalues
@@ -58,10 +59,6 @@ def test_doubled_period_gives_the_same_output(command, n):
     # for byte
     once, twice = (run(f"{command.format(n=n)} --j {j}") for j in ("2", "2,2"))
     assert once == twice and once[0] == 0
-
-
-# walls at a third of the nodes, next to columns and between them
-RIDDLED = Potential("custom", func=lambda x: np.where(x * 37 % 1 < 0.3, np.inf, x))
 
 
 @pytest.mark.parametrize("values,n,plates,pot", [

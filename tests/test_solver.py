@@ -1,6 +1,5 @@
 """Discretization and eigensolver behavior on small graphs."""
 
-import dataclasses
 import hashlib
 import math
 import os
@@ -14,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from shift_invert import shift_invert_eigenvalues
-from small_graphs import levels, small_sequences
+from small_graphs import RIDDLED, levels, small_sequences
 
 import laakso
 from laakso import (
@@ -693,10 +692,6 @@ def _sweep_ops(mesh, cells=64):
                 yield reduce_rows(g, mesh, Potential(pot))
     for n in (1, 2):
         yield reduce_rows(build_graph(PLATES5[0], n, plates=PLATES5[1]), mesh, Potential("free"))
-
-
-# walls at a third of the nodes, next to columns and between them
-RIDDLED = Potential("custom", func=lambda x: np.where(x * 37 % 1 < 0.3, np.inf, x))
 
 
 def test_segments_match_the_character_table():
