@@ -15,7 +15,6 @@ if "LAAKSO_THREADS" in _os.environ:
 from .casimir import CasimirForce, RegularizedEnergy, casimir_force, plate_zeta_energy
 from .graphs import (
     QuantumGraph,
-    Shape,
     ShapeCensus,
     WellGeometry,
     build_graph,
@@ -72,7 +71,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CasimirForce", "RegularizedEnergy", "casimir_force", "plate_zeta_energy",
-    "QuantumGraph", "Shape", "ShapeCensus", "WellGeometry", "build_graph",
+    "QuantumGraph", "ShapeCensus", "WellGeometry", "build_graph",
     "column_boundaries", "shape_census", "well_geometry",
     "PlateConfig", "PlateConfigError",
     "JSequence", "SequenceTooShort", "hausdorff_dimension", "level_products",

@@ -11,8 +11,8 @@ most significant bit first (the level-1 copy).  Cell id row * I_n + k
 spans columns [k, k + 1] of that row.  A column born at level m >= 1
 glues the two level-m copies, so its vertices ignore bit n - m of the
 row mask; vertex ids run over (column, row class) in that order.  Binary
-row labels such as '0*1', and the Vertex / Edge / Shape records, exist
-only at output: the sequence views build them when they are read.
+row labels such as '0*1', and the Vertex records of the `vertices` view,
+are built only when they are read.
 
 Every level-n graph decomposes into three shape primitives:
 
@@ -23,7 +23,7 @@ Every level-n graph decomposes into three shape primitives:
   level, forming two X's glued at four corner nodes.
 
 The builder does not record them.  `shape_census` finds them from the
-cell endpoints alone, and the `shapes` view reads the same decomposition.
+cell endpoints alone (`_decompose`), as arrays of cell ids per kind.
 
 All coordinates, lengths, and well geometry are exact rationals: the
 eigenvalue multiplicity case analysis branches on exact comparisons, so
@@ -86,25 +86,6 @@ class Vertex:
     birth: int              # level at which this node column first appeared
     row_class: str          # row label with '*' at the glued level, if any
     conducting: bool = False
-
-
-@dataclass(frozen=True, slots=True)
-class Edge:
-    id: int
-    u: int
-    v: int
-    row: str                # full binary row label
-    cell: int               # spans columns [cell, cell + 1]
-    length: Fraction
-
-
-@dataclass(frozen=True, slots=True)
-class Shape:
-    kind: str               # 'vee' | 'loop' | 'cross'
-    col_a: int
-    col_b: int
-    edge_ids: tuple[int, ...]
-    center: int | None = None   # cross center column
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,10 +165,8 @@ class QuantumGraph:
     the endpoint vertex ids `u` < `v`; cell id row * I_n + k is the
     record of its row bitmask and its start column k.
 
-    `vertices`, `edges` and `shapes` are views for inspection: each
-    record is built when it is read.  `shapes` runs `shape_census`'s
-    decomposition on every read and lists vees, loops, then crosses,
-    each by (col_a, edge ids); it is empty at level 0.
+    `vertices` is a view for inspection: each Vertex record is built
+    when it is read.
     """
 
     level: int
@@ -224,34 +203,11 @@ class QuantumGraph:
     def vertices(self) -> Sequence[Vertex]:
         return _Records(self.num_vertices, self._vertex)
 
-    @property
-    def edges(self) -> Sequence[Edge]:
-        return _Records(self.num_cells, self._edge)
-
-    @property
-    def shapes(self) -> Sequence[Shape]:
-        blocks = [(kind, eids, *_extent(self, eids))
-                  for kind, eids in (_decompose(self).items() if self.level >= 1 else ())]
-        return _Records(sum(len(eids) for _, eids, _, _ in blocks),
-                        functools.partial(self._shape, blocks))
-
     def _vertex(self, i: int) -> Vertex:
         col = int(self.vertex_column[i])
         return Vertex(i, col, self.column_x[col], int(self.birth[col]),
                       str(self.vertex_labels([i])[0]),
                       col in _plate_columns(self.plates, self.columns))
-
-    def _edge(self, i: int) -> Edge:
-        row, k = divmod(i, self.columns)
-        return Edge(i, int(self.u[i]), int(self.v[i]), str(self.row_labels([row])[0]), k,
-                    self.lengths[self.length_class[k]])
-
-    def _shape(self, blocks, i: int) -> Shape:
-        for kind, eids, a, b in blocks:
-            if i < len(eids):
-                return Shape(kind, int(a[i]), int(b[i]), tuple(eids[i].tolist()),
-                             int(a[i]) + 1 if kind == "cross" else None)
-            i -= len(eids)
 
     def vertex_rows(self, ids=None) -> np.ndarray:
         """Row bitmasks of the given vertices, or of all of them; the bit a
@@ -280,25 +236,6 @@ class QuantumGraph:
     def degrees(self) -> np.ndarray:
         nv = self.num_vertices
         return np.bincount(self.u, minlength=nv) + np.bincount(self.v, minlength=nv)
-
-    def is_connected(self) -> bool:
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import connected_components
-
-        nv = self.num_vertices
-        adj = coo_matrix((np.ones(self.num_cells), (self.u, self.v)), shape=(nv, nv))
-        return connected_components(adj, directed=False, return_labels=False) == 1
-
-    def horizontal_image(self) -> np.ndarray:
-        """Edge permutation induced by x -> 1 - x; raises if not a symmetry."""
-        same = np.array([self.lengths.index(x) for x in self.lengths])
-        if np.any(same[self.length_class[::-1]] != same[self.length_class]):
-            raise GraphBuildError("graph is not horizontally symmetric")
-        return np.arange(self.num_cells).reshape(-1, self.columns)[:, ::-1].ravel()
-
-    def vertical_image(self) -> np.ndarray:
-        """Edge permutation induced by swapping the two copies at every level."""
-        return np.arange(self.num_cells).reshape(-1, self.columns)[::-1].ravel()
 
 
 def _bit_strings(masks: np.ndarray, n: int, star: np.ndarray | None = None) -> np.ndarray:

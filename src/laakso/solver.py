@@ -42,9 +42,10 @@ those.  The count-th copy often falls in a band of eigenvalues of
 different T's that tie, within tau = 1024 eps ||T||_1 of it (the paper's
 multiplicities): every eigenvalue below the band is taken, then copies
 from the band in (segment, eigenvalue index) order, not by the rounding
-of their values.  `solve` takes this path at every size.  `discretize` +
+of their values.  `solve` takes this path at every size, and
+`eigenfunction_trace` lifts its pairs onto the graph.  `discretize` +
 `solve_lowest`, the dense solve of the assembled H, is the reduction's
-oracle.
+oracle; nothing traces its eigenvectors.
 
 The commands that never solve (`describe`, `census`, `spectrum`, `zeta`,
 `casimir`) would spend most of their start-up importing scipy, and even
@@ -675,8 +676,7 @@ def solve_lowest(op: DiscretizedOperator, count: int, mode: str = "auto") -> Eig
     below as h -> 0, so its lowest eigenvalues are mesh artifacts far
     below zero.  'auto' picks 'nearest_zero' for Coulomb and 'lowest'
     otherwise.  Raises ConvergenceError if any residual exceeds 1e-8.
-    The eigenvectors carry the sign LAPACK gives them;
-    `eigenfunction_trace` signs what it plots.
+    The eigenvectors carry the sign LAPACK gives them.
     """
     mode = _window(op, count, mode)
     H = op.matrix.toarray()
@@ -827,26 +827,19 @@ def cluster(eigenvalues, rel_tol: float = 1e-2):
     return out
 
 
-def eigenfunction_trace(op: DiscretizedOperator | RowFlipOperator, result: EigenResult,
-                        index: int):
+def eigenfunction_trace(op: RowFlipOperator, result: EigenResult, index: int):
     """Sample eigenfunction `index` over the node map for plotting.
 
-    Returns (x, row label, value) tuples for every node, sorted by
-    (x, row); values are in the unit discrete-L2 normalization, and
-    eliminated nodes (walls, conducting vertices) read exactly 0.0.  A
-    row-flip pair is first lifted onto the graph.  Every trace, of either
-    operator, is signed by one rule: positive where |value| first peaks
-    in node order.
+    The pair is lifted onto the graph, and (x, row label, value) tuples
+    are returned for every node, sorted by (x, row); values are in the
+    unit discrete-L2 normalization, and eliminated nodes (walls,
+    conducting vertices) read exactly 0.0.  The trace is signed by one
+    rule: positive where |value| first peaks in node order.
     """
     if not 0 <= index < result.eigenvectors.shape[1]:
         raise IndexError(f"eigenfunction index {index} out of range")
-    if isinstance(op, RowFlipOperator):
-        xs = op.node_x()
-        u = op.lift(result.eigenvectors[:, index], int(result.characters[index]))
-    else:
-        xs = op.xs
-        u = np.zeros(len(op.xs))
-        u[op.kept] = result.eigenvectors[:, index]
+    xs = op.node_x()
+    u = op.lift(result.eigenvectors[:, index], int(result.characters[index]))
     if u[np.argmax(np.abs(u))] < 0:
         u = -u
     u += 0.0                  # a zero times -1 is -0.0; eliminated nodes read 0.0

@@ -347,17 +347,25 @@ def _collect(level, first: int, lambda_max: float, scales=UNIT_SCALE) -> list[Fa
         rows += rows_n
 
 
-def free_families(seq: JSequence, lambda_max: float) -> list[Family]:
-    """The free Laplacian's families with a line <= lambda_max.
+def _gated(seq: JSequence, lambda_max: float, level):
+    """n -> level(seq, n), or no rows where pi^2 I_n^2 / 4, the least line
+    level n may hold, is above lambda_max.  As it is >= pi^2 I_{n-1}^2, a
+    level is ruled out first from I_{n-1}, before its j_n is fetched
+    (explicit sequences are only consulted as deep as needed)."""
+    def rows(n):
+        if n > 0:
+            I_prev = math.prod(seq.prefix(n - 1))
+            if (PI2 * I_prev**2 > lambda_max
+                    or _printed((I_prev * seq.j(n))**2, 4, 1.0) > lambda_max):
+                return []
+        return level(seq, n)
+    return rows
 
-    Level n has no line below pi^2 I_n^2 / 4 >= pi^2 I_{n-1}^2, so a level
-    is ruled out before its j_n is fetched (explicit sequences are only
-    consulted as deep as needed), and I_n >= 2^n stops the levels early.
-    """
-    def level(n):
-        keep = n == 0 or PI2 * math.prod(seq.prefix(n - 1))**2 <= lambda_max
-        return free_level(seq, n) if keep else []
-    return _collect(level, 1, lambda_max)
+
+def free_families(seq: JSequence, lambda_max: float) -> list[Family]:
+    """The free Laplacian's families with a line <= lambda_max; I_n >= 2^n
+    stops the levels early (`_gated`)."""
+    return _collect(_gated(seq, lambda_max, free_level), 1, lambda_max)
 
 
 def census_closed_form(seq: JSequence, n: int) -> tuple[int, int, int]:
@@ -380,7 +388,8 @@ def free_spectrum(seq: JSequence, query: SpectrumQuery) -> Spectrum:
 # infinite square well on [1/4, 3/4]
 
 def square_well_families(seq: JSequence, lambda_max: float) -> list[Family]:
-    """The square-well Hamiltonian's families with a line <= lambda_max.
+    """The square-well Hamiltonian's families with a line <= lambda_max:
+    the `square_well_level` rows, gated as the free ones (`_gated`).
 
     Families come from: interval modes confined to the well (4 k^2 pi^2),
     shapes cut by the wall (rates k^2 pi^2 / d_n^2 and
@@ -405,47 +414,44 @@ def square_well_families(seq: JSequence, lambda_max: float) -> list[Family]:
     for byte, because the benchmark's recorded digests pin the square-well
     spectrum; the fix re-records them (ROADMAP items 2 and 8).
     """
-    rows = [Family("level0", 0, "unit", Fraction(4), False, 1, 1)]
-    j1 = seq.j(1)
-    if j1 in (2, 3):
-        d1 = well_geometry(seq, 1).d
-        rows.append(Family("wall_vee", 1, "unit", 1 / d1**2, False, 1, 2))
-    if j1 == 3:
-        rows.append(Family("loop_level1", 1, "unit", Fraction(9), False, 1, 1))
+    return _collect(_gated(seq, lambda_max, square_well_level), 2, lambda_max)
 
-    # the lowest line of level n, pi^2 I_n^2 / 4, is below every wall rate
-    # 1/d_n^2 >= 16 I_n^2 / 49, so it gates the level as for the free space
-    I_prev, n = 1, 1
-    while PI2 * I_prev**2 <= lambda_max:
-        j_n = seq.j(n)
-        I_n = I_prev * j_n
-        rate = Fraction(I_n * I_n)
-        if _above(rate / 4, 1.0, lambda_max):
-            break
-        d = well_geometry(seq, n).d
-        r = Fraction(I_n, 4) % j_n
-        in_cross = r > j_n - 1          # the wall is left of a cross's centre
-        full, _, loops = interior_shape_counts(seq, n)
-        if n == 1 and j_n == 3:         # that loop is the loop_level1 row
-            loops = 0
 
-        if d != 0 and 1 < r < j_n - 1:
-            rows.append(Family("wall_loop", n, "unit", 1 / d**2, False, 1, 2**n))
-        rows.append(Family("loop", n, "unit", rate, False, 1, loops))
-        if n >= 2:
-            if d != 0 and (in_cross or (r < 1 and I_n >= 4 * j_n)):
-                rows.append(Family("wall_cross", n, "unit", 1 / d**2, False, 1,
-                                   2 ** (n - 1)))
-            if in_cross or r == 0:
-                rows.append(Family("half_cross", n, "unit", rate, False, 1,
-                                   2 ** (n - 1)))
-            if in_cross:
-                rows.append(Family("split_cross", n, "unit",
-                                   1 / (d + Fraction(1, I_n)) ** 2, False, 1,
-                                   2 ** (n - 1)))
-            rows.append(Family("cross", n, "unit", rate, False, 1, 2 * full))
-            rows.append(Family("cross_wide", n, "unit", rate / 4, False, 1, full))
-        I_prev, n = I_n, n + 1
+def square_well_level(seq: JSequence, n: int) -> list[Family]:
+    """The square-well Hamiltonian's rows at level n (`square_well_families`);
+    level 0 also lists the level-1 rows at the path's ends.  From level 2
+    the least line, pi^2 I_n^2 / 4, is the cross_wide row's: every wall
+    rate 1/d_n^2 >= 16 I_n^2 / 49 lies above it."""
+    if n == 0:
+        rows = [Family("level0", 0, "unit", Fraction(4), False, 1, 1)]
+        if seq.j(1) in (2, 3):
+            rows.append(Family("wall_vee", 1, "unit", 1 / well_geometry(seq, 1).d**2, False, 1, 2))
+        if seq.j(1) == 3:
+            rows.append(Family("loop_level1", 1, "unit", Fraction(9), False, 1, 1))
+        return rows
+    j_n = seq.j(n)
+    I_n = math.prod(seq.prefix(n))
+    rate = Fraction(I_n * I_n)
+    d = well_geometry(seq, n).d
+    r = Fraction(I_n, 4) % j_n
+    in_cross = r > j_n - 1          # the wall is left of a cross's centre
+    full, _, loops = interior_shape_counts(seq, n)
+    if n == 1 and j_n == 3:         # that loop is the loop_level1 row
+        loops = 0
+    rows = []
+    if d != 0 and 1 < r < j_n - 1:
+        rows.append(Family("wall_loop", n, "unit", 1 / d**2, False, 1, 2**n))
+    rows.append(Family("loop", n, "unit", rate, False, 1, loops))
+    if n >= 2:
+        if d != 0 and (in_cross or (r < 1 and I_n >= 4 * j_n)):
+            rows.append(Family("wall_cross", n, "unit", 1 / d**2, False, 1, 2 ** (n - 1)))
+        if in_cross or r == 0:
+            rows.append(Family("half_cross", n, "unit", rate, False, 1, 2 ** (n - 1)))
+        if in_cross:
+            rows.append(Family("split_cross", n, "unit", 1 / (d + Fraction(1, I_n)) ** 2,
+                               False, 1, 2 ** (n - 1)))
+        rows.append(Family("cross", n, "unit", rate, False, 1, 2 * full))
+        rows.append(Family("cross_wide", n, "unit", rate / 4, False, 1, full))
     return rows
 
 

@@ -137,9 +137,13 @@ def _zeta_at(s: complex, re_sign: float, im_sign: float) -> complex:
 
 
 def _periodic_products(seq: JSequence) -> tuple[int, list[int], list[int]]:
+    """The primitive period T, I_0..I_{T+1} and j_1..j_{T+1}.  T is the
+    shortest block `values` repeats, so (2,3,2,3) is read as (2,3): one
+    space, one formula, one set of bits."""
     if not seq.periodic:
         raise ValueError("a periodic subdivision sequence is required")
-    T = len(seq.values)
+    v = seq.values
+    T = next(t for t in range(1, len(v) + 1) if v == v[:t] * (len(v) // t))
     products = level_products(seq, T + 1)
     js = [seq.j(i) for i in range(1, T + 2)]
     return T, products, js

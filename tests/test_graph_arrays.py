@@ -1,4 +1,4 @@
-"""Columnar graphs: vertex ids, cell endpoints, shape views and censuses.
+"""Columnar graphs: vertex ids, cell endpoints, shapes and censuses.
 
 The literal values were recorded with the earlier builder, which kept one
 Python object per vertex and per cell, so they pin the array layout to
@@ -222,30 +222,24 @@ def test_vertex_ids_and_endpoints(values, n):
     assert " ".join(f"{x.column}:{x.row_class}" for x in g.vertices) == vertices
     assert g.vertex_labels().tolist() == [x.split(":")[1] for x in vertices.split()]
     assert g.u.tolist() == u and g.v.tolist() == v
-    assert [(e.u, e.v) for e in g.edges] == list(zip(u, v))
 
 
 def test_shape_view_records():
+    # the nine shapes `_decompose` finds, as (kind, first column, last
+    # column, cell ids, cross centre column)
     g = build_graph(SEQ23, 2)
-    assert [(s.kind, s.col_a, s.col_b, s.edge_ids, s.center) for s in g.shapes] == [
+    shapes = []
+    for kind, eids in graphs._decompose(g).items():
+        a, b = graphs._extent(g, eids)
+        shapes += [(kind, int(a[i]), int(b[i]), tuple(eids[i].tolist()),
+                    int(a[i]) + 1 if kind == "cross" else None) for i in range(len(eids))]
+    assert shapes == [
         ("vee", 0, 1, (0, 6), None), ("vee", 0, 1, (12, 18), None),
         ("vee", 5, 6, (5, 11), None), ("vee", 5, 6, (17, 23), None),
         ("loop", 1, 2, (1, 7), None), ("loop", 1, 2, (13, 19), None),
         ("loop", 4, 5, (4, 10), None), ("loop", 4, 5, (16, 22), None),
         ("cross", 2, 4, (2, 3, 8, 9, 14, 15, 20, 21), 3),
     ]
-
-
-def test_shape_view_order():
-    # vees, loops, then crosses, each by (first column, edge ids), on every
-    # graph of the small sweep and on plate graphs
-    kinds = {"vee": 0, "loop": 1, "cross": 2}
-    graphs = [build_graph(seq, n) for seq in small_sequences() for n in levels(seq, 1)]
-    graphs += [build_graph(JSequence((N,), periodic=True), 2, plates=PlateConfig(N, Z, 0.2))
-               for N, Z in ((4, 1), (5, 0), (7, 2))]
-    for g in graphs:
-        keys = [(kinds[s.kind], s.col_a, s.edge_ids) for s in g.shapes]
-        assert keys == sorted(keys), (g.js, g.level)
 
 
 def test_decompose_equals_the_reference():
@@ -265,19 +259,18 @@ def test_decompose_equals_the_reference():
 
 def test_views_are_read_only_sequences():
     g = build_graph(SEQ23, 3)
-    assert len(g.vertices) == g.num_vertices == len(list(g.vertices))
-    assert len(g.edges) == g.num_cells == 96
-    assert g.edges[-1] == g.edges[95] == list(g.edges)[-1]
+    assert len(g.vertices) == g.num_vertices == len(list(g.vertices)) == 60
+    assert g.vertices[-1] == g.vertices[59] == list(g.vertices)[-1]
     assert g.vertices[3:5] == [g.vertices[3], g.vertices[4]]
     with pytest.raises(IndexError):
-        g.edges[96]
+        g.vertices[60]
     with pytest.raises(TypeError):
-        g.edges[0] = None
+        g.vertices[0] = None
 
 
 def test_hot_paths_build_no_records(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a vertex, edge or shape record was built")
+        raise AssertionError("a vertex record was built")
 
     def refuse_shapes(graph):
         raise AssertionError("the shapes were decomposed")
@@ -285,8 +278,7 @@ def test_hot_paths_build_no_records(monkeypatch):
     def refuse_positions(graph):
         raise AssertionError("the column positions were made")
 
-    for name in ("_vertex", "_edge", "_shape"):
-        monkeypatch.setattr(QuantumGraph, name, refuse)
+    monkeypatch.setattr(QuantumGraph, "_vertex", refuse)
     with monkeypatch.context() as m:
         m.setattr(graphs, "_decompose", refuse_shapes)
         g = build_graph(JSequence((4,), periodic=True), 2, plates=PlateConfig(4, 1, 0.2))
@@ -299,5 +291,4 @@ def test_hot_paths_build_no_records(monkeypatch):
         plates = build_graph(JSequence((7,), periodic=True), 3, plates=PlateConfig(7, 2, 0.15))
         shape_census(plates, region="plates")
     op = discretize(g, 4, Potential("square_well"))
-    trace = eigenfunction_trace(op, solve_lowest(op, 2), 0)
-    assert len(trace) == len(op.xs)
+    assert solve_lowest(op, 2).info["method"] == "dense"

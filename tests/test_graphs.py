@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from laakso import (
     JSequence,
@@ -13,17 +16,46 @@ from laakso import (
     shape_census,
     well_geometry,
 )
-from laakso.graphs import GraphBuildError
+from laakso.graphs import GraphBuildError, _decompose
 from laakso.plates import PlateConfigError
 
 SEQ2 = JSequence((2,), periodic=True)
 SEQ23 = JSequence((2, 3), periodic=True)
 
 
+def _cell_lengths(g) -> list[Fraction]:
+    """The exact length of each cell column; every row has the same."""
+    return [g.lengths[k] for k in g.length_class.tolist()]
+
+
+def _connected(g) -> bool:
+    nv = g.num_vertices
+    adj = coo_matrix((np.ones(g.num_cells), (g.u, g.v)), shape=(nv, nv))
+    return connected_components(adj, directed=False, return_labels=False) == 1
+
+
+def _mirrors_are_automorphisms(g) -> bool:
+    """x -> 1 - x (column k onto I_n - k) and the swap of the two copies at
+    every level (row r onto its complement) each map every cell's ends
+    onto the ends of the image cell, and the first keeps the lengths."""
+    col, I_n = g.vertex_column, g.columns
+    start = np.concatenate([[0], np.cumsum(np.bincount(col))])
+    cls = np.arange(g.num_vertices) - start[col]       # the row class within its column
+    count = np.diff(start)[col]
+    x_image = start[I_n - col] + cls
+    row_image = start[col] + count - 1 - cls
+    by_row = (-1, I_n)
+    return (np.array_equal(g.length_class, g.length_class[::-1])
+            and np.array_equal(x_image[g.u].reshape(by_row)[:, ::-1].ravel(), g.v)
+            and np.array_equal(x_image[g.v].reshape(by_row)[:, ::-1].ravel(), g.u)
+            and np.array_equal(row_image[g.u].reshape(by_row)[::-1].ravel(), g.u)
+            and np.array_equal(row_image[g.v].reshape(by_row)[::-1].ravel(), g.v))
+
+
 def test_cell_count_and_lengths():
     g = build_graph(JSequence((2, 2)), 2)
     assert g.num_cells == 2**2 * 4 == 16
-    assert all(e.length == Fraction(1, 4) for e in g.edges)
+    assert _cell_lengths(g) == [Fraction(1, 4)] * 4
 
 
 def test_vertex_coordinates_are_exact_columns():
@@ -38,20 +70,15 @@ def test_level_zero_graph():
     g = build_graph(SEQ2, 0)
     assert g.num_cells == 1
     assert len(g.vertices) == 2
-    assert g.shapes == []
+    with pytest.raises(ValueError, match="level >= 1"):
+        shape_census(g)
 
 
 def test_graph_connected_and_symmetric():
     for seq, n in [(SEQ2, 3), (SEQ23, 3), (JSequence((4,), periodic=True), 2)]:
         g = build_graph(seq, n)
-        assert g.is_connected()
-        hperm = g.horizontal_image()
-        vperm = g.vertical_image()
-        assert sorted(hperm) == list(range(g.num_cells))
-        assert sorted(vperm) == list(range(g.num_cells))
-        # involutions
-        assert all(hperm[hperm[i]] == i for i in range(g.num_cells))
-        assert all(vperm[vperm[i]] == i for i in range(g.num_cells))
+        assert _connected(g)
+        assert _mirrors_are_automorphisms(g)
 
 
 @pytest.mark.parametrize("values", [(2,), (3,), (2, 3), (3, 2), (4,), (2, 2, 3)])
@@ -136,19 +163,18 @@ def test_plate_graph_lengths_and_conductors():
     g = build_graph(seq, 2, plates=cfg)
     interior = cfg.interior_scale() / 16
     exterior = cfg.exterior_scale() / 16
-    lengths = {e.length for e in g.edges}
-    assert lengths == {interior, exterior}
+    assert set(_cell_lengths(g)) == {interior, exterior}
     # plates sit at columns 4 and 12 of 16; every vertex there conducts
     cond_cols = {g.vertices[v].column for v in g.conducting_ids()}
     assert cond_cols == {4, 12}
-    assert g.is_connected()
-    g.horizontal_image()
+    assert _connected(g)
+    assert _mirrors_are_automorphisms(g)
 
 
 def test_plate_graph_natural_position_is_uniform():
     cfg = PlateConfig(4, 1, 0.25)   # (Z+1)/(2N) = 1/4
     g = build_graph(JSequence((4,), periodic=True), 2, plates=cfg)
-    assert {e.length for e in g.edges} == {Fraction(1, 16)}
+    assert set(_cell_lengths(g)) == {Fraction(1, 16)}
 
 
 def test_plate_graph_total_width():
@@ -156,8 +182,7 @@ def test_plate_graph_total_width():
     g = build_graph(JSequence((6,), periodic=True), 2, plates=cfg)
     xs = [v.x for v in g.vertices]
     assert min(xs) == 0 and max(xs) == 1
-    row_len = sum(e.length for e in g.edges if e.row == g.edges[0].row)
-    assert row_len == 1
+    assert sum(_cell_lengths(g)) == 1
 
 
 def test_plate_graph_rejections():
@@ -198,5 +223,5 @@ def test_well_region_split_matches_lemma_cases():
 
 def test_shape_decomposition_is_partition():
     g = build_graph(JSequence((2, 3, 2)), 3)
-    seen = sorted(eid for s in g.shapes for eid in s.edge_ids)
-    assert seen == list(range(g.num_cells))
+    seen = np.sort(np.concatenate([eids.ravel() for eids in _decompose(g).values()]))
+    assert np.array_equal(seen, np.arange(g.num_cells))

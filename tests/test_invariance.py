@@ -8,6 +8,7 @@ found or placed shows in them where no closed form reaches.
 import contextlib
 import io
 
+import bench_data
 import numpy as np
 import pytest
 from small_graphs import RIDDLED
@@ -59,6 +60,20 @@ def test_doubled_period_gives_the_same_output(command, n):
     # for byte
     once, twice = (run(f"{command.format(n=n)} --j {j}") for j in ("2", "2,2"))
     assert once == twice and once[0] == 0
+
+
+def test_zeta_reads_one_period_however_spelled():
+    # `--j 2,3` repeated twice or three times is the same periodic space,
+    # so every zeta call of the benchmark's pool (the series, the
+    # continuation, s = 1/2 and points on both pole lattices) prints the
+    # same bytes, the exit code and the error text included
+    calls = [c.split() for c in bench_data.workloads().analytic_pool() if c.startswith("zeta ")]
+    assert len(calls) > 90
+    for argv in calls:
+        j = argv.index("--j") + 1
+        once, twice, thrice = (run(" ".join(argv[:j] + [",".join([argv[j]] * k)] + argv[j + 1:]))
+                               for k in (1, 2, 3))
+        assert once == twice == thrice, argv
 
 
 @pytest.mark.parametrize("values,n,plates,pot", [

@@ -128,8 +128,7 @@ def test_dirichlet_elimination_on_plates():
     g = build_graph(JSequence((4,), periodic=True), 2, plates=cfg)
     M = 4
     op = discretize(g, M, Potential("free"))
-    assert op.dimension == len(g.vertices) - len(g.conducting_ids()) \
-        + len(g.edges) * M
+    assert op.dimension == g.num_vertices - len(g.conducting_ids()) + g.num_cells * M
 
 
 @pytest.mark.parametrize("seq,n,M,kind,plates", [
@@ -142,7 +141,7 @@ def test_walls_are_eliminated(seq, n, M, kind, plates):
     g = build_graph(seq, n, plates=plates)
     pot = Potential(kind)
     op = discretize(g, M, pot)
-    assert len(op.xs) == len(g.vertices) + len(g.edges) * M
+    assert len(op.xs) == g.num_vertices + g.num_cells * M
     V = pot.values(op.xs)
     walls = int(np.sum(~np.isfinite(V)))
     assert walls > 0
@@ -163,7 +162,7 @@ def test_nan_potential_is_not_a_wall():
 def test_potential_of_the_wrong_shape_raises_mesh_error():
     # a custom func must return one value per node
     g = build_graph(SEQ2, 1)
-    for build, n in [(discretize, len(g.vertices) + len(g.edges) * 4),
+    for build, n in [(discretize, g.num_vertices + g.num_cells * 4),
                      (reduce_rows, g.columns * 5 + 1)]:
         for func, got in [(lambda x: 5.0, "()"), (lambda x: x[1:], f"({n - 1},)")]:
             with pytest.raises(MeshError) as err:
@@ -180,9 +179,9 @@ def test_trace_zero_on_eliminated_nodes():
     plates = {(float(g.vertices[i].x), g.vertices[i].row_class) for i in g.conducting_ids()}
     cases.append((g, 4, "free", lambda x, row: (x, row) in plates))
     for graph, M, kind, eliminated in cases:
-        op = discretize(graph, M, Potential(kind))
-        trace = eigenfunction_trace(op, solve_lowest(op, 2), 0)
-        assert len(trace) == len(graph.vertices) + len(graph.edges) * M
+        op, r = solve(graph, M, Potential(kind), 2)
+        trace = eigenfunction_trace(op, r, 0)
+        assert len(trace) == graph.num_vertices + graph.num_cells * M
         zeros = [v for x, row, v in trace if eliminated(x, row)]
         assert zeros and all(v == 0.0 for v in zeros), kind
         assert max(abs(v) for _, _, v in trace) > 0
@@ -490,6 +489,31 @@ def test_row_flip_segments_are_discrete_sines(seq, n):
         assert np.abs(got - _sine_values(kind, len(d), h)).max() <= 8 * np.finfo(float).eps * norm
         kinds[kind] += 1
     assert kinds["NN"] == 1 and kinds["DN"] >= (n > 0) and kinds["DD"] >= (n > 1)
+
+
+def _closed_form_spectrum(seq, n, mesh: int) -> np.ndarray:
+    """The free discrete spectrum of the level-n graph, ascending, from the
+    free rows of levels 0..n alone: each row is a chain of L/h - 1 (DD),
+    L/h (DN) or L/h + 1 (NN) nodes, whose sine values count as often as
+    the row's multiplicity."""
+    steps = math.prod(seq.prefix(n)) * (mesh + 1)        # 1/h, an integer
+    nodes = {"DD": -1, "DN": 0, "NN": 1}
+    return np.sort(np.concatenate([
+        np.repeat(_sine_values(kind, int(L * steps) + nodes[kind], 1 / steps), mult)
+        for (kind, L), mult in _free_table(seq, n).items()]))
+
+
+@pytest.mark.parametrize("seq,n,count", [(SEQ2, 8, 20), (SEQ2, 8, 60), (SEQ3, 5, 20)],
+                         ids=_case_id)
+def test_solve_is_the_closed_form_spectrum(seq, n, count):
+    # beyond the dense oracle (dim 491k at j = 2, n = 8): the lowest values
+    # of the solve, copy by copy, are the closed form's, within the sine
+    # test's 8 eps ||T||_1 (||T||_1 = 4/h^2); about 0.1 eps ||T||_1 is seen
+    _, r = solve(build_graph(seq, n), 7, Potential("free"), count)
+    h = 1 / (math.prod(seq.prefix(n)) * 8)
+    want = _closed_form_spectrum(seq, n, 7)
+    assert len(want) == r.info["dim"]
+    assert np.abs(r.eigenvalues - want[:count]).max() <= 8 * np.finfo(float).eps * 4 / h**2
 
 
 def test_row_flip_free_clusters_match_closed_form():
@@ -848,16 +872,14 @@ def test_cluster_zero_tolerance_is_exact():
 # traces
 
 def test_free_ground_state_constant():
-    op = discretize(build_graph(SEQ23, 2), 6, Potential("free"))
-    r = solve_lowest(op, 2)
+    op, r = solve(build_graph(SEQ23, 2), 6, Potential("free"), 2)
     trace = eigenfunction_trace(op, r, 0)
     values = np.array([v for _, _, v in trace])
     assert np.ptp(values) / np.abs(values).max() < 1e-8
 
 
 def test_coulomb_trace_vanishes_at_center():
-    op = discretize(build_graph(SEQ23, 2), 20, Potential("coulomb"))
-    r = solve_lowest(op, 4)
+    op, r = solve(build_graph(SEQ23, 2), 20, Potential("coulomb"), 4)
     assert r.info["mode"] == "nearest_zero"
     trace = eigenfunction_trace(op, r, 0)
     vmax = max(abs(v) for _, _, v in trace)
@@ -866,8 +888,7 @@ def test_coulomb_trace_vanishes_at_center():
 
 
 def test_parabolic_trace_vanishes_at_ends():
-    op = discretize(build_graph(SEQ2, 1), 60, Potential("parabolic"))
-    r = solve_lowest(op, 2)
+    op, r = solve(build_graph(SEQ2, 1), 60, Potential("parabolic"), 2)
     trace = eigenfunction_trace(op, r, 0)
     vmax = max(abs(v) for _, _, v in trace)
     ends = [abs(v) for x, _, v in trace if x in (0.0, 1.0)]
@@ -875,29 +896,11 @@ def test_parabolic_trace_vanishes_at_ends():
 
 
 def test_trace_unit_norm_and_index_checks():
-    op = discretize(build_graph(SEQ2, 1), 10, Potential("free"))
-    r = solve_lowest(op, 2)
+    op, r = solve(build_graph(SEQ2, 1), 10, Potential("free"), 2)
     u = r.eigenvectors[:, 0]
     assert float(op.mass @ u**2) == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(IndexError):
         eigenfunction_trace(op, r, 5)
-
-
-@pytest.mark.parametrize("seq,n,M,kind,count", [
-    (SEQ23, 2, 5, "square_well", 8),
-    (SEQ23, 2, 5, "free", 8),
-    (SEQ2, 1, 10, "parabolic", 4),
-], ids=["well", "free", "parabolic"])
-def test_dense_trace_signs_itself(seq, n, M, kind, count):
-    # solve_lowest leaves LAPACK's sign on its vectors; the trace applies
-    # the sign rule, so a negated vector plots the same
-    op = discretize(build_graph(seq, n), M, Potential(kind))
-    r = solve_lowest(op, count)
-    for i in range(count):
-        trace = eigenfunction_trace(op, r, i)
-        r.eigenvectors[:, i] *= -1
-        assert eigenfunction_trace(op, r, i) == trace
-        assert not any(np.signbit(v) for _, _, v in trace if v == 0.0)
 
 
 # ---------------------------------------------------------------------------
