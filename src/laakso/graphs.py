@@ -209,23 +209,13 @@ class QuantumGraph:
                       str(self.vertex_labels([i])[0]),
                       col in _plate_columns(self.plates, self.columns))
 
-    def vertex_rows(self, ids=None) -> np.ndarray:
-        """Row bitmasks of the given vertices, or of all of them; the bit a
-        glued vertex ignores reads 0."""
-        ids = np.arange(self.num_vertices) if ids is None else np.asarray(ids)
-        col = self.vertex_column[ids]
-        return _row_of_class(ids - _column_start(self.birth, self.level)[col],
-                             self.level - self.birth[col])
-
     def vertex_labels(self, ids=None) -> np.ndarray:
         """Row-class labels ('0*1') of the given vertices, or of all of them."""
         ids = np.arange(self.num_vertices) if ids is None else np.asarray(ids)
-        m = self.birth[self.vertex_column[ids]]
-        return _bit_strings(self.vertex_rows(ids), self.level, np.where(m > 0, m - 1, -1))
-
-    def row_labels(self, rows) -> np.ndarray:
-        """Full binary labels of the given row bitmasks."""
-        return _bit_strings(np.asarray(rows), self.level)
+        col = self.vertex_column[ids]
+        m = self.birth[col]
+        rows = _row_of_class(ids - _column_start(self.birth, self.level)[col], self.level - m)
+        return _bit_strings(rows, self.level, np.where(m > 0, m - 1, -1))
 
     def conducting_columns(self) -> tuple[int, ...]:
         return _plate_columns(self.plates, self.columns)

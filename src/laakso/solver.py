@@ -43,7 +43,8 @@ different T's that tie, within tau = 1024 eps ||T||_1 of it (the paper's
 multiplicities): every eigenvalue below the band is taken, then copies
 from the band in (segment, eigenvalue index) order, not by the rounding
 of their values.  `solve` takes this path at every size, and
-`eigenfunction_trace` lifts its pairs onto the graph.  `discretize` +
+`eigenfunction_trace` writes each pair (S, f) out as chi_S (x) f, a path
+node at a time, which is already (x, row) order.  `discretize` +
 `solve_lowest`, the dense solve of the assembled H, is the reduction's
 oracle; nothing traces its eigenvectors.
 
@@ -59,6 +60,7 @@ loads `_flapack`, so a warm-up solve pays for every later one.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import sys
@@ -67,7 +69,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graphs import QuantumGraph, _check_budget
+from .graphs import QuantumGraph, _bit_strings, _check_budget, _row_of_class
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -311,7 +313,8 @@ class RowFlipOperator:
     weights[i] characters.  Its n-bit masks are the levels its end columns
     are cut at only through the character, `fixed[i]` (R), and those with
     its inner columns' birth levels, `used[i]` (R u B): it lies in the
-    characters that hold R and avoid B, 2^(n - |R u B|) of them.
+    characters that hold R and avoid B, 2^(n - |R u B|) of them.  A path
+    function f in character S is the graph function chi_S (x) f.
     """
 
     graph: QuantumGraph = field(repr=False)
@@ -340,26 +343,6 @@ class RowFlipOperator:
         for j, m in enumerate(free):
             out |= (copies >> j & 1) << m
         return out
-
-    def node_x(self) -> np.ndarray:
-        """x-coordinate of every graph node, in `discretize`'s node order."""
-        g, M = self.graph, self.mesh
-        interior = self.xs[:-1].reshape(g.columns, M + 1)[:, 1:].ravel()
-        return np.concatenate([self.xs[g.vertex_column * (M + 1)],
-                               np.tile(interior, 1 << g.level)])
-
-    def lift(self, f: np.ndarray, character: int) -> np.ndarray:
-        """2^(-n/2) chi_S (x) f on every graph node, in `discretize`'s node
-        order: unit discrete L2 when the path function f is."""
-        g, M = self.graph, self.mesh
-        bits = np.arange(1 << g.level) & character
-        parity = np.zeros_like(bits)
-        for b in range(g.level):
-            parity ^= (bits >> b) & 1
-        chi = (1.0 - 2.0 * parity) * 2.0 ** (-g.level / 2)
-        interior = f[:-1].reshape(g.columns, M + 1)[:, 1:].ravel()
-        return np.concatenate([chi[g.vertex_rows()] * f[g.vertex_column * (M + 1)],
-                               np.outer(chi, interior).ravel()])
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")     # as in discretize
@@ -713,9 +696,10 @@ def solve_row_flip(op: RowFlipOperator, count: int, mode: str = "auto") -> Eigen
 
     Eigenvectors are the path functions f (columns on the path nodes,
     zero off their segment, unit discrete L2); `characters` holds each
-    pair's character, and `eigenfunction_trace` lifts the pair onto the
-    graph.  The residual ||T f - lambda f|| / ||f|| of each segment pair
-    equals that of the lifted pair under H.  Raises ConvergenceError if
+    pair's character S, and the pair is the graph function
+    2^(-n/2) chi_S (x) f, which `eigenfunction_trace` writes out.  The
+    residual ||T f - lambda f|| / ||f|| of each segment pair equals that
+    of chi_S (x) f under H.  Raises ConvergenceError if
     any residual exceeds 1e-8, and MeshError, before any LAPACK call, if
     the N x N eigenvector array of the longest segment needs more than
     `_memory_budget()` (`_check_budget`).
@@ -830,22 +814,38 @@ def cluster(eigenvalues, rel_tol: float = 1e-2):
 def eigenfunction_trace(op: RowFlipOperator, result: EigenResult, index: int):
     """Sample eigenfunction `index` over the node map for plotting.
 
-    The pair is lifted onto the graph, and (x, row label, value) tuples
-    are returned for every node, sorted by (x, row); values are in the
-    unit discrete-L2 normalization, and eliminated nodes (walls,
-    conducting vertices) read exactly 0.0.  The trace is signed by one
-    rule: positive where |value| first peaks in node order.
+    Pair (S, f) is 2^(-n/2) chi_S (x) f on the graph.  Path node p stands
+    for every row at an interior node or a path end, and for the 2^(n-1)
+    row classes ('*' at label position m - 1, read as bit 0) of a column
+    born at level m >= 1.  (x, row label, value) tuples are returned a
+    path node at a time, rows in label order, so sorted by (x, row);
+    values are in the unit discrete-L2 normalization, and eliminated
+    nodes (walls, conducting vertices) read exactly 0.0.  The trace is
+    signed by one rule: positive where |value| first peaks in
+    `discretize`'s node order, the columns left to right and then the
+    interior nodes.
     """
     if not 0 <= index < result.eigenvectors.shape[1]:
         raise IndexError(f"eigenfunction index {index} out of range")
-    xs = op.node_x()
-    u = op.lift(result.eigenvectors[:, index], int(result.characters[index]))
-    if u[np.argmax(np.abs(u))] < 0:
-        u = -u
-    u += 0.0                  # a zero times -1 is -0.0; eliminated nodes read 0.0
-    g = op.graph
-    # node order: vertices, then the interior points of each cell in turn
-    rows = np.concatenate([g.vertex_labels(),
-                           g.row_labels(np.repeat(np.arange(1 << g.level), g.columns * op.mesh))])
-    order = np.lexsort((rows, xs))
-    return list(zip(xs[order].tolist(), rows[order].tolist(), u[order].tolist()))
+    n, step = op.graph.level, op.mesh + 1
+    scale = 2.0 ** (-n / 2)
+    f = result.eigenvectors[:, index]
+    # the values in `discretize`'s node order: the columns, then the interior
+    first = scale * np.concatenate([f[::step], np.delete(f, np.s_[::step])])
+    if first[np.argmax(np.abs(first))] < 0:
+        f = -f
+    S, rows = int(result.characters[index]), np.arange(1 << n)
+    chi = np.array([-scale if bin(r & S).count("1") % 2 else scale for r in range(1 << n)])
+    # copies[m]: chi and the labels of the rows a node born at level m stands for
+    copies = []
+    for m in range(n + 1):
+        r = rows if m == 0 else _row_of_class(rows[:len(rows) >> 1], n - m)
+        copies.append((chi[r], _bit_strings(r, n, np.full(len(r), m - 1)).tolist()))
+    birth = np.zeros(len(f), dtype=np.int64)
+    birth[::step] = op.graph.birth
+    out = []
+    for x, m, v in zip(op.xs.tolist(), birth.tolist(), f.tolist()):
+        sign, labels = copies[m]
+        # a zero times -1 is -0.0; eliminated nodes read 0.0
+        out += zip(itertools.repeat(x), labels, (sign * v + 0.0).tolist())
+    return out

@@ -284,7 +284,7 @@ def test_hot_paths_build_no_records(monkeypatch):
         g = build_graph(JSequence((4,), periodic=True), 2, plates=PlateConfig(4, 1, 0.2))
         rop, result = solve(g, 4, Potential("free"), 3)
         trace = eigenfunction_trace(rop, result, 2)
-        assert len(trace) == len(rop.node_x())
+        assert len(trace) == g.num_vertices + g.num_cells * 4
     shape_census(g, region="plates")
     with monkeypatch.context() as m:
         m.setattr(QuantumGraph, "column_x", property(refuse_positions))

@@ -32,7 +32,7 @@ from laakso import (
     solve_lowest,
     solve_row_flip,
 )
-from laakso.solver import MeshError
+from laakso.solver import EigenResult, MeshError
 from laakso.spectra import free_level, plate_level
 
 PI2 = math.pi**2
@@ -534,8 +534,8 @@ def test_row_flip_trace_is_an_eigenvector_of_H():
     op = discretize(g, 7, Potential("square_well"))
     rop = reduce_rows(g, 7, Potential("square_well"))
     r = solve_row_flip(rop, 12)
-    rows = np.concatenate([g.vertex_labels(),
-                           g.row_labels(np.repeat(np.arange(1 << g.level), g.columns * 7))])
+    interior = [format(r, f"0{g.level}b") for r in range(1 << g.level)]
+    rows = np.concatenate([g.vertex_labels(), np.repeat(interior, g.columns * 7)])
     order = np.lexsort((rows, op.xs))
     psis = []
     for i in range(12):
@@ -556,16 +556,49 @@ def test_row_flip_trace_is_an_eigenvector_of_H():
     assert eigenfunction_trace(rop, r, 11) == trace
 
 
-def test_row_flip_lift_character_signs():
-    # row r of the lift carries 2^(-n/2) (-1)^popcount(r & S)
+def _trace_of(rop, f, S):
+    """The trace of a hand-made pair: path function f in character S."""
+    one = EigenResult(np.zeros(1), f[:, None], np.zeros(1), {}, np.array([S]))
+    return eigenfunction_trace(rop, one, 0)
+
+
+def test_trace_rows_carry_the_character():
+    # path node p holds every row, or at a column born at level m the row
+    # classes with '*' at position m - 1, in label order; row r reads
+    # 2^(-n/2) (-1)^popcount(r & S) f(p), a '*' read as 0
     g = build_graph(SEQ2, 4)
     rop = reduce_rows(g, 3, Potential("free"))
+    f = np.linspace(-0.5, 1.0, len(rop.xs)) ** 3      # peaks, positive, at x = 1
+    birth = np.zeros(len(f), dtype=int)
+    birth[::4] = g.birth
+    full = [format(r, "04b") for r in range(16)]
+    labels = [sorted({s[:m - 1] + "*" + s[m:] for s in full}) if m else full
+              for m in birth.tolist()]
+    p = np.repeat(np.arange(len(f)), [len(x) for x in labels])
+    rows = [int(s.replace("*", "0"), 2) for x in labels for s in x]
     for S in range(16):
-        u = rop.lift(np.ones(len(rop.xs)), S)
-        chi = np.array([(-1) ** bin(r & S).count("1") / 4 for r in range(16)])
-        rows = u[g.num_vertices:].reshape(16, -1)
-        assert np.array_equal(rows, np.repeat(chi[:, None], rows.shape[1], axis=1))
-        assert np.array_equal(u[:g.num_vertices], chi[g.vertex_rows()])
+        chi = np.array([(-1) ** bin(r & S).count("1") / 4 for r in rows])
+        x, label, value = zip(*_trace_of(rop, f, S))
+        assert list(x) == rop.xs[p].tolist()
+        assert list(label) == [s for x in labels for s in x]
+        assert list(value) == (chi * f[p]).tolist()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_trace_sign_ties_go_to_the_column(sign):
+    # |f| peaks alike at interior node 1 and at column node 4: the trace
+    # takes the column's sign, the first peak in `discretize`'s node order
+    # (the columns, then the interior nodes), not the interior node's, the
+    # first peak in (x, row) order
+    g = build_graph(SEQ2, 2)
+    rop = reduce_rows(g, 3, Potential("free"))
+    f = np.full(len(rop.xs), 0.25)
+    f[1], f[4] = sign, -sign
+    for S in range(4):
+        trace = _trace_of(rop, f, S)
+        # the first row at each node is row 0, where chi_S = +1
+        column, interior = ([v for x, _, v in trace if x == rop.xs[p]][0] for p in (4, 1))
+        assert column == 0.5 and interior == -0.5
 
 
 def _segment_problems():
