@@ -107,7 +107,8 @@ def test_explicit_prefix_gives_the_periodic_output(command, n, period, prefix):
     # periodic sequence's graph at every level it reaches: one output,
     # byte for byte
     call = command.format(n=n)
-    periodic, explicit = run(f"{call} --j {period}"), run(f"{call.replace(' --periodic', '')} --j {prefix}")
+    periodic = run(f"{call} --j {period}")
+    explicit = run(f"{call.replace(' --periodic', '')} --j {prefix}")
     assert periodic == explicit and periodic[0] == 0
 
 

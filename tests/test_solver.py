@@ -534,7 +534,7 @@ def test_row_flip_trace_is_an_eigenvector_of_H():
     op = discretize(g, 7, Potential("square_well"))
     rop = reduce_rows(g, 7, Potential("square_well"))
     r = solve_row_flip(rop, 12)
-    interior = [format(r, f"0{g.level}b") for r in range(1 << g.level)]
+    interior = [format(row, f"0{g.level}b") for row in range(1 << g.level)]
     rows = np.concatenate([g.vertex_labels(), np.repeat(interior, g.columns * 7)])
     order = np.lexsort((rows, op.xs))
     psis = []
@@ -574,13 +574,14 @@ def test_trace_rows_carry_the_character():
     full = [format(r, "04b") for r in range(16)]
     labels = [sorted({s[:m - 1] + "*" + s[m:] for s in full}) if m else full
               for m in birth.tolist()]
-    p = np.repeat(np.arange(len(f)), [len(x) for x in labels])
-    rows = [int(s.replace("*", "0"), 2) for x in labels for s in x]
+    p = np.repeat(np.arange(len(f)), [len(node) for node in labels])
+    labels = [s for node in labels for s in node]
+    rows = [int(s.replace("*", "0"), 2) for s in labels]
     for S in range(16):
         chi = np.array([(-1) ** bin(r & S).count("1") / 4 for r in rows])
         x, label, value = zip(*_trace_of(rop, f, S))
         assert list(x) == rop.xs[p].tolist()
-        assert list(label) == [s for x in labels for s in x]
+        assert list(label) == labels
         assert list(value) == (chi * f[p]).tolist()
 
 
